@@ -15,14 +15,16 @@ See ``docs/LINTING.md`` for how to write a rule.
 from .baseline import DEFAULT_BASELINE_PATH, Baseline
 from .engine import (
     CONC_PROFILE,
+    DEFAULT_PROFILE,
     DETERMINISM_PROFILE,
-    EFFECTS_PROFILE,
+    SHARING_PROFILE,
     LintResult,
     LintTarget,
     collect_files,
     lint_files,
     lint_program,
     lint_source,
+    restrict,
     run_lint,
 )
 from .registry import (
@@ -40,14 +42,16 @@ __all__ = [
     "Baseline",
     "CONC_PROFILE",
     "DEFAULT_BASELINE_PATH",
+    "DEFAULT_PROFILE",
     "DETERMINISM_PROFILE",
-    "EFFECTS_PROFILE",
+    "SHARING_PROFILE",
     "LintResult",
     "LintTarget",
     "collect_files",
     "lint_files",
     "lint_program",
     "lint_source",
+    "restrict",
     "run_lint",
     "FileContext",
     "ProgramContext",

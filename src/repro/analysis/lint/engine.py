@@ -13,7 +13,11 @@ reproduces the original ``tools/lint_determinism.py`` behaviour: the
 hot-core targets get every determinism rule except DET004, and the
 whole package is swept with DET004 alone (observers outside the core
 may legitimately read the wall clock, but nobody monkey-patches the
-core).  Explicit paths get the full rule set.
+core).  :data:`DEFAULT_PROFILE` adds SHR005 over the layers a lockstep
+batch runs in one process.  Explicit paths get the full rule set.
+
+A file named by several targets is parsed and linted once, with the
+union of their rule codes.
 """
 
 from __future__ import annotations
@@ -21,12 +25,12 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ...exec.fanout import fanout_map
 from . import rules_concurrency  # noqa: F401 - registers the CONC rules
 from . import rules_determinism  # noqa: F401 - registers the DET rules
-from . import rules_sharing  # noqa: F401 - registers the SHR rules
+from . import rules_sharing  # noqa: F401 - registers SHR005
 from .baseline import Baseline
 from .registry import FileContext, Finding, ProgramContext, all_rules
 
@@ -34,12 +38,14 @@ __all__ = [
     "LintResult",
     "LintTarget",
     "CONC_PROFILE",
+    "DEFAULT_PROFILE",
     "DETERMINISM_PROFILE",
-    "EFFECTS_PROFILE",
+    "SHARING_PROFILE",
     "collect_files",
     "lint_source",
     "lint_files",
     "lint_program",
+    "restrict",
     "run_lint",
 ]
 
@@ -75,11 +81,9 @@ CONC_PROFILE = (
     ),
 )
 
-#: The batch-sharing sweep: whole-program SHR rules over the subsystems
-#: a lockstep batch shares.  One target — the effect analysis must see
-#: the pipeline, the batch runner and the workload suite together to
-#: resolve cross-class chains and run-phase reachability.
-EFFECTS_PROFILE = (
+#: The sharing sweep: SHR005 over the layers whose every core shares
+#: one process in a lockstep batch.
+SHARING_PROFILE = (
     LintTarget(
         paths=(
             "src/repro/pipeline",
@@ -90,6 +94,26 @@ EFFECTS_PROFILE = (
         codes=rules_sharing.SHR_RULE_CODES,
     ),
 )
+
+#: What ``repro-sim lint`` runs without paths or ``--rules``.
+DEFAULT_PROFILE = DETERMINISM_PROFILE + SHARING_PROFILE
+
+
+def restrict(
+    targets: Sequence[LintTarget], codes: Iterable[str]
+) -> List[LintTarget]:
+    """Each target narrowed to ``codes``; targets left with no code are
+    dropped.  Raises ``KeyError`` for a code no rule registers."""
+    wanted = {r.code for r in all_rules(set(codes))}
+    out = []
+    for target in targets:
+        own = target.codes if target.codes is not None else tuple(
+            r.code for r in all_rules()
+        )
+        selected = tuple(code for code in own if code in wanted)
+        if selected:
+            out.append(LintTarget(paths=target.paths, codes=selected))
+    return out
 
 
 @dataclass
@@ -114,7 +138,8 @@ class LintResult:
 
 
 def collect_files(paths: Iterable[Union[str, Path]]) -> List[Path]:
-    """Expand directories to sorted ``.py`` files; reject missing paths."""
+    """Expand directories to sorted ``.py`` files, each listed once even
+    when paths overlap; reject missing paths."""
     missing = [str(p) for p in paths if not Path(p).exists()]
     if missing:
         raise FileNotFoundError(f"no such path(s): {missing}")
@@ -125,7 +150,7 @@ def collect_files(paths: Iterable[Union[str, Path]]) -> List[Path]:
             files.extend(sorted(path.rglob("*.py")))
         elif path.suffix == ".py":
             files.append(path)
-    return files
+    return list(dict.fromkeys(files))
 
 
 def _suppressed_lines(source: str, marker: str = "det-ok:") -> Set[int]:
@@ -161,7 +186,8 @@ def lint_source(
         if rule.scope != "file":
             continue
         findings.extend(
-            f for f in rule.check(ctx) if f.line not in ctx.suppressed
+            f for f in rule.check(ctx)
+            if f.line not in ctx.suppressed_for(f.code)
         )
     return findings
 
@@ -178,17 +204,15 @@ def lint_files(
     jobs: int = 1,
 ) -> List[Finding]:
     """Lint many files, optionally in parallel; sorted findings."""
-    items = [(str(f), codes) for f in files]
+    return _lint_items([(str(f), codes) for f in files], jobs)
+
+
+def _lint_items(
+    items: Sequence[Tuple[str, Optional[Tuple[str, ...]]]], jobs: int
+) -> List[Finding]:
     per_file = fanout_map(_lint_payload, items, jobs=jobs)
     findings = [f for batch in per_file for f in batch]
     return sorted(findings, key=lambda f: (f.path, f.line, f.code))
-
-
-def _is_blocking(code: str) -> bool:
-    from .registry import _REGISTRY
-
-    rule = _REGISTRY.get(code)
-    return rule.blocking if rule is not None else True
 
 
 def lint_program(
@@ -220,24 +244,8 @@ def lint_program(
     for rule in rules:
         for finding in rule.check_program(pctx):
             ctx = by_path.get(finding.path)
-            if ctx is not None:
-                if finding.code.startswith("CONC"):
-                    suppressed = ctx.conc_suppressed
-                elif finding.code.startswith("SHR"):
-                    # A blessing tolerates warn-first sharing debt; the
-                    # blocking SHR rules (spec drift, per-core escape)
-                    # cannot be waved through on the mutation line —
-                    # SHR004's whole point is that the *write* may be
-                    # blessed while the *escape* still blocks.
-                    suppressed = (
-                        frozenset()
-                        if _is_blocking(finding.code)
-                        else ctx.shr_suppressed
-                    )
-                else:
-                    suppressed = ctx.suppressed
-                if finding.line in suppressed:
-                    continue
+            if ctx is not None and finding.line in ctx.suppressed_for(finding.code):
+                continue
             findings.append(finding)
     return sorted(findings, key=lambda f: (f.path, f.line, f.code))
 
@@ -257,18 +265,23 @@ def run_lint(
     blocking_codes.add(SYNTAX_ERROR_CODE)
 
     findings: List[Finding] = []
-    linted_paths: Set[str] = set()
     ran_codes: Set[str] = set()
+    #: file -> every code some target selects for it (file-scope rules
+    #: run once per file, over the union)
+    file_codes: Dict[str, Set[str]] = {}
     for target in targets:
         files = collect_files(target.paths)
-        linted_paths.update(str(f) for f in files)
-        ran_codes.update(
-            target.codes if target.codes is not None
-            else (r.code for r in all_rules())
+        codes = target.codes if target.codes is not None else tuple(
+            r.code for r in all_rules()
         )
-        findings.extend(lint_files(files, codes=target.codes, jobs=jobs))
-        findings.extend(lint_program(files, codes=target.codes))
+        ran_codes.update(codes)
+        for f in files:
+            file_codes.setdefault(str(f), set()).update(codes)
+        findings.extend(lint_program(files, codes=codes))
+    items = [(path, tuple(sorted(codes))) for path, codes in file_codes.items()]
+    findings.extend(_lint_items(items, jobs))
     findings.sort(key=lambda f: (f.path, f.line, f.code))
+    linted_paths = set(file_codes)
 
     result = LintResult(findings=findings)
     for finding in findings:

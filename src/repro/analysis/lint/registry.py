@@ -89,6 +89,14 @@ class FileContext:
         #: lines carrying ``# shr-ok: <reason>`` (SHR-family suppression)
         self.shr_suppressed = shr_suppressed
 
+    def suppressed_for(self, code: str) -> Set[int]:
+        """Lines whose suppression comment covers ``code``'s family."""
+        if code.startswith("CONC"):
+            return self.conc_suppressed
+        if code.startswith("SHR"):
+            return self.shr_suppressed
+        return self.suppressed
+
 
 class ProgramContext:
     """Every file of one lint target, for whole-program rules.

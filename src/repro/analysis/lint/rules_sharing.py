@@ -1,101 +1,194 @@
-"""SHR001–SHR005: batch-sharing rules for the lockstep simulator.
+"""SHR005: process-global mutable state in the simulator.
 
-Thin adapters over the whole-program effect & ownership analysis in
-:mod:`repro.analysis.effects` — the expensive model (per-function
-effect summaries, the typed call graph, run-phase reachability, the
-ownership map) is built once per lint target and shared by all five
-rules through the :class:`ProgramContext` cache.
+Every core of a lockstep batch runs in one process, so anything that
+lives at process scope is shared by all of them: a mutable default
+argument, a class attribute, a module global.  Writing such state at
+run time couples cores that must stay independent.  The rule flags:
 
-Failure semantics follow the engine's ratchet convention:
+* a mutable default argument (``def f(acc=[])``, ``dict()``, ...);
+* a write into a class attribute of a class defined in the module
+  (``Registry.entries[key] = 1``, ``Event.constructed += 1``);
+* a write into a module global bound to a mutable literal
+  (``CACHE[key] = value``).
 
-* **Blocking** (a hit always fails the run): SHR002 spec-vs-inlined
-  drift and SHR004 per-core state escaping into a shared container —
-  the first silently breaks the readable-spec contract, the second
-  breaks batch isolation outright.
-* **Warn-first** (baseline ratchet): SHR001 run-phase mutation of
-  batch-shared state, SHR003 publish-then-mutate, SHR005 shared
-  mutable defaults/globals — real designs sometimes do these
-  deliberately (the decode store's bounded warm FIFO, a monotone test
-  counter), so the escape hatch is an explicit ``# shr-ok: <reason>``
-  annotation or a baselined fingerprint.
+Writes through ``self``/``cls``, through parameters and through names
+the function binds itself are not process-global and are not flagged.
+The facts are per module: one AST pass, no call graph.
 
-Suppression: a ``# shr-ok: <reason>`` comment on the reported line
-silences SHR rules only — and, unlike the other families, it also
-*reclassifies*: the effects driver reads the same marker, so a blessed
-write site turns its field ``shared-mutable-guarded`` in the ownership
-map and whitelists it for the runtime share sanitizer
-(``REPRO_SHARE_SANITIZE=1``).
+Severity is warn-first (baseline ratchet).  A deliberate exception —
+a monotone test-hook counter, say — carries a ``# shr-ok: <reason>``
+comment on the reported line.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import ast
+from typing import Iterator, List, Optional, Set, Tuple, Union
 
-from ..effects.facts import EffectsProgram
-from .registry import Finding, ProgramContext, Rule, register
+from .registry import FileContext, Finding, Rule, register
 
 __all__ = ["SHR_RULE_CODES"]
 
-SHR_RULE_CODES = ("SHR001", "SHR002", "SHR003", "SHR004", "SHR005")
+SHR_RULE_CODES = ("SHR005",)
 
-_CACHE_KEY = "effects_program"
+_Function = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+_MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set)
+_MUTABLE_DEFAULT_CALLS = frozenset({"list", "dict", "set", "deque", "defaultdict"})
+#: Method names that mutate their receiver in place.
+_MUTATORS = frozenset({
+    "append", "appendleft", "add", "insert", "extend", "extendleft",
+    "update", "setdefault", "pop", "popleft", "popitem", "remove",
+    "discard", "clear", "sort", "reverse", "rotate",
+})
 
 
-def _program(pctx: ProgramContext) -> EffectsProgram:
-    """The shared EffectsProgram for this target (built once)."""
-    program = pctx.cache.get(_CACHE_KEY)
-    if program is None:
-        program = EffectsProgram.from_sources(
-            [(ctx.path, ctx.source) for ctx in pctx.files]
+def _is_mutable_default(node: ast.AST) -> bool:
+    if isinstance(node, _MUTABLE_DISPLAYS):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else (
+            func.attr if isinstance(func, ast.Attribute) else None
         )
-        pctx.cache[_CACHE_KEY] = program
-    return program
+        return name in _MUTABLE_DEFAULT_CALLS
+    return False
 
 
-class _ShrRule(Rule):
-    """Base: emit the driver's findings for this rule's code."""
+def _chain(node: ast.AST) -> Optional[Tuple[str, ...]]:
+    """``Registry.entries[k]`` -> ("Registry", "entries", "[]"); None
+    when the expression is not rooted at a plain name."""
+    if isinstance(node, ast.Name):
+        return (node.id,)
+    if isinstance(node, ast.Attribute):
+        base = _chain(node.value)
+        return None if base is None else base + (node.attr,)
+    if isinstance(node, ast.Subscript):
+        base = _chain(node.value)
+        return None if base is None else base + ("[]",)
+    return None
 
-    scope = "program"
 
-    def check_program(self, pctx: ProgramContext) -> Iterator[Finding]:
-        for fact in _program(pctx).findings([self.code]):
-            yield Finding(fact.path, fact.line, fact.code, fact.message)
+def _functions(tree: ast.Module) -> Iterator[Tuple[_Function, str]]:
+    """Module-level functions and the methods of module-level classes,
+    with the name findings describe them by."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node, node.name
+        elif isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield member, f"{node.name}.{member.name}"
+
+
+def _body_nodes(func: _Function) -> Iterator[ast.AST]:
+    """Every node of ``func``'s body, not descending into nested
+    function, lambda or class scopes."""
+    stack: List[ast.AST] = list(reversed(func.body))
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda, ast.ClassDef)):
+            continue
+        stack.extend(reversed(list(ast.iter_child_nodes(node))))
+
+
+def _mutations(func: _Function) -> Tuple[List[Tuple[Tuple[str, ...], int]], Set[str]]:
+    """(written chains with their lines, names the function binds).
+
+    A written chain is an assignment or ``del`` target, or the receiver
+    of an in-place mutator call (``CACHE.append(x)`` writes
+    ``("CACHE",)``)."""
+    writes: List[Tuple[Tuple[str, ...], int]] = []
+    bound: Set[str] = set()
+    for node in _body_nodes(func):
+        targets: List[ast.expr] = []
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            # ``x += 1`` on a bare name is a local rebind.
+            if node.value is not None or isinstance(node, ast.AugAssign):
+                targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                if isinstance(item.optional_vars, ast.Name):
+                    bound.add(item.optional_vars.id)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in _MUTATORS:
+                receiver = _chain(node.func.value)
+                if receiver is not None:
+                    writes.append((receiver, node.lineno))
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets.extend(target.elts)
+            elif isinstance(target, ast.Starred):
+                targets.append(target.value)
+            elif isinstance(target, ast.Name):
+                if not isinstance(node, (ast.AugAssign, ast.Delete)):
+                    bound.add(target.id)
+            else:
+                chain = _chain(target)
+                if chain is not None:
+                    writes.append((chain, target.lineno))
+    return writes, bound
 
 
 @register
-class SharedMutation(_ShrRule):
-    code = "SHR001"
-    summary = ("run-phase mutation of a batch-shared object reachable "
-               "from BatchRunner")
-    blocking = False
-
-
-@register
-class SpecInlineDrift(_ShrRule):
-    code = "SHR002"
-    summary = ("spec-vs-inlined drift: a marker-delimited inlined "
-               "region's effect set differs from its spec methods'")
-    blocking = True
-
-
-@register
-class PublishThenMutate(_ShrRule):
-    code = "SHR003"
-    summary = "event payload mutated after publish"
-    blocking = False
-
-
-@register
-class PerCoreEscape(_ShrRule):
-    code = "SHR004"
-    summary = ("per-core state escaping into a batch-shared container "
-               "(breaks batch isolation)")
-    blocking = True
-
-
-@register
-class SharedMutableState(_ShrRule):
+class SharedMutableState(Rule):
     code = "SHR005"
     summary = ("mutable default argument, class attribute or module "
                "global mutated — one instance shared across cores")
     blocking = False
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        tree = ctx.tree
+        assert isinstance(tree, ast.Module)
+        classes = {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
+        module_mutables = {
+            target.id
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, _MUTABLE_DISPLAYS)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for func, name in _functions(tree):
+            args = func.args
+            defaults = list(args.defaults) + [
+                d for d in args.kw_defaults if d is not None
+            ]
+            if any(_is_mutable_default(d) for d in defaults):
+                yield self.finding(
+                    ctx, func,
+                    "mutable default argument in %s: one instance is "
+                    "shared by every call from every core" % name,
+                )
+            params = {
+                a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+            }
+            params.update(
+                a.arg for a in (args.vararg, args.kwarg) if a is not None
+            )
+            writes, bound = _mutations(func)
+            for chain, line in writes:
+                root = chain[0]
+                if root in params or root in bound:
+                    continue
+                if root in classes and len(chain) > 1:
+                    message = (
+                        "class-level state %s.%s mutated in %s: class "
+                        "attributes are process-global, shared by every "
+                        "core in a batch" % (root, chain[1], name)
+                    )
+                elif root in module_mutables:
+                    message = (
+                        "module-level mutable %r mutated in %s: module "
+                        "globals are process-global, shared by every core "
+                        "in a batch" % (root, name)
+                    )
+                else:
+                    continue
+                yield Finding(ctx.path, line, self.code, message)

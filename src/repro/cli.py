@@ -371,9 +371,6 @@ def _cmd_fetch(args) -> int:
 
 def _cmd_analyze(args) -> int:
     """Static analysis report, optionally cross-checked against a run."""
-    if args.ownership:
-        return _analyze_ownership(args)
-
     from .analysis.program import ProgramAnalysis
 
     suite = WorkloadSuite()
@@ -496,34 +493,6 @@ def _cmd_analyze(args) -> int:
     return 1 if total_violations else 0
 
 
-def _analyze_ownership(args) -> int:
-    """The batch-sharing ownership map (the SHR facts, as a report)."""
-    from .analysis.effects import batch_facts
-
-    facts = batch_facts()
-    if args.json:
-        print(json.dumps(facts.ownership.to_dict(), indent=2, sort_keys=True))
-        return 1 if facts.ownership.violations else 0
-
-    rows = facts.ownership.rows()
-    width = max((len(f"{e.cls}.{e.field}") for e in rows), default=10)
-    for entry in rows:
-        blessing = f"  [{entry.blessing}]" if entry.blessing else ""
-        sites = len(set(entry.write_sites))
-        writes = f"  writes={sites}" if sites else ""
-        print(f"{entry.cls + '.' + entry.field:<{width}s}  "
-              f"{entry.classification}{blessing}{writes}")
-    findings = facts.findings()
-    if findings:
-        print()
-        for finding in findings:
-            print(f"{finding.path}:{finding.line}: {finding.code} "
-                  f"{finding.message}")
-        print(f"{len(findings)} sharing violation(s)", file=sys.stderr)
-        return 1
-    return 0
-
-
 #: Suppression conventions per rule family (``--explain``).
 _SUPPRESS_BY_FAMILY = {
     "DET": "# det-ok: <reason>",
@@ -566,12 +535,12 @@ def _cmd_lint(args) -> int:
     from .analysis.lint import (
         CONC_PROFILE,
         DEFAULT_BASELINE_PATH,
-        DETERMINISM_PROFILE,
-        EFFECTS_PROFILE,
+        DEFAULT_PROFILE,
         Baseline,
         LintTarget,
         all_rules,
         render_text,
+        restrict,
         run_lint,
         to_json,
         write_sarif,
@@ -585,20 +554,10 @@ def _cmd_lint(args) -> int:
     if args.explain:
         return _explain_rules(args.explain)
 
-    codes = tuple(args.rules) if args.rules else None
-    if args.paths:
-        targets = [LintTarget(paths=tuple(args.paths), codes=codes)]
-    elif codes is not None:
-        profile_paths = tuple(
-            dict.fromkeys(p for t in DETERMINISM_PROFILE for p in t.paths)
-        )
-        targets = [LintTarget(paths=profile_paths, codes=codes)]
-    else:
-        targets = list(DETERMINISM_PROFILE)
-    if args.conc and not args.paths:
-        targets.extend(CONC_PROFILE)
-    if args.effects and not args.paths:
-        targets.extend(EFFECTS_PROFILE)
+    # ``--rules DET001,DET005`` and ``--rules DET001 DET005`` both work.
+    codes = tuple(
+        code for arg in args.rules or () for code in arg.split(",") if code
+    ) or None
 
     baseline_path = args.baseline or DEFAULT_BASELINE_PATH
     try:
@@ -607,6 +566,16 @@ def _cmd_lint(args) -> int:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
     try:
+        if args.paths:
+            targets = [LintTarget(paths=tuple(args.paths), codes=codes)]
+        elif codes is not None:
+            # Each profile target keeps its own paths, narrowed to the
+            # requested codes.
+            targets = restrict(DEFAULT_PROFILE + CONC_PROFILE, codes)
+        else:
+            targets = list(DEFAULT_PROFILE)
+            if args.conc:
+                targets.extend(CONC_PROFILE)
         result = run_lint(targets, jobs=args.jobs, baseline=baseline)
     except (FileNotFoundError, KeyError) as exc:
         print(f"lint: {exc}", file=sys.stderr)
@@ -923,11 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="measurement window for --check runs")
     analyze_parser.add_argument("--json", action="store_true",
                                 help="machine-readable output")
-    analyze_parser.add_argument("--ownership", action="store_true",
-                                help="print the batch-sharing ownership map "
-                                     "(per-core-private / batch-shared-"
-                                     "immutable / shared-mutable-guarded) "
-                                     "instead of the workload analysis")
 
     profile_parser = sub.add_parser(
         "profile",
@@ -968,21 +932,20 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser = sub.add_parser(
         "lint",
         help="whole-repo lint (determinism DET001-DET005, "
-             "concurrency CONC001-CONC006, sharing SHR001-SHR005)",
+             "concurrency CONC001-CONC006, sharing SHR005)",
     )
     lint_parser.add_argument("paths", nargs="*", default=None,
                              help="files/dirs to lint; default: the "
-                                  "determinism profile")
+                                  "determinism and sharing profile")
     lint_parser.add_argument("--rules", nargs="*", default=None, metavar="CODE",
-                             help="restrict to specific rule codes")
+                             help="restrict to specific rule codes (space- "
+                                  "or comma-separated); without paths, "
+                                  "each profile target runs the requested "
+                                  "codes it owns")
     lint_parser.add_argument("--conc", action="store_true",
                              help="also run the whole-program concurrency "
                                   "profile (CONC rules over the service/"
                                   "exec layers)")
-    lint_parser.add_argument("--effects", action="store_true",
-                             help="also run the whole-program batch-sharing "
-                                  "profile (SHR rules over the pipeline/"
-                                  "sim/workloads layers)")
     lint_parser.add_argument("--explain", default=None, metavar="RULE",
                              help="explain one rule code or family prefix "
                                   "(summary, scope, severity, suppression "

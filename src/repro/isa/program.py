@@ -2,15 +2,21 @@
 
 A :class:`Program` is what the workload suite hands to either the
 functional emulator or the pipeline simulator.  The text segment is a
-list of decoded :class:`~repro.isa.instruction.Instruction` objects
+tuple of decoded :class:`~repro.isa.instruction.Instruction` objects
 addressed from ``text_base``; the data segment is a byte image copied
 into fresh memory whenever a program instance starts.
+
+Programs are immutable by type: one assembled image is loaded into
+every core of a lockstep batch, so rebinding a field, assigning into
+``instructions`` or adding a label raises instead of leaking into
+sibling cores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from types import MappingProxyType
+from typing import Mapping, Optional, Tuple
 
 from .instruction import INSTRUCTION_BYTES, Instruction
 
@@ -20,21 +26,28 @@ DATA_BASE = 0x4000
 STACK_TOP = 0x3F_F000
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
-    """An assembled program image."""
+    """An assembled program image.
+
+    Any sequence of instructions and any mapping of labels may be
+    passed in; they are stored as a tuple and a read-only mapping.
+    """
 
     name: str
-    instructions: List[Instruction]
+    instructions: Tuple[Instruction, ...]
     text_base: int = TEXT_BASE
     data: bytes = b""
     data_base: int = DATA_BASE
     entry: Optional[int] = None
-    labels: Dict[str, int] = field(default_factory=dict)
+    labels: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        labels = MappingProxyType(dict(self.labels))
+        object.__setattr__(self, "instructions", tuple(self.instructions))
+        object.__setattr__(self, "labels", labels)
         if self.entry is None:
-            self.entry = self.labels.get("main", self.text_base)
+            object.__setattr__(self, "entry", labels.get("main", self.text_base))
 
     @property
     def text_end(self) -> int:

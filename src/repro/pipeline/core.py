@@ -65,8 +65,8 @@ __all__ = ["Core", "SimulationError"]
 
 
 class Core:
-    def __init__(self, config: Optional[MachineConfig] = None, uop_cache=None):
-        self.state = CoreState(config, uop_cache=uop_cache)
+    def __init__(self, config: Optional[MachineConfig] = None):
+        self.state = CoreState(config)
         self.fetch = FetchStage(self)
         self.rename = RenameStage(self)
         self.forker = ForkUnit(self)

@@ -19,6 +19,8 @@ instead.  The contract:
   no subscriber for a type costs one dict-membership test and zero
   allocations on that path.  ``Event.constructed`` and
   :attr:`EventBus.published` exist so tests can prove it.
+* **Frozen.** An event's fields cannot be reassigned once it is built,
+  so every subscriber sees the payload the publisher built.
 
 Events carry live references (uops, hardware contexts, streams) — they
 are cheap and exact, but they are views into mutable simulator state.
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Type
 
-from ..compat import slots_dataclass as _event_dataclass
+from ..compat import frozen_slots_dataclass as _event_dataclass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..recycle.stream import RecycleStream, StreamKind

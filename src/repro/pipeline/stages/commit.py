@@ -15,7 +15,6 @@ from ..context import CtxState, HardwareContext
 from ..events import Retired
 from ..instance import ProgramInstance
 from ..uop import ST_COMMITTED, ST_COMPLETED, Uop, UopState
-from ..uopcache import decode_standalone
 from .state import Stage, SimulationError
 
 
@@ -88,8 +87,6 @@ class CommitStage(Stage):
         cols = uop.cols
         uid = uop.uid
         dec = uop.dec
-        if dec is None:
-            dec = uop.dec = decode_standalone(uop.instr, uop.pc)
         if dec.is_store:
             instance.memory.write64(uop.eff_addr, uop.store_bits)
             # Re-invalidate at retirement: MDB entries must not survive a

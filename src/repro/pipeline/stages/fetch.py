@@ -113,15 +113,15 @@ class FetchStage(Stage):
             if count > 0 and recycle and self.check_merge_at(ctx, pc):
                 return self._published(ctx, count)  # mid-block merge
             dec = view_get(pc)
-            if dec is None:
-                dec = ucache.decode(program, pc, view)
-                if dec is None:
-                    ctx.fetch_stopped = True  # ran off the text (wrong path)
-                    break
-            else:
+            if dec is not None:
                 ucache.hits += 1
                 key = dec.decant_key
                 hits_by_class[key] = hits_by_class.get(key, 0) + 1
+            else:
+                dec = ucache.decode(program, pc, view)
+                if not dec:
+                    ctx.fetch_stopped = True  # ran off the text (wrong path)
+                    break
             instr = dec.instr
             count += 1
             if check_limit and not self.core._alt_fetch_allowed(ctx):

@@ -27,7 +27,7 @@ _compute_value = semantics.compute_value
 from ..context import HardwareContext
 from ..events import Issued, StoreForwarded
 from ..uop import ST_ISSUED, Uop
-from ..uopcache import K_ALU, K_BRANCH, K_LOAD, K_STORE, decode_standalone
+from ..uopcache import K_ALU, K_BRANCH, K_LOAD, K_STORE
 from .state import Stage
 
 
@@ -66,18 +66,14 @@ class IssueStage(Stage):
                     ready = primaries
             blocked = None
             for uop in ready:
-                # Inline memory_order_ok; the memory check must run
-                # *before* try_issue so a blocked load never claims a
-                # functional-unit slot.
+                # Conservative load ordering: a load waits until every
+                # older store has executed.  The check must run *before*
+                # try_issue so a blocked load never claims a unit slot.
                 dec = uop.dec
-                if dec is None:
-                    dec = uop.dec = decode_standalone(uop.instr, uop.pc)
-                # spec-inline begin issue-memcheck spec=memory_order_ok
                 blocked_mem = (
                     dec.kind == K_LOAD
                     and contexts[uop.ctx].older_store_pending(uop.seq)
                 )
-                # spec-inline end issue-memcheck
                 if blocked_mem or not try_issue_code(dec.fu_code):
                     if blocked is None:
                         blocked = [uop]
@@ -101,12 +97,6 @@ class IssueStage(Stage):
             for ctx in touched.values():  # det-ok: order-independent dirty marks
                 note(ctx)
 
-    def memory_order_ok(self, uop: Uop) -> bool:
-        """Conservative load ordering: all older stores have executed."""
-        if not uop.instr.info.is_load:
-            return True
-        return not self.contexts[uop.ctx].older_store_pending(uop.seq)
-
     def execute(self, uop: Uop) -> None:
         """Begin execution: compute the result, schedule completion."""
         state = self.state
@@ -119,8 +109,6 @@ class IssueStage(Stage):
         ctx = self.contexts[uop.ctx]
         instr = uop.instr
         dec = uop.dec
-        if dec is None:
-            dec = uop.dec = decode_standalone(instr, uop.pc)
         values = self.regfile.values
         # The semantics helpers only index ``srcs``; build the operand
         # tuple straight from the source columns (no list, no
@@ -186,9 +174,10 @@ class IssueStage(Stage):
 
     def forward_store(self, ctx: HardwareContext, load: Uop, addr: int) -> Optional[int]:
         """Youngest older store to ``addr`` visible to this context."""
-        # Re-peeking the pending heaps is O(1) here (memory_order_ok
-        # already drained them for this load) and keeps the forwarding
-        # index complete even when execute() is driven directly.
+        # Re-peeking the pending heaps is O(1) here (the load-ordering
+        # check in run() already drained them for this load) and keeps
+        # the forwarding index complete even when execute() is driven
+        # directly.
         ctx.older_store_pending(load.seq)
         best = ctx.forward_lookup(addr, load.seq)
         if best is None:

@@ -13,14 +13,12 @@ from __future__ import annotations
 from typing import Optional
 
 from ...isa.instruction import Instruction
-from ...isa.opcodes import FuClass
-from ...isa.registers import FP_BASE
 from ...recycle.stream import RecycleStream, StreamKind, TraceEntry
 from ..config import PolicyKind
 from ..context import CtxState, HardwareContext, MergePoint
 from ..events import Renamed, Reused, StreamEnded
 from ..uop import ST_COMMITTED, ST_COMPLETED, ST_SQUASHED, Uop, UopState
-from ..uopcache import DecodedUop, decode_standalone
+from ..uopcache import DecodedUop
 from .state import Stage
 
 
@@ -38,37 +36,8 @@ class RenameStage(Stage):
         budget = self.config.rename_width
         state = self.state
         cycle = state.cycle
-        # The fetched-path inner loop below is a hand-inlined copy of
-        # ``resources_ok`` + ``rename_one`` (which remain the readable
-        # spec and the entry point for the recycle datapath and
-        # synthetic callers) with every per-run invariant hoisted out
-        # of the per-uop body.  Any behavioural change must land in
-        # both copies; the golden-stats suite pins them together.
-        cols = state.uop_cols
-        stats = self.stats
-        regfile = self.regfile
-        refcount = regfile.refcount
-        ready_cycle = regfile.ready_cycle
-        values = regfile.values
-        NEVER = regfile.NEVER
-        free_int = regfile._free_int
-        free_fp = regfile._free_fp
-        int_queue = self.int_queue
-        fp_queue = self.fp_queue
-        int_members = int_queue._members
-        fp_members = fp_queue._members
-        int_size = int_queue.size
-        fp_size = fp_queue.size
-        int_alt_cap = self._int_alt_cap
-        fp_alt_cap = self._fp_alt_cap
-        policy_fetch = self._policy_fetch
-        tme = self._tme
-        renamed_active = Renamed in self.bus_active
-        publish = self.bus.publish
-        note = state.icount_order.note
-        consider_fork = self.core._consider_fork
-        reclaim_for_pressure = self.core._reclaim_for_pressure
-        INACTIVE = CtxState.INACTIVE
+        resources_ok = self.resources_ok
+        rename_one = self.core._rename_one
         # Fetched instructions, lowest-ICOUNT thread first.  The
         # maintained (icount, id) order replaces the per-cycle sort;
         # snapshot it, since renaming re-slots contexts as it goes.
@@ -79,118 +48,13 @@ class RenameStage(Stage):
             # Program order: a thread with an open stream renames its
             # pre-merge fetched instructions first; the stream follows.
             buf = ctx.decode_buffer
-            al = ctx.active_list
-            table = ctx.map.table
-            ctx_id = ctx.id
-            instance = ctx.instance
-            is_primary = ctx.is_primary
-            self_written = ctx.self_written
-            renamed_here = 0
             while budget > 0 and buf:
                 fi = buf[0]
-                if fi.ready_cycle > cycle:
+                if fi.ready_cycle > cycle or not resources_ok(ctx, fi.dec):
                     break
-                dec = fi.dec
-                if dec is None:
-                    # Synthetic decode-buffer entries (tests): take the
-                    # uninlined spec path, which decodes on the fly.
-                    if not self.resources_ok(ctx, fi.instr, True, None):
-                        break
-                    buf.popleft()
-                    # rename_one does its own stats/note accounting.
-                    self.core._rename_one(
-                        ctx, fi.instr, fi.pc, fi.next_pc, fi.pred
-                    )
-                    budget -= 1
-                    continue
-                # spec-inline begin rename-fetched spec=resources_ok,rename_one
-                if al.tail_pos - al.commit_pos >= al.capacity:
-                    break
-                dst = dec.dst
-                if dst is not None:
-                    pool = free_fp if dec.dst_fp else free_int
-                    if not pool:
-                        reclaim_for_pressure(ctx)
-                        if not pool:
-                            break
-                if dec.fu_fp:
-                    occ = len(fp_members)
-                    if occ >= fp_size or (occ >= fp_alt_cap and not is_primary):
-                        break
-                    queue = fp_queue
-                else:
-                    occ = len(int_members)
-                    if occ >= int_size or (occ >= int_alt_cap and not is_primary):
-                        break
-                    queue = int_queue
-                # spec-inline end rename-fetched
                 buf.popleft()
+                rename_one(ctx, fi.dec, fi.next_pc, fi.pred)
                 budget -= 1
-                renamed_here += 1
-                # spec-inline begin rename-fetched spec=resources_ok,rename_one
-                instr = fi.instr
-                pc = fi.pc
-                next_pc = fi.next_pc
-                pred = fi.pred
-                uop = Uop(instr, pc, ctx_id, instance, cols, dec)
-                uid = uop.uid
-                uop.next_pc = next_pc
-                uop.pred = pred
-                uop.rename_cycle = cycle
-                n = dec.nsrcs
-                if n:
-                    cols.nsrcs[uid] = n
-                    cols.src0[uid] = table[dec.src0]
-                    if n > 1:
-                        cols.src1[uid] = table[dec.src1]
-                        if n > 2:
-                            cols.src2[uid] = table[dec.src2]
-                if dst is not None:
-                    new_reg = pool.pop()
-                    assert refcount[new_reg] == 0, (
-                        f"allocating live register p{new_reg}"
-                    )
-                    refcount[new_reg] = 1
-                    ready_cycle[new_reg] = NEVER
-                    values[new_reg] = 0.0 if dec.dst_fp else 0
-                    regfile.allocations += 1
-                    cols.phys_dst[uid] = new_reg
-                    cols.prev_map[uid] = table[dst]
-                    table[dst] = new_reg
-                    self_written.add(dst)
-                    if is_primary:
-                        partition = instance.partition
-                        partition.written._rows[dst] |= partition.spare_mask
-                if policy_fetch and ctx.state is INACTIVE:
-                    uop.no_execute = True
-                else:
-                    queue.insert(uop)
-                    cols.in_queue[uid] = True
-                    ctx.n_queued += 1
-                pos = al.append(uop)
-                uop.al_pos = pos
-                if ctx.first_merge is None:  # inline ctx.note_first_entry
-                    ctx.first_merge = MergePoint(pc, pos)
-                    ctx.path_start_pos = pos
-                if dec.is_store:
-                    ctx.note_store_renamed(uop)
-                if dec.is_branch and next_pc is not None:
-                    if dec.backward and next_pc != dec.seq_next:
-                        ctx.set_back_merge(dec.target)
-                if (
-                    tme
-                    and pred is not None
-                    and dec.is_cond_branch
-                    and pred.low_confidence
-                    and is_primary
-                ):
-                    consider_fork(ctx, uop)
-                if renamed_active:
-                    publish(Renamed(cycle, uop))
-            if renamed_here:
-                stats.renamed += renamed_here
-                note(ctx)
-                # spec-inline end rename-fetched
         # Recycle streams, prioritised by the separate (pre-issue)
         # counter.  Ties must keep stream-creation (dict insertion)
         # order — a stable insertion sort over the tiny snapshot
@@ -216,63 +80,52 @@ class RenameStage(Stage):
             for cid in ended:
                 del streams_map[cid]
 
-    def resources_ok(
-        self,
-        ctx: HardwareContext,
-        instr: Instruction,
-        needs_queue: bool,
-        dec: Optional[DecodedUop] = None,
-    ) -> bool:
+    def resources_ok(self, ctx: HardwareContext, dec: DecodedUop) -> bool:
+        """Room to rename ``dec`` into ``ctx``: an active-list slot, a
+        free register for its destination and an issue-queue slot."""
         al = ctx.active_list
         if al.tail_pos - al.commit_pos >= al.capacity:
             return False
-        dst = instr.dst
-        if dst is not None:
+        if dec.dst is not None:
             regfile = self.regfile
-            pool = regfile._free_fp if dst >= FP_BASE else regfile._free_int
+            pool = regfile._free_fp if dec.dst_fp else regfile._free_int
             if not pool:
                 self.core._reclaim_for_pressure(ctx)
                 if not pool:
                     return False
-        if needs_queue:
-            fp = dec.fu_fp if dec is not None else instr.info.fu is FuClass.FP
-            if fp:
-                queue, alt_cap = self.fp_queue, self._fp_alt_cap
-            else:
-                queue, alt_cap = self.int_queue, self._int_alt_cap
-            occ = len(queue._members)
-            if occ >= queue.size:
-                return False
-            if occ >= alt_cap and not ctx.is_primary:
-                # Alternate/inactive paths yield queue space to primaries.
-                return False
-        return True
+        if dec.fu_fp:
+            queue, alt_cap = self.fp_queue, self._fp_alt_cap
+        else:
+            queue, alt_cap = self.int_queue, self._int_alt_cap
+        occ = len(queue._members)
+        if occ >= queue.size:
+            return False
+        # Alternate/inactive paths yield queue space to primaries.
+        return occ < alt_cap or ctx.is_primary
 
     def rename_one(
         self,
         ctx: HardwareContext,
-        instr: Instruction,
-        pc: int,
+        dec: DecodedUop,
         next_pc: int,
         pred,
         recycled: bool = False,
         back_merge: bool = False,
-        dec: Optional[DecodedUop] = None,
     ) -> Uop:
-        """Common rename path for fetched and recycled instructions."""
+        """Rename one fetched or recycled instruction into ``ctx``;
+        :meth:`resources_ok` has already reserved its resources."""
         state = self.state
-        if dec is None:
-            # Synthetic callers (tests driving rename directly); the
-            # fetch and recycle paths always supply the cached record.
-            dec = decode_standalone(instr, pc)
+        cycle = state.cycle
         cols = state.uop_cols
-        uop = Uop(instr, pc, ctx.id, ctx.instance, cols, dec)
+        pc = dec.pc
+        uop = Uop(dec.instr, pc, ctx.id, ctx.instance, cols, dec)
         uid = uop.uid
         uop.next_pc = next_pc
         uop.pred = pred
-        uop.recycled = recycled
-        uop.back_merge = back_merge
-        uop.rename_cycle = state.cycle
+        uop.rename_cycle = cycle
+        if recycled:
+            uop.recycled = True
+            uop.back_merge = back_merge
         # RenameMap.define / note_register_write, inlined (hot path);
         # physical sources go straight into the columns.
         table = ctx.map.table
@@ -286,10 +139,10 @@ class RenameStage(Stage):
                     cols.src2[uid] = table[dec.src2]
         dst = dec.dst
         if dst is not None:
-            # Inline of ``regfile.alloc`` (the readable spec):
-            # resources_ok already reserved a free register.
+            # Inline of ``regfile.alloc``: resources_ok already made
+            # sure the pool is not empty.
             regfile = self.regfile
-            fp = dst >= FP_BASE
+            fp = dec.dst_fp
             pool = regfile._free_fp if fp else regfile._free_int
             new_reg = pool.pop()
             assert regfile.refcount[new_reg] == 0, f"allocating live register p{new_reg}"
@@ -305,11 +158,11 @@ class RenameStage(Stage):
                 partition = ctx.instance.partition
                 # written.primary_defined, inlined (one masked |=).
                 partition.written._rows[dst] |= partition.spare_mask
-        no_execute = ctx.state is CtxState.INACTIVE and self._policy_fetch
-        uop.no_execute = no_execute
-        if not no_execute:
-            queue = self.fp_queue if dec.fu_fp else self.int_queue
-            queue.insert(uop)
+        if ctx.state is CtxState.INACTIVE and self._policy_fetch:
+            # FETCH-policy contexts keep fetching but stop executing.
+            uop.no_execute = True
+        else:
+            (self.fp_queue if dec.fu_fp else self.int_queue).insert(uop)
             cols.in_queue[uid] = True
             ctx.n_queued += 1
         pos = ctx.active_list.append(uop)
@@ -317,17 +170,18 @@ class RenameStage(Stage):
         if ctx.first_merge is None:  # inline ctx.note_first_entry
             ctx.first_merge = MergePoint(pc, pos)
             ctx.path_start_pos = pos
-        # One re-slot covers both this cycle's decode-buffer pop (done
-        # by the caller) and the queue insert above.
+        # One re-slot covers both the caller's decode-buffer pop and
+        # the queue insert above.
         state.icount_order.note(ctx)
         if dec.is_store:
             ctx.note_store_renamed(uop)
         if dec.is_branch and next_pc is not None:
             if dec.backward and next_pc != dec.seq_next:
                 ctx.set_back_merge(dec.target)
-        self.stats.renamed += 1
+        stats = self.stats
+        stats.renamed += 1
         if recycled:
-            self.stats.renamed_recycled += 1
+            stats.renamed_recycled += 1
         # TME fork decision happens at rename, where the map is current.
         if (
             self._tme
@@ -338,7 +192,7 @@ class RenameStage(Stage):
         ):
             self.core._consider_fork(ctx, uop)
         if Renamed in self.bus_active:
-            self.bus.publish(Renamed(state.cycle, uop))
+            self.bus.publish(Renamed(cycle, uop))
         return uop
 
     def note_register_write(self, ctx: HardwareContext, logical: int) -> None:
@@ -346,13 +200,6 @@ class RenameStage(Stage):
         partition = ctx.instance.partition
         if ctx.is_primary:
             partition.written.primary_defined(logical, partition.spare_mask)
-
-    def is_no_execute(self, ctx: HardwareContext) -> bool:
-        """FETCH-policy contexts keep fetching but stop executing."""
-        return (
-            ctx.state is CtxState.INACTIVE
-            and self.config.policy.kind is PolicyKind.FETCH
-        )
 
     # ------------------------------------------------------------------
     # Recycle stream draining (Section 3.4) and reuse (Section 3.5)
@@ -381,10 +228,6 @@ class RenameStage(Stage):
                     break
             instr = entry.instr
             dec = entry.dec
-            if dec is None:
-                # Entries built from synthetic traces (tests) decode once
-                # here; the fetch-built traces carry the cached record.
-                dec = entry.dec = decode_standalone(instr, entry.pc)
             pred = None
             next_pc = entry.next_pc
             mismatch_target = None
@@ -409,7 +252,7 @@ class RenameStage(Stage):
                     # newly predicted path (the paper's chosen method).
                     next_pc = pred_next
                     mismatch_target = pred_next
-            if not self.resources_ok(dst, instr, True, dec):
+            if not self.resources_ok(dst, dec):
                 break
             stream.advance()
             # Alternate-path length cap applies to recycled paths too.
@@ -490,13 +333,11 @@ class RenameStage(Stage):
                 return self.core._rename_reused(dst, src, reuse_uop, entry, stream)
         uop = self.core._rename_one(
             dst,
-            instr,
-            entry.pc,
+            entry.dec,
             next_pc,
             pred,
             recycled=True,
             back_merge=stream.kind is StreamKind.BACK,
-            dec=entry.dec,
         )
         # Track stream-local value consistency: a re-executed entry whose
         # sources all matched the trace produces the trace's value again.
@@ -617,13 +458,11 @@ class RenameStage(Stage):
         stats.renamed_reused += 1
         if instr.info.is_load:
             stats.renamed_reused_loads += 1
-        dec = uop.dec
-        if dec is not None:
-            # Decanting breakdown (Coppieters et al.): reuse hits by
-            # instruction class and loop membership.
-            key = dec.decant_key
-            rbc = stats.reused_by_class
-            rbc[key] = rbc.get(key, 0) + 1
+        # Decanting breakdown (Coppieters et al.): reuse hits by
+        # instruction class and loop membership.
+        key = uop.dec.decant_key
+        rbc = stats.reused_by_class
+        rbc[key] = rbc.get(key, 0) + 1
         if bus.wants(Renamed):
             bus.publish(Renamed(self.state.cycle, uop))
         if consistent is not None:

@@ -18,7 +18,6 @@ from ..config import PolicyKind
 from ..context import CtxState, HardwareContext, MergePoint
 from ..events import BranchResolved, Completed, PrimarySwapped, Squashed, StreamEnded
 from ..uop import ST_COMMITTED, ST_COMPLETED, ST_SQUASHED, Uop
-from ..uopcache import decode_standalone
 from .state import Stage
 
 
@@ -39,8 +38,6 @@ class ResolveStage(Stage):
             cols.state[uid] = ST_COMPLETED
             uop.complete_cycle = cycle
             dec = uop.dec
-            if dec is None:
-                dec = uop.dec = decode_standalone(uop.instr, uop.pc)
             if dec.is_store:
                 contexts[uop.ctx].note_store_completed(uop)
             if wants_completed:
@@ -329,8 +326,6 @@ class ResolveStage(Stage):
         cols = uop.cols
         uid = uop.uid
         dec = uop.dec
-        if dec is None:
-            dec = uop.dec = decode_standalone(uop.instr, uop.pc)
         if cols.in_queue[uid]:
             (self.fp_queue if dec.fu_fp else self.int_queue).remove(uop)
             cols.in_queue[uid] = False

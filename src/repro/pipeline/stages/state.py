@@ -46,11 +46,7 @@ class SimulationError(RuntimeError):
 class CoreState:
     """All mutable machine state, shared by every pipeline stage."""
 
-    def __init__(
-        self,
-        config: Optional[MachineConfig] = None,
-        uop_cache: Optional[DecodedUopCache] = None,
-    ):
+    def __init__(self, config: Optional[MachineConfig] = None):
         self.config = config or MachineConfig()
         cfg = self.config
         nregs = cfg.phys_regs_per_file()
@@ -88,16 +84,7 @@ class CoreState:
         #: arrays.  The Uop objects are thin views over these columns.
         self.uop_cols = UopColumns()
         #: Decoded-uop cache: (program, pc) -> predigested static record.
-        #: Injectable so a lockstep batch can hand every sibling core a
-        #: per-core counter view over one shared :class:`DecodeStore`.
-        if uop_cache is None:
-            uop_cache = DecodedUopCache(cfg.uop_cache_entries)
-        elif uop_cache.capacity != cfg.uop_cache_entries:
-            raise ValueError(
-                f"injected uop cache capacity {uop_cache.capacity} != "
-                f"configured uop_cache_entries {cfg.uop_cache_entries}"
-            )
-        self.uop_cache = uop_cache
+        self.uop_cache = DecodedUopCache(cfg.uop_cache_entries)
         self.bus = EventBus()
         self.cycle = 0
         self.issued_this_cycle = 0

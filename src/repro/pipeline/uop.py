@@ -137,7 +137,7 @@ class Uop:
         "ctx",
         "instance",
         "instr",
-        "dec",  # DecodedUop static record (None for synthetic uops)
+        "dec",  # DecodedUop static record (None only outside the pipeline)
         "pc",
         "next_pc",
         "dst",

@@ -20,16 +20,10 @@ disables caching entirely (every lookup decodes, nothing is stored) —
 the simulated machine's behaviour is identical either way; only the
 simulator's speed and the hit/miss counters change.
 
-Batching: the decoded records and the FIFO bound live in a
-:class:`DecodeStore`, and a :class:`DecodedUopCache` is a per-core
-*view* of one — counters (hits, misses, decodes, decanting) always
-belong to the core that performed the lookup.  A standalone core owns
-a private store; a lockstep batch (:mod:`repro.sim.batch`) hands the
-same store to every sibling core so all points running the same kernel
-share one warm cache and each program is decoded once per process.
-Sharing is safe precisely because record content is a pure function of
-``(program, pc)`` and cache state never feeds back into the simulated
-machine.
+Ownership: every core builds its own cache, a lockstep batch
+(:mod:`repro.sim.batch`) included, so no cache state is ever shared
+between cores and a point's counters read the same whether it ran
+alone or in a batch.
 """
 
 from __future__ import annotations
@@ -145,12 +139,6 @@ class DecodedUop:
         return f"<dec {self.pc:#x} {self.instr} {self.decant_key}>"
 
 
-def decode_standalone(instr: Instruction, pc: int) -> DecodedUop:
-    """Uncached decode for synthetic uops (tests driving rename
-    directly); real fetch/rename paths go through the cache."""
-    return DecodedUop(instr, pc, loop_member=False)
-
-
 def loop_pcs_of(program: Program) -> "set[int]":
     """PCs inside at least one backward-branch loop body.
 
@@ -178,51 +166,6 @@ def loop_pcs_of(program: Program) -> "set[int]":
     return member
 
 
-class DecodeStore:
-    """The structural half of the cache: decoded records, program views,
-    and the bounded FIFO.  One per core in standalone runs; one per
-    *batch* under lockstep batching, shared by every sibling core with
-    the same configured capacity.  Holds no counters — attribution
-    stays with the :class:`DecodedUopCache` views."""
-
-    __slots__ = ("capacity", "_programs", "_fifo", "_size")
-
-    def __init__(self, capacity: int = 4096):
-        self.capacity = capacity
-        #: id(program) -> (program, {pc: DecodedUop}, loop_pcs).  The
-        #: program reference pins the id against reuse.
-        self._programs: Dict[int, Tuple[Program, Dict[int, DecodedUop], set]] = {}
-        #: FIFO of (view, pc) in insertion order; stale entries (already
-        #: invalidated) are skipped at eviction time.
-        self._fifo: Deque[Tuple[Dict[int, DecodedUop], int]] = deque()
-        self._size = 0
-
-    def record(self, program: Program) -> Tuple[Program, Dict[int, DecodedUop], set]:
-        rec = self._programs.get(id(program))
-        if rec is None:
-            rec = (program, {}, loop_pcs_of(program))
-            self._programs[id(program)] = rec  # shr-ok: warm-once per program; contents never feed back into core state
-        return rec
-
-    def insert(self, view: Dict[int, DecodedUop], pc: int, dec: DecodedUop) -> int:
-        """Install ``dec``; returns how many FIFO-oldest entries were
-        evicted to make room (0 when replacing in place)."""
-        evicted = 0
-        if pc not in view:
-            while self._size >= self.capacity:
-                old_view, old_pc = self._fifo.popleft()  # shr-ok: bounded-FIFO eviction, deterministic in lockstep order
-                if old_view.pop(old_pc, None) is not None:
-                    self._size -= 1  # shr-ok: FIFO bookkeeping, cache-only state
-                    evicted += 1
-            self._fifo.append((view, pc))  # shr-ok: shared warm cache; decode results are content-pure
-            self._size += 1  # shr-ok: FIFO bookkeeping, cache-only state
-        view[pc] = dec
-        return evicted
-
-    def __len__(self) -> int:
-        return self._size
-
-
 class DecodedUopCache:
     """Bounded FIFO cache of :class:`DecodedUop` records per program.
 
@@ -232,34 +175,22 @@ class DecodedUopCache:
     :meth:`program_view` and probes it directly; the miss path funnels
     through :meth:`decode`, which is also where capacity eviction and
     the per-program decode counters live.
-
-    Pass ``store`` to share one :class:`DecodeStore` between several
-    caches (lockstep batching): records and capacity are then common,
-    while every counter on this object still counts only this core's
-    lookups.  The store's capacity must match ``capacity`` — mixing
-    bounds on one FIFO would make eviction accounting meaningless.
     """
 
     __slots__ = (
         "capacity",
-        "store",
         "hits",
         "misses",
         "evictions",
         "decode_counts",
         "hits_by_class",
+        "_programs",
+        "_fifo",
+        "_size",
     )
 
-    def __init__(self, capacity: int = 4096, store: Optional[DecodeStore] = None):
-        if store is None:
-            store = DecodeStore(capacity)
-        elif store.capacity != capacity:
-            raise ValueError(
-                f"shared DecodeStore capacity {store.capacity} != "
-                f"cache capacity {capacity}"
-            )
+    def __init__(self, capacity: int = 4096):
         self.capacity = capacity
-        self.store = store
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -267,11 +198,25 @@ class DecodedUopCache:
         self.decode_counts: Dict[str, int] = {}
         #: Cache hits per ``decant_key`` (FuClass × loop membership).
         self.hits_by_class: Dict[str, int] = {}
+        #: id(program) -> (program, {pc: DecodedUop}, loop_pcs).  The
+        #: program reference pins the id against reuse.
+        self._programs: Dict[int, Tuple[Program, Dict[int, DecodedUop], set]] = {}
+        #: FIFO of (view, pc) in insertion order; stale entries (already
+        #: invalidated) are skipped at eviction time.
+        self._fifo: Deque[Tuple[Dict[int, DecodedUop], int]] = deque()
+        self._size = 0
+
+    def _record(self, program: Program) -> Tuple[Program, Dict[int, DecodedUop], set]:
+        rec = self._programs.get(id(program))
+        if rec is None:
+            rec = (program, {}, loop_pcs_of(program))
+            self._programs[id(program)] = rec
+        return rec
 
     # -- hot-path handles ----------------------------------------------
     def program_view(self, program: Program) -> Dict[int, DecodedUop]:
         """The per-program ``{pc: DecodedUop}`` dict, for direct probing."""
-        return self.store.record(program)[1]
+        return self._record(program)[1]
 
     def decode(
         self,
@@ -285,7 +230,7 @@ class DecodedUopCache:
         instr = program.instr_at(pc)
         if instr is None:
             return None
-        rec = self.store.record(program)
+        rec = self._record(program)
         dec = DecodedUop(instr, pc, loop_member=pc in rec[2])
         name = program.name
         self.decode_counts[name] = self.decode_counts.get(name, 0) + 1
@@ -293,7 +238,16 @@ class DecodedUopCache:
             return dec
         if view is None:
             view = rec[1]
-        self.evictions += self.store.insert(view, pc, dec)
+        if pc not in view:
+            fifo = self._fifo
+            while self._size >= self.capacity:
+                old_view, old_pc = fifo.popleft()
+                if old_view.pop(old_pc, None) is not None:
+                    self._size -= 1
+                    self.evictions += 1
+            fifo.append((view, pc))
+            self._size += 1
+        view[pc] = dec
         return dec
 
     def lookup(self, program: Program, pc: int) -> Optional[DecodedUop]:
@@ -311,51 +265,44 @@ class DecodedUopCache:
     def invalidate(self, program: Program, pc: int) -> bool:
         """Drop one entry (e.g. self-modifying text in a future ISA);
         returns whether anything was cached there."""
-        store = self.store
-        rec = store._programs.get(id(program))
+        rec = self._programs.get(id(program))
         if rec is None:
             return False
         if rec[1].pop(pc, None) is None:
             return False
-        store._size -= 1
+        self._size -= 1
         return True
 
     def invalidate_program(self, program: Program) -> int:
         """Drop every entry (and the loop map) for ``program``.
 
-        Sibling caches sharing the store keep working: a fetch loop
-        still holding the view dict sees it emptied in place and falls
-        back to the decode path, which re-registers the program.
+        A fetch loop still holding the view dict sees it emptied in
+        place and falls back to the decode path, which re-registers the
+        program.
         """
-        store = self.store
-        rec = store._programs.pop(id(program), None)
+        rec = self._programs.pop(id(program), None)
         if rec is None:
             return 0
         dropped = len(rec[1])
-        store._size -= dropped
+        self._size -= dropped
         rec[1].clear()  # the fetch hot loop may still hold this view
         return dropped
 
     def clear(self) -> None:
-        store = self.store
-        store._programs.clear()
-        store._fifo.clear()
-        store._size = 0
+        self._programs.clear()
+        self._fifo.clear()
+        self._size = 0
 
     # -- reporting -----------------------------------------------------
     def __len__(self) -> int:
-        return self.store._size
+        return self._size
 
     def snapshot(self) -> Dict:
-        """JSON-ready counter payload (profiler / stats export).
-
-        ``entries`` reflects the backing store (shared under batching);
-        every other field counts this core's own lookups.
-        """
+        """JSON-ready counter payload (profiler / stats export)."""
         lookups = self.hits + self.misses
         return {
             "capacity": self.capacity,
-            "entries": self.store._size,
+            "entries": self._size,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,

@@ -1,20 +1,17 @@
 """Lockstep batch simulation: many sweep points, one process.
 
 A :class:`BatchRunner` builds one :class:`~repro.pipeline.core.Core`
-per sweep point and steps them in lockstep rounds.  What the batch
-shares — and what it never shares — is the whole design:
+per sweep point and steps them in lockstep rounds.  The cores share
+nothing mutable:
 
-* **Shared, immutable**: the :class:`~repro.workloads.suite.WorkloadSuite`
-  (programs are assembled once per ``(kernel, slot, iters)`` and the
-  same ``Program`` objects load into every core) and one
-  :class:`~repro.pipeline.uopcache.DecodeStore` per configured cache
-  capacity, so every point running the same kernel hits the same warm
-  decoded-uop cache and static facts (loop membership, FU classes) are
-  derived once per process.
-* **Per-core, mutable**: everything else — register files, contexts,
-  queues, predictors, hierarchies, stats, and the per-core
-  :class:`~repro.pipeline.uopcache.DecodedUopCache` counter views, so
-  hit/miss/decant counters attribute to the point that looked up.
+* **Shared, immutable by type**: the
+  :class:`~repro.workloads.suite.WorkloadSuite` assembles each
+  ``(kernel, slot, iters)`` program once and the same frozen
+  :class:`~repro.isa.program.Program` images load into every core.
+* **Per-core**: everything else — register files, contexts, queues,
+  predictors, hierarchies, stats, and the
+  :class:`~repro.pipeline.uopcache.DecodedUopCache`, exactly as in a
+  serial run.
 
 Each round, every live core advances up to ``quantum`` simulated
 cycles.  Cores whose pipelines are provably idle (queues drained, no
@@ -24,13 +21,10 @@ their next wakeup instead of stepping no-op cycles, bulk-recording the
 gap as idle utilization so averages and histograms stay bit-identical
 to a serial run.  Progress is aggregated once per round, not per core.
 
-Correctness discipline (same as the PR 4/8 optimisations): every point
-simulated in a batch is bit-identical — golden stats, utilization,
-error cycle stamps — to the same point run serially, regardless of
-batch composition or size.  The only fields that may differ are the
-decoded-uop-cache counters themselves (a sibling may have warmed the
-shared store first); cache state never feeds back into the simulated
-machine, which is what makes the sharing sound.
+Correctness discipline: every point simulated in a batch is
+bit-identical — every ``SimStats`` field, utilization, error cycle
+stamps — to the same point run serially, regardless of batch
+composition or size.
 
 Failure isolation matches the executor's: a point that raises records a
 structured error on its :class:`BatchPoint` and the rest of the batch
@@ -40,12 +34,10 @@ runs to completion.
 from __future__ import annotations
 
 import gc
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..pipeline.core import Core, SimulationError
-from ..pipeline.uopcache import DecodedUopCache, DecodeStore
 from ..workloads.suite import WorkloadSuite
 from .runner import RunResult
 
@@ -61,10 +53,9 @@ DEFAULT_DEADLOCK_LIMIT = 20_000
 def batch_compatibility_key(job) -> tuple:
     """Jobs may share a lockstep batch iff this key matches.
 
-    Machine configuration families must agree (the shared decode store
-    is bounded per capacity, and mixing machine models in one batch is
-    almost always a spec error); workloads, features, targets and field
-    overrides may vary freely.
+    Machine configuration families must agree (mixing machine models in
+    one batch is almost always a spec error); workloads, features,
+    targets and field overrides may vary freely.
     """
     return (job.spec.machine,)
 
@@ -249,22 +240,9 @@ class BatchRunner:
 
     # ------------------------------------------------------------------
     def _build_drivers(self) -> List[_PointDriver]:
-        #: One shared decode store per distinct cache capacity: every
-        #: sibling core with the same bound shares records; capacity 0
-        #: (cache disabled) shares an always-empty store, which keeps the
-        #: disable semantics per point.
-        stores: Dict[int, DecodeStore] = {}
-        #: capacity -> shared store; kept for introspection and for the
-        #: share sanitizer's watch installation.
-        self.stores = stores
         drivers = []
         for job in self.jobs:
-            config = job.resolved_config()
-            capacity = config.uop_cache_entries
-            store = stores.get(capacity)
-            if store is None:
-                store = stores[capacity] = DecodeStore(capacity)
-            core = Core(config, uop_cache=DecodedUopCache(capacity, store=store))
+            core = Core(job.resolved_config())
             programs = self.suite.mix(job.spec.workload)
             core.load(programs, commit_target=job.spec.commit_target)
             drivers.append(
@@ -273,31 +251,11 @@ class BatchRunner:
         return drivers
 
     def run(self) -> List[BatchPoint]:
-        """Execute the batch; one :class:`BatchPoint` per job, input order.
-
-        With ``REPRO_SHARE_SANITIZE=1`` the shared decode stores and the
-        workload suite are wrapped in mutation-recording containers and
-        sealed for the lockstep phase; any steady-state mutation the
-        static ownership map does not bless fails the run *after* the
-        batch completes (never mid-flight, so the observed interleaving
-        is the real one).
-        """
-        # Lazy import: the sanitizer pulls in the whole static-analysis
-        # stack, which a plain batch run must not pay for.
-        sanitizer = None
-        if os.environ.get("REPRO_SHARE_SANITIZE") == "1":
-            from ..analysis.effects.share import sanitizer_from_env
-
-            sanitizer = sanitizer_from_env()
+        """Execute the batch; one :class:`BatchPoint` per job, input order."""
         drivers = self._build_drivers()
         #: Kept for post-run introspection (utilization parity tests, the
         #: benchmark harness); one driver per job, same order as ``jobs``.
         self.drivers = drivers
-        if sanitizer is not None:
-            for store in self.stores.values():
-                sanitizer.watch_store(store)
-            sanitizer.watch_suite(self.suite)
-            sanitizer.seal()
         points = [BatchPoint(job=d.job) for d in drivers]
         quantum = self.quantum
         progress = self.progress
@@ -333,10 +291,6 @@ class BatchRunner:
             if gc_was_enabled:
                 gc.enable()
             gc.collect()
-            if sanitizer is not None:
-                sanitizer.unseal()
-        if sanitizer is not None:
-            sanitizer.assert_quiet()
         return points
 
     @staticmethod

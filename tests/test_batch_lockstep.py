@@ -2,11 +2,8 @@
 
 The contract under test is the one :mod:`repro.sim.batch` documents:
 every point simulated in a batch is *bit-identical* to the same point
-run serially — golden stats, utilization histograms, cycle stamps —
-regardless of batch composition or size.  The only permitted divergence
-is the decoded-uop-cache counters (``uop_cache_*`` / ``decode_counts``),
-whose attribution legitimately changes when siblings share a warm
-:class:`~repro.pipeline.uopcache.DecodeStore`.
+run serially — every ``SimStats`` field, utilization histograms, cycle
+stamps — regardless of batch composition or size.
 """
 
 import gc as gc_module
@@ -18,6 +15,7 @@ from unittest import mock
 import pytest
 
 from repro.exec.jobs import Job, stats_to_payload
+from repro.pipeline.uopcache import DecodedUopCache
 from repro.sim.batch import (
     BatchRunner,
     group_batches,
@@ -37,20 +35,6 @@ _spec = importlib.util.spec_from_file_location(
 gen_golden_stats = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gen_golden_stats)
 
-#: SimStats fields allowed to differ between serial and batched runs:
-#: a batch sibling may have warmed the shared decode store first, so
-#: hit/miss/eviction attribution shifts while everything simulated is
-#: unchanged.
-UOP_CACHE_FIELDS = frozenset(
-    {
-        "uop_cache_hits",
-        "uop_cache_misses",
-        "uop_cache_evictions",
-        "decode_counts",
-        "uop_cache_hits_by_class",
-    }
-)
-
 #: The golden fixture's 8 configurations (2 kernels x 4 feature sets).
 GOLDEN_SPECS = [
     RunSpec(
@@ -61,14 +45,6 @@ GOLDEN_SPECS = [
     for kernel in gen_golden_stats.KERNELS
     for features in gen_golden_stats.FEATURES
 ]
-
-
-def comparable_stats(stats) -> dict:
-    return {
-        name: value
-        for name, value in stats_to_payload(stats).items()
-        if name not in UOP_CACHE_FIELDS
-    }
 
 
 def snapshot_from_driver(driver) -> dict:
@@ -120,21 +96,32 @@ class TestGoldenParity:
         assert len(points) == len(jobs)
         for serial, point in zip(serial_results, points):
             assert point.error is None, point.error
-            assert comparable_stats(point.result.stats) == comparable_stats(
+            assert stats_to_payload(point.result.stats) == stats_to_payload(
                 serial.stats
             )
             assert point.result.per_program_ipc == serial.per_program_ipc
 
+    def test_every_core_owns_its_decode_cache(self, suite):
+        specs = GOLDEN_SPECS[:3]  # one kernel, so one shared Program
+        runner = BatchRunner([Job(spec=s) for s in specs], suite=suite)
+        runner.run()
+        caches = [driver.core.state.uop_cache for driver in runner.drivers]
+        assert all(isinstance(cache, DecodedUopCache) for cache in caches)
+        assert len({id(cache) for cache in caches}) == len(caches)
+        (program,) = suite.mix(specs[0].workload)
+        views = [cache.program_view(program) for cache in caches]
+        assert len({id(view) for view in views}) == len(views)
+
     def test_composition_independence(self, suite, serial_results):
         """A point's numbers do not depend on who else is in its batch."""
         target = GOLDEN_SPECS[0]
-        expected = comparable_stats(serial_results[0].stats)
+        expected = stats_to_payload(serial_results[0].stats)
         for companions in ([1], [2, 3], [4, 5, 6, 7]):
             batch = [Job(spec=target)] + [
                 Job(spec=GOLDEN_SPECS[i]) for i in companions
             ]
             points = BatchRunner(batch, suite=suite).run()
-            assert comparable_stats(points[0].result.stats) == expected, companions
+            assert stats_to_payload(points[0].result.stats) == expected, companions
 
     def test_max_cycles_cutoff_identical_to_serial(self, suite):
         """Cutting a run short mid-flight lands on the same cycle/stats
@@ -145,7 +132,7 @@ class TestGoldenParity:
         (point,) = BatchRunner([Job(spec=spec)], suite=suite, quantum=64).run()
         assert point.error is None
         assert point.result.stats.cycles == serial.stats.cycles == 400
-        assert comparable_stats(point.result.stats) == comparable_stats(serial.stats)
+        assert stats_to_payload(point.result.stats) == stats_to_payload(serial.stats)
 
 
 class TestGrouping:
@@ -224,7 +211,7 @@ class TestFailureIsolation:
         # (empty) result, not an error; the isolation claim is that the
         # degenerate sibling changed nothing for the healthy ones.
         healthy = run_spec(jobs[0].spec, suite)
-        assert comparable_stats(points[0].result.stats) == comparable_stats(
+        assert stats_to_payload(points[0].result.stats) == stats_to_payload(
             healthy.stats
         )
 

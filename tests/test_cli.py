@@ -324,56 +324,83 @@ class TestServiceCli:
         assert rc == 1
 
 
-class TestEffectsCli:
-    """The SHR front end: ``lint --effects``, ``lint --explain`` and
-    ``analyze --ownership``."""
+class TestLintCli:
+    """The lint front end: ``--explain`` and ``--rules``."""
 
-    def test_lint_effects_clean_on_committed_tree(self, monkeypatch, capsys):
+    @pytest.fixture
+    def at_repo_root(self, monkeypatch):
         import pathlib
 
         monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
-        assert main(["lint", "--effects", "--fail-stale"]) == 0, (
-            capsys.readouterr().err
-        )
 
     def test_explain_single_rule(self, capsys):
-        assert main(["lint", "--explain", "SHR002"]) == 0
+        assert main(["lint", "--explain", "SHR005"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("SHR002:")
-        assert "scope:       program" in out
-        assert "severity:    blocking" in out
+        assert out.startswith("SHR005:")
+        assert "scope:       file" in out
+        assert "severity:    warn-first (baseline ratchet)" in out
         assert "suppression: # shr-ok: <reason>" in out
 
     def test_explain_family_prefix(self, capsys):
-        assert main(["lint", "--explain", "SHR"]) == 0
+        assert main(["lint", "--explain", "CONC"]) == 0
         out = capsys.readouterr().out
-        for code in ("SHR001", "SHR002", "SHR003", "SHR004", "SHR005"):
-            assert f"{code}:" in out
+        for n in range(1, 7):
+            assert f"CONC00{n}:" in out
+        assert "severity:    blocking" in out
         assert "warn-first (baseline ratchet)" in out
 
     def test_explain_all(self, capsys):
         assert main(["lint", "--explain", "all"]) == 0
         out = capsys.readouterr().out
-        assert "DET001:" in out and "CONC001:" in out and "SHR001:" in out
+        assert "DET001:" in out and "CONC001:" in out and "SHR005:" in out
 
     def test_explain_unknown_rule_exits_2(self, capsys):
         assert main(["lint", "--explain", "NOPE999"]) == 2
         assert "unknown rule" in capsys.readouterr().err
 
-    def test_analyze_ownership_text(self, capsys):
-        assert main(["analyze", "--ownership"]) == 0
-        out = capsys.readouterr().out
-        assert "DecodeStore._programs" in out
-        assert "shared-mutable-guarded  [shr-ok]" in out
-        assert "WorkloadSuite._cache" in out
-        assert "batch-shared-immutable" in out
+    def test_list_rules_shows_the_registry(self, capsys):
+        assert main(["lint", "--list-rules"]) == 0
+        codes = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert codes == [f"CONC00{n}" for n in range(1, 7)] + [
+            f"DET00{n}" for n in range(1, 6)
+        ] + ["SHR005"]
 
-    def test_analyze_ownership_json(self, capsys):
+    def test_rules_keeps_each_profile_targets_paths(self, at_repo_root, capsys):
+        """``--rules DET001`` lints DET001 where the default profile does,
+        not over every path any profile names (which would flag the
+        CLI's and profiler's legitimate wall-clock reads)."""
         import json
 
-        assert main(["analyze", "--ownership", "--json"]) == 0
+        assert main(["lint", "--rules", "DET001", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        store = payload["classes"]["DecodeStore"]
-        assert store["_programs"]["classification"] == "shared-mutable-guarded"
-        assert store["_programs"]["blessing"] == "shr-ok"
-        assert payload["violations"] == []
+        assert payload["blocking"] == payload["baselined"] == []
+
+    def test_rules_runs_conc_codes_over_the_conc_target(self, at_repo_root, capsys):
+        """Requesting every CONC code finds exactly what ``--conc`` finds."""
+        import json
+
+        def findings(argv):
+            assert main(["lint", "--json", *argv]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            return payload["blocking"] + payload["baselined"]
+
+        codes = ",".join(f"CONC00{n}" for n in range(1, 7))
+        by_conc = [f for f in findings(["--conc"]) if f["code"].startswith("CONC")]
+        assert findings(["--rules", codes]) == by_conc
+
+    def test_overlapping_paths_lint_each_file_once(self, tmp_path, capsys):
+        import json
+
+        sub = tmp_path / "pkg" / "sub"
+        sub.mkdir(parents=True)
+        (sub / "clock.py").write_text("import time\nSTART = time.time()\n")
+        argv = ["lint", str(tmp_path / "pkg"), str(sub), "--rules", "DET001"]
+        assert main(argv + ["--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [f["line"] for f in payload["blocking"]] == [2]
+
+    def test_rules_accepts_comma_separated_codes(self, at_repo_root, capsys):
+        assert main(["lint", "--rules", "DET001,DET005"]) == 0
+        capsys.readouterr()
+        assert main(["lint", "--rules", "DET001,NOPE999"]) == 2
+        assert "unknown rule code" in capsys.readouterr().err

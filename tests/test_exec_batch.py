@@ -3,9 +3,8 @@
 The orchestration contract: ``batch_size`` changes *how* attempts are
 scheduled (one process per compatible slice instead of one per job),
 never *what* comes out — outcomes are per job, bit-identical to the
-unbatched engine modulo decoded-uop-cache counters, with cache and
-journal artifacts still written one per point so dedup and resume are
-unchanged.
+unbatched engine, with cache and journal artifacts still written one
+per point so dedup and resume are unchanged.
 """
 
 import os
@@ -24,16 +23,6 @@ from repro.service.worker import execute_task_batch
 from repro.sim.runner import RunSpec
 from repro.workloads.suite import WorkloadSuite
 
-UOP_CACHE_FIELDS = frozenset(
-    {
-        "uop_cache_hits",
-        "uop_cache_misses",
-        "uop_cache_evictions",
-        "decode_counts",
-        "uop_cache_hits_by_class",
-    }
-)
-
 SPECS = [
     RunSpec(workload=(kernel,), features=features, commit_target=400)
     for kernel in ("compress", "li")
@@ -42,11 +31,7 @@ SPECS = [
 
 
 def comparable(outcome) -> dict:
-    return {
-        name: value
-        for name, value in stats_to_payload(outcome.result.stats).items()
-        if name not in UOP_CACHE_FIELDS
-    }
+    return stats_to_payload(outcome.result.stats)
 
 
 @pytest.fixture(scope="module")

@@ -25,16 +25,14 @@ def synthetic_result() -> LintResult:
     blocking = [
         Finding("src/a.py", 0, SYNTAX_ERROR_CODE, "syntax error: bad token"),
         Finding("src/b.py", 7, "DET004", "core module monkey-patched"),
-        Finding("src/c.py", 12, "SHR002",
-                "inlined region 'r1' drifted from spec spec_one"),
-        Finding("src/c.py", 31, "SHR004",
-                "per-core CoreState escapes into batch-shared "
-                "DecodeStore._programs"),
+        Finding("src/c.py", 12, "CONC002",
+                "lock-order inversion: S._a then S._b"),
+        Finding("src/c.py", 31, "CONC004", "S._lock acquired without release"),
     ]
     baselined = [
         Finding("src/d.py", 3, "CONC001", "unguarded access to S.items"),
-        Finding("src/e.py", 9, "SHR001",
-                "run-phase mutation of batch-shared WorkloadSuite._cache"),
+        Finding("src/e.py", 9, "DET005",
+                "loop iterates over directory entries in filesystem order"),
         Finding("src/e.py", 22, "SHR005", "mutable default argument in f"),
     ]
     return LintResult(
@@ -67,9 +65,9 @@ def test_levels_follow_blocking_semantics():
     document = to_sarif(synthetic_result())
     run = document["runs"][0]
     by_id = {rule["id"]: rule for rule in run["tool"]["driver"]["rules"]}
-    assert by_id["SHR002"]["defaultConfiguration"]["level"] == "error"
-    assert by_id["SHR004"]["defaultConfiguration"]["level"] == "error"
-    for code in ("SHR001", "SHR003", "SHR005"):
+    assert by_id["CONC002"]["defaultConfiguration"]["level"] == "error"
+    assert by_id["CONC004"]["defaultConfiguration"]["level"] == "error"
+    for code in ("CONC001", "DET005", "SHR005"):
         assert by_id[code]["defaultConfiguration"]["level"] == "warning"
     levels = [result["level"] for result in run["results"]]
     assert levels == ["error"] * 4 + ["warning"] * 3

@@ -1,185 +1,35 @@
-"""Injection tests: every SHR rule must fire on deliberately broken
-code, stay quiet on the fixed variant, and respect ``# shr-ok``.
+"""Injection tests: SHR005 must fire on deliberately broken code, stay
+quiet on the fixed variant, and respect ``# shr-ok``.
 
-Each case lints synthetic files through the *real* engine path
-(``lint_program``), so registration, program-scope dispatch and the
-SHR suppression family are all exercised.  The final cases edit the
-*real* tree in memory — single-copy drift in the inlined issue loop
-must produce SHR002, which is the whole point of the markers.
+Each case lints a synthetic file through the real engine path
+(``lint_files``), so registration, rule selection and the SHR
+suppression family are all exercised.
 """
 
 import textwrap
-from pathlib import Path
 
-from repro.analysis.lint import EFFECTS_PROFILE, run_lint
-from repro.analysis.lint.engine import lint_program
+from repro.analysis.lint import SHARING_PROFILE, lint_files, run_lint
 from repro.analysis.lint.rules_sharing import SHR_RULE_CODES
 
-REPO = Path(__file__).resolve().parent.parent
 
-
-def lint(tmp_path, source, codes=SHR_RULE_CODES, name="inj.py"):
+def lint(tmp_path, source, name="inj.py"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(source))
-    return lint_program([path], codes=tuple(codes))
+    return lint_files([path], codes=SHR_RULE_CODES)
 
 
 def codes_of(findings):
     return sorted({f.code for f in findings})
 
 
-# ----------------------------------------------------------------------
-# SHR001 — run-phase mutation of batch-shared state
-# ----------------------------------------------------------------------
-BROKEN_001 = """
-    class DecodeStore:
-        def __init__(self):
-            self._programs = {}
-        def record(self, key, value):
-            self._programs[key] = value
+BROKEN_GLOBAL = """
+    CACHE = {}
 
-    class Core:
-        def __init__(self, store: DecodeStore):
-            self.store = store
-        def step(self):
-            self.store.record(1, 2)
+    def put(key, value):
+        CACHE[key] = value
 """
 
 
-def test_shr001_fires_on_shared_mutation(tmp_path):
-    findings = lint(tmp_path, BROKEN_001)
-    assert codes_of(findings) == ["SHR001"]
-    assert "DecodeStore._programs" in findings[0].message
-
-
-def test_shr001_quiet_when_write_is_build_phase(tmp_path):
-    fixed = BROKEN_001.replace("def step(self):", "def load(self):")
-    assert lint(tmp_path, fixed) == []
-
-
-def test_shr001_shr_ok_suppresses(tmp_path):
-    blessed = BROKEN_001.replace(
-        "self._programs[key] = value",
-        "self._programs[key] = value  # shr-ok: warm-once, content-pure",
-    )
-    assert lint(tmp_path, blessed) == []
-
-
-def test_det_ok_does_not_suppress_shr(tmp_path):
-    wrong_marker = BROKEN_001.replace(
-        "self._programs[key] = value",
-        "self._programs[key] = value  # det-ok: wrong family",
-    )
-    assert codes_of(lint(tmp_path, wrong_marker)) == ["SHR001"]
-
-
-# ----------------------------------------------------------------------
-# SHR002 — spec-vs-inlined drift
-# ----------------------------------------------------------------------
-BROKEN_002 = """
-    class Stage:
-        def spec_one(self, ctx):
-            self.table[ctx.uid] = 1
-            self.sink.note(ctx)
-
-        def hot(self):
-            for ctx in self.work:
-                # spec-inline begin r1 spec=spec_one
-                self.table[ctx.uid] = 1
-                # spec-inline end r1
-"""
-
-
-def test_shr002_fires_on_drift(tmp_path):
-    findings = lint(tmp_path, BROKEN_002)
-    assert codes_of(findings) == ["SHR002"]
-    assert "spec-only" in findings[0].message
-
-
-def test_shr002_quiet_when_copies_match(tmp_path):
-    fixed = BROKEN_002.replace(
-        "self.table[ctx.uid] = 1\n                # spec-inline end r1",
-        "self.table[ctx.uid] = 1\n"
-        "                self.sink.note(ctx)\n"
-        "                # spec-inline end r1",
-    )
-    assert lint(tmp_path, fixed) == []
-
-
-def test_shr002_fires_on_malformed_markers(tmp_path):
-    findings = lint(tmp_path, """
-        class Stage:
-            def hot(self, ctx):
-                # spec-inline begin r1 spec=spec_one
-                self.table[ctx.uid] = 1
-    """)
-    assert codes_of(findings) == ["SHR002"]
-    assert "never closed" in findings[0].message
-
-
-# ----------------------------------------------------------------------
-# SHR003 — event payload mutated after publish
-# ----------------------------------------------------------------------
-BROKEN_003 = """
-    def emit(bus, event):
-        bus.publish(event)
-        event.tags.append("late")
-"""
-
-
-def test_shr003_fires_on_publish_then_mutate(tmp_path):
-    findings = lint(tmp_path, BROKEN_003)
-    assert codes_of(findings) == ["SHR003"]
-    assert "mutated after publish" in findings[0].message
-
-
-def test_shr003_quiet_when_mutation_precedes_publish(tmp_path):
-    fixed = """
-        def emit(bus, event):
-            event.tags.append("early")
-            bus.publish(event)
-    """
-    assert lint(tmp_path, fixed) == []
-
-
-# ----------------------------------------------------------------------
-# SHR004 — per-core state escaping into a shared container
-# ----------------------------------------------------------------------
-BROKEN_004 = """
-    class CoreState:
-        def __init__(self):
-            self.table = {}
-
-    class DecodeStore:
-        def __init__(self):
-            self._programs = {}
-
-    class Core:
-        def __init__(self, store: DecodeStore):
-            self.state = CoreState()
-            self.store = store
-        def step(self):
-            self.store._programs[0] = self.state  # shr-ok: injection
-"""
-
-
-def test_shr004_fires_on_escape(tmp_path):
-    # The write itself is blessed; the *escape* must still block.
-    findings = lint(tmp_path, BROKEN_004)
-    assert "SHR004" in codes_of(findings)
-
-
-def test_shr004_quiet_when_stored_value_is_fresh(tmp_path):
-    fixed = BROKEN_004.replace(
-        "self.store._programs[0] = self.state",
-        "self.store._programs[0] = dict()",
-    )
-    assert lint(tmp_path, fixed) == []
-
-
-# ----------------------------------------------------------------------
-# SHR005 — process-global mutable state
-# ----------------------------------------------------------------------
 def test_shr005_fires_on_mutable_default(tmp_path):
     findings = lint(tmp_path, """
         def record(x, acc=[]):
@@ -201,12 +51,7 @@ def test_shr005_fires_on_class_attr_mutation(tmp_path):
 
 
 def test_shr005_fires_on_module_global_mutation(tmp_path):
-    findings = lint(tmp_path, """
-        CACHE = {}
-
-        def put(key, value):
-            CACHE[key] = value
-    """)
+    findings = lint(tmp_path, BROKEN_GLOBAL)
     assert codes_of(findings) == ["SHR005"]
     assert "module-level mutable" in findings[0].message
 
@@ -223,99 +68,39 @@ def test_shr005_quiet_on_local_rebind(tmp_path):
 
 
 def test_shr005_shr_ok_suppresses(tmp_path):
-    blessed = """
-        CACHE = {}
-
-        def put(key, value):
-            CACHE[key] = value  # shr-ok: test-only counter
-    """
+    blessed = BROKEN_GLOBAL.replace(
+        "CACHE[key] = value",
+        "CACHE[key] = value  # shr-ok: test-only counter",
+    )
     assert lint(tmp_path, blessed) == []
 
 
-# ----------------------------------------------------------------------
-# The real tree
-# ----------------------------------------------------------------------
-def _real_tree_findings(edit=None):
-    """Build the effect analysis over the committed batch sources,
-    optionally swapping one file's text through ``edit``."""
-    from repro.analysis.effects.facts import (
-        EffectsProgram, batch_source_paths,
+def test_det_ok_does_not_suppress_shr(tmp_path):
+    wrong_marker = BROKEN_GLOBAL.replace(
+        "CACHE[key] = value",
+        "CACHE[key] = value  # det-ok: wrong family",
     )
-
-    sources = []
-    for path in batch_source_paths():
-        text = path.read_text()
-        if edit is not None:
-            text = edit(path, text)
-        sources.append((str(path), text))
-    return EffectsProgram.from_sources(sources).findings()
+    assert codes_of(lint(tmp_path, wrong_marker)) == ["SHR005"]
 
 
-def test_effects_profile_clean_on_real_tree():
-    """The committed pipeline/sim/workloads layers pass the SHR profile
-    (their deliberate exceptions carry ``# shr-ok`` blessings)."""
-    result = run_lint(EFFECTS_PROFILE)
+def test_sharing_profile_clean_on_real_tree():
+    """The committed pipeline/sim/workloads layers pass SHR005 (the one
+    deliberate exception, ``Event.constructed``, carries ``# shr-ok``)."""
+    result = run_lint(SHARING_PROFILE)
     assert result.findings == [], [f.render() for f in result.findings]
 
 
-def test_shr002_catches_single_copy_edit_to_inlined_issue_loop():
-    """Acceptance: a deliberate edit to the inlined copy of the issue
-    loop's memory-order check — leaving the spec untouched — must
-    produce SHR002."""
-    target = "pipeline/stages/issue.py"
-    # The "and " prefix pins the *inlined* copy; the spec method reads
-    # ``self.contexts[...]`` and must stay untouched.
-    original = "and contexts[uop.ctx].older_store_pending(uop.seq)"
-
-    def drift(path, text):
-        if str(path).replace("\\", "/").endswith(target):
-            assert text.count(original) == 1, (
-                "issue loop changed; update this test"
-            )
-            return text.replace(original, "and False")
-        return text
-
-    findings = _real_tree_findings(drift)
-    drifted = [f for f in findings if f.code == "SHR002"]
-    assert len(drifted) == 1
-    assert "issue-memcheck" in drifted[0].message
-    assert "older_store_pending" in drifted[0].message
-
-
-def test_shr002_catches_single_copy_edit_to_inlined_rename_loop():
-    """Same for the rename loop: drop one inlined call, SHR002 fires."""
-    target = "pipeline/stages/rename.py"
-    # The indentation pins the hoisted-alias call inside the inlined
-    # region; the spec's ``state.icount_order.note(ctx)`` stays put.
-    original = "\n                note(ctx)"
-
-    def drift(path, text):
-        if str(path).replace("\\", "/").endswith(target):
-            assert text.count(original) == 1, (
-                "rename loop changed; update this test"
-            )
-            return text.replace(original, "\n                pass")
-        return text
-
-    findings = _real_tree_findings(drift)
-    drifted = [f for f in findings if f.code == "SHR002"]
-    assert len(drifted) == 1
-    assert "rename-fetched" in drifted[0].message
-
-
 def test_every_shr_rule_has_an_injection_proof():
-    """Meta: the five registered SHR codes are exactly the ones the
-    injection cases above cover."""
+    """Meta: SHR005 is the only registered SHR code; the injection
+    cases above cover it."""
     from repro.analysis.lint import all_rules
 
     registered = {r.code for r in all_rules() if r.code.startswith("SHR")}
-    assert registered == set(SHR_RULE_CODES)
+    assert registered == set(SHR_RULE_CODES) == {"SHR005"}
 
 
 def test_shr_severities_match_the_contract():
-    """SHR002/SHR004 block; SHR001/003/005 are warn-first ratchets."""
+    """SHR005 is a warn-first ratchet."""
     from repro.analysis.lint import get_rule
 
-    assert get_rule("SHR002").blocking and get_rule("SHR004").blocking
-    for code in ("SHR001", "SHR003", "SHR005"):
-        assert not get_rule(code).blocking
+    assert not get_rule("SHR005").blocking

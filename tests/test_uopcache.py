@@ -4,13 +4,8 @@ import pytest
 
 from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
 from repro.isa.opcodes import Op
-from repro.isa.program import Program
-from repro.pipeline.uopcache import (
-    DecodedUop,
-    DecodedUopCache,
-    decode_standalone,
-    loop_pcs_of,
-)
+from repro.isa.program import TEXT_BASE, Program
+from repro.pipeline.uopcache import DecodedUop, DecodedUopCache, loop_pcs_of
 
 
 def make_program(name="p", n_body=6):
@@ -18,20 +13,19 @@ def make_program(name="p", n_body=6):
     the last four of them, then a halt."""
     instrs = [Instruction(Op.ADDI, rd=1, ra=1, imm=1) for _ in range(n_body)]
     # Backward branch to the third body instruction.
-    instrs.append(Instruction(Op.BNE, ra=1, rb=2, target=None))
+    instrs.append(
+        Instruction(Op.BNE, ra=1, rb=2, target=TEXT_BASE + 2 * INSTRUCTION_BYTES)
+    )
     instrs.append(Instruction(Op.HALT))
     program = Program(name=name, instructions=instrs)
     branch_pc = program.text_base + n_body * INSTRUCTION_BYTES
-    instrs[n_body] = Instruction(
-        Op.BNE, ra=1, rb=2, target=program.text_base + 2 * INSTRUCTION_BYTES
-    )
     return program, branch_pc
 
 
 class TestDecodedUop:
     def test_standalone_decode_precomputes_static_facts(self):
         program, branch_pc = make_program()
-        dec = decode_standalone(program.instr_at(branch_pc), branch_pc)
+        dec = DecodedUop(program.instr_at(branch_pc), branch_pc)
         assert dec.is_branch and dec.is_cond_branch
         assert dec.backward  # target <= pc
         assert dec.seq_next == branch_pc + INSTRUCTION_BYTES

@@ -17,10 +17,8 @@ copy-on-write savings would make the baseline unrealistically cheap and
 platform-dependent).
 
 The run also *verifies* the batching contract before recording anything:
-every point's stats payload must be bit-identical between the two modes
-(modulo the decoded-uop-cache counters, whose attribution legitimately
-shifts when siblings share a warm store).  A parity violation exits 2
-and records nothing.
+every point's stats payload must be bit-identical between the two
+modes.  A parity violation exits 2 and records nothing.
 
 With ``--bench-json`` the result merges into the benchmark payload as
 
@@ -41,18 +39,6 @@ from __future__ import annotations
 import argparse
 import json
 import time
-
-#: SimStats fields allowed to differ between serial and batched runs —
-#: see tests/test_batch_lockstep.py for the parity contract.
-UOP_CACHE_FIELDS = frozenset(
-    {
-        "uop_cache_hits",
-        "uop_cache_misses",
-        "uop_cache_evictions",
-        "decode_counts",
-        "uop_cache_hits_by_class",
-    }
-)
 
 PINNED = dict(
     workload="compress",
@@ -80,11 +66,7 @@ def pinned_jobs():
 def comparable(outcome) -> dict:
     from repro.exec.jobs import stats_to_payload
 
-    return {
-        name: value
-        for name, value in stats_to_payload(outcome.result.stats).items()
-        if name not in UOP_CACHE_FIELDS
-    }
+    return stats_to_payload(outcome.result.stats)
 
 
 def run_mode(jobs, suite, pool_jobs: int, batch_size: int, rounds: int):
@@ -141,8 +123,7 @@ def main(argv=None) -> int:
         if comparable(a) != comparable(b):
             print(f"FAIL point {index}: batched stats diverge from baseline")
             return 2
-    print(f"parity: all {len(jobs)} points bit-identical "
-          f"(modulo decoded-uop-cache counters)")
+    print(f"parity: all {len(jobs)} points bit-identical")
 
     if args.bench_json:
         try:
