@@ -2,10 +2,9 @@
 
 Grew out of ``tools/lint_determinism.py`` (a single-file AST lint for
 the simulator's determinism invariants); the engine generalises it into
-a rule registry (:mod:`.registry`), parallel per-file analysis over the
-generic fan-out primitive (:mod:`repro.exec.fanout`), committed
-baselines for warn-first rules (:mod:`.baseline`) and JSON/SARIF output
-(:mod:`.report`).  The determinism rules DET001–DET005 live in
+a rule registry (:mod:`.registry`), parallel per-file analysis over a
+process pool, committed baselines for warn-first rules
+(:mod:`.baseline`) and JSON/SARIF output (:mod:`.report`).  The determinism rules DET001–DET005 live in
 :mod:`.rules_determinism`; the old tool remains as a thin shim with an
 unchanged CLI contract, and ``repro-sim lint`` is the full front end.
 

@@ -4,17 +4,17 @@ Pipeline: resolve target paths to ``.py`` files (sorted, so output and
 parallel chunking are deterministic) → parse each file once and run the
 selected rules over the shared AST (``# det-ok: <reason>`` suppressions
 filtered centrally) → triage findings against the committed baseline.
-Per-file analysis is pure, so it fans out across processes via
-:func:`repro.exec.fanout.fanout_map` when ``jobs > 1``; results are
-identical to the serial path by construction.
+Per-file analysis is pure, so it fans out across processes through
+``concurrent.futures.ProcessPoolExecutor.map`` when ``jobs > 1``;
+results are identical to the serial path by construction.
 
 Rule selection is usually a *profile*.  :data:`DETERMINISM_PROFILE`
 reproduces the original ``tools/lint_determinism.py`` behaviour: the
 hot-core targets get every determinism rule except DET004, and the
 whole package is swept with DET004 alone (observers outside the core
 may legitimately read the wall clock, but nobody monkey-patches the
-core).  :data:`DEFAULT_PROFILE` adds SHR005 over the layers a lockstep
-batch runs in one process.  Explicit paths get the full rule set.
+core).  :data:`DEFAULT_PROFILE` adds SHR005 over the layers whose jobs
+a batch slice runs one after another in one process.  Explicit paths get the full rule set.
 
 A file named by several targets is parsed and linted once, with the
 union of their rule codes.
@@ -23,11 +23,11 @@ union of their rule codes.
 from __future__ import annotations
 
 import ast
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from ...exec.fanout import fanout_map
 from . import rules_concurrency  # noqa: F401 - registers the CONC rules
 from . import rules_determinism  # noqa: F401 - registers the DET rules
 from . import rules_sharing  # noqa: F401 - registers SHR005
@@ -81,8 +81,8 @@ CONC_PROFILE = (
     ),
 )
 
-#: The sharing sweep: SHR005 over the layers whose every core shares
-#: one process in a lockstep batch.
+#: The sharing sweep: SHR005 over the layers whose jobs a batch slice
+#: runs one after another in one process.
 SHARING_PROFILE = (
     LintTarget(
         paths=(
@@ -210,8 +210,14 @@ def lint_files(
 def _lint_items(
     items: Sequence[Tuple[str, Optional[Tuple[str, ...]]]], jobs: int
 ) -> List[Finding]:
-    per_file = fanout_map(_lint_payload, items, jobs=jobs)
-    findings = [f for batch in per_file for f in batch]
+    if jobs <= 1 or len(items) < 2:
+        per_file = [_lint_payload(item) for item in items]
+    else:
+        workers = min(jobs, len(items))
+        chunk = (len(items) + workers - 1) // workers  # one chunk per worker
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_file = list(pool.map(_lint_payload, items, chunksize=chunk))
+    findings = [f for found in per_file for f in found]
     return sorted(findings, key=lambda f: (f.path, f.line, f.code))
 
 

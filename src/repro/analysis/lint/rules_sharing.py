@@ -1,8 +1,8 @@
 """SHR005: process-global mutable state in the simulator.
 
-Every core of a lockstep batch runs in one process, so anything that
-lives at process scope is shared by all of them: a mutable default
-argument, a class attribute, a module global.  Writing such state at
+Every job of a batch slice runs in one process, one after another, so
+anything that lives at process scope carries over from one core to the
+next: a mutable default argument, a class attribute, a module global.  Writing such state at
 run time couples cores that must stay independent.  The rule flags:
 
 * a mutable default argument (``def f(acc=[])``, ``dict()``, ...);

@@ -217,7 +217,6 @@ def _cmd_serve(args) -> int:
             lease_size=args.lease_size,
             poll=args.poll,
             max_idle=args.max_idle,
-            batch_size=args.batch_size,
         )
         print(f"worker {worker_id} exiting after {executed} task(s)", file=sys.stderr)
         return 0
@@ -785,10 +784,8 @@ def build_parser() -> argparse.ArgumentParser:
                                       "(bounds a whole slice when batching)")
     campaign_parser.add_argument("--batch-size", type=batch_size_arg, default=1,
                                  metavar="N",
-                                 help="lockstep-simulate up to N compatible "
-                                      "jobs per worker attempt (same machine "
-                                      "config; incompatible jobs never share "
-                                      "a slice); 1 = classic one job per "
+                                 help="run up to N jobs back to back per "
+                                      "worker attempt; 1 = one job per "
                                       "attempt")
     add_exec_flags(
         campaign_parser,
@@ -820,16 +817,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--worker-id", default=None,
                               help="worker name reported to the head")
     serve_parser.add_argument("--lease-size", type=int, default=1,
-                              help="tasks leased per request (worker mode)")
+                              help="tasks leased per request and run back to "
+                                   "back (worker mode)")
     serve_parser.add_argument("--poll", type=float, default=0.5,
                               help="idle poll interval in seconds (worker mode)")
     serve_parser.add_argument("--max-idle", type=float, default=None,
                               help="exit after this many idle seconds (worker mode)")
-    serve_parser.add_argument("--batch-size", type=batch_size_arg, default=1,
-                              metavar="N",
-                              help="lockstep-simulate up to N compatible leased "
-                                   "tasks at once (worker mode; results still "
-                                   "complete per task)")
 
     submit_parser = sub.add_parser(
         "submit", help="submit a campaign spec to a running server"

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..pipeline.config import MachineConfig
+from ..pipeline.core import gc_epoch
 from ..sim.runner import RunResult, RunSpec, run_spec
 from ..stats.counters import SimStats
 from ..workloads.suite import WorkloadSuite
@@ -187,6 +188,25 @@ def run_job(job: Job, suite: WorkloadSuite) -> RunResult:
     return run_spec(job.spec, suite, config=config)
 
 
+def run_slice(jobs: Sequence[Job], suite: WorkloadSuite) -> List[Tuple[str, Any]]:
+    """Execute ``jobs`` one after another inside one gc epoch.
+
+    Returns ``("ok", RunResult)`` or ``("error", "ExcType: message")``
+    per job, in input order: a job that fails never sinks the rest.
+    The collector stays off for the whole slice; each ``Core.run``,
+    entered with it off, leaves collection to the slice, which collects
+    once after its last job (:func:`gc_epoch`).
+    """
+    out: List[Tuple[str, Any]] = []
+    with gc_epoch():
+        for job in jobs:
+            try:
+                out.append(("ok", run_job(job, suite)))
+            except Exception as exc:  # noqa: BLE001 - reported per job
+                out.append(("error", f"{type(exc).__name__}: {exc}"))
+    return out
+
+
 #: Per-process suite cache so a forked/spawned worker assembles each kernel
 #: set once, no matter how many jobs it executes.
 _SUITE_CACHE: Dict[Tuple[int, bool], WorkloadSuite] = {}
@@ -207,20 +227,13 @@ def execute_payload(payload: Dict, suite_args: Tuple[int, bool]) -> Dict:
 
 
 def execute_payload_batch(payloads, suite_args: Tuple[int, bool]):
-    """Worker-side batch entry: run compatible payloads in lockstep.
+    """Worker-side slice entry: run payloads back to back (:func:`run_slice`).
 
     Returns one ``("ok", result_payload)`` or ``("error", message)`` pair
-    per payload, in input order — a point that fails never sinks its
-    batch siblings; the pool retries failed points as singletons.
+    per payload, in input order; the pool retries failed points singly.
     """
-    from ..sim.batch import BatchRunner  # late: sim.batch is import-light
-
-    suite = suite_for_args(*suite_args)
-    jobs = [job_from_payload(p) for p in payloads]
-    out = []
-    for point in BatchRunner(jobs, suite=suite).run():
-        if point.result is not None:
-            out.append(("ok", result_to_payload(point.result)))
-        else:
-            out.append(("error", point.error or "unknown batch failure"))
-    return out
+    replies = run_slice([job_from_payload(p) for p in payloads], suite_for_args(*suite_args))
+    return [
+        (status, result_to_payload(body) if status == "ok" else body)
+        for status, body in replies
+    ]

@@ -36,7 +36,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..sim.batch import BatchRunner, group_batches
 from ..sim.runner import RunResult, RunSpec
 from ..workloads.suite import WorkloadSuite
 from .cache import Journal, ResultCache, cache_key
@@ -50,7 +49,7 @@ from .jobs import (
     job_to_payload,
     result_from_payload,
     result_to_payload,
-    run_job,
+    run_slice,
 )
 from .progress import ProgressReporter
 
@@ -67,6 +66,28 @@ class ExecutionError(RuntimeError):
             f"{o.job.label()}: {o.failure.kind} ({o.failure.message})" for o in self.failures
         )
         super().__init__(f"{len(self.failures)} job(s) failed: {lines}")
+
+
+def group_batches(jobs: Sequence[Job], batch_size: int) -> List[List[int]]:
+    """Partition job *indices* into slices of up to ``batch_size``.
+
+    Jobs carrying chaos fault-injection run alone (chaos applies per
+    attempt, which only makes sense for one-job attempts); the rest are
+    chunked in input order.  ``batch_size <= 1`` yields all singletons.
+    """
+    slices: List[List[int]] = []
+    chunk: List[int] = []
+    for index, job in enumerate(jobs):
+        if job.chaos is not None:
+            slices.append([index])
+            continue
+        chunk.append(index)
+        if len(chunk) >= batch_size:
+            slices.append(chunk)
+            chunk = []
+    if chunk:
+        slices.append(chunk)
+    return slices
 
 
 def _apply_chaos(chaos: Optional[Chaos], attempt: int, allow_exit: bool) -> None:
@@ -99,11 +120,11 @@ def _worker_entry(conn, payload: Dict, suite_args: Tuple[int, bool], chaos: Opti
 
 
 def _batch_worker_entry(conn, payloads: List[Dict], suite_args: Tuple[int, bool]) -> None:
-    """Top-level batch worker target: one lockstep batch per process.
+    """Top-level batch worker target: one slice per process.
 
     Replies ``("batch", [(status, body), ...])`` with one entry per
     payload; per-point failures are structured inside the list, so only
-    a whole-batch failure (e.g. mixed-machine validation) uses the
+    a whole-slice failure (e.g. a malformed payload) uses the
     ``("error", message)`` shape.
     """
     try:
@@ -122,7 +143,7 @@ class _Running:
     """Book-keeping for one in-flight worker process.
 
     ``indices`` holds one job index for a classic single-job attempt and
-    the whole slice for a lockstep-batch attempt.
+    the whole slice for a batch attempt.
     """
 
     indices: List[int]
@@ -154,13 +175,13 @@ class Executor:
     progress:
         A :class:`ProgressReporter` shared across batches.
     batch_size:
-        Lockstep batch width.  ``1`` (the default) preserves the classic
-        one-job-per-attempt behaviour; ``N > 1`` makes each attempt a
-        compatible slice of up to N jobs simulated in lockstep in one
-        process (see :mod:`repro.sim.batch`).  First attempts batch;
-        retries always re-run failed points singly.  In parallel mode
-        ``timeout`` bounds a whole batch attempt, and a crashed or timed
-        out batch falls back to singleton retries for every member.
+        Slice width.  ``1`` (the default) gives one job per attempt;
+        ``N > 1`` makes each first attempt a slice of up to N jobs run
+        back to back in one process, in one gc epoch
+        (:func:`~repro.exec.jobs.run_slice`).  In parallel mode retries
+        re-run failed points singly, ``timeout`` bounds a whole slice
+        attempt, and a crashed or timed out slice falls back to
+        singleton retries for every member.
     """
 
     def __init__(
@@ -227,10 +248,7 @@ class Executor:
 
         if pending:
             if self.jobs <= 1:
-                if self.batch_size > 1:
-                    self._run_serial_batched(jobs, pending, suite, keys, outcomes)
-                else:
-                    self._run_serial(jobs, pending, suite, keys, outcomes)
+                self._run_serial(jobs, pending, suite, keys, outcomes)
             else:
                 self._run_parallel(jobs, pending, suite, keys, outcomes)
         return [outcome for outcome in outcomes if outcome is not None]
@@ -289,79 +307,40 @@ class Executor:
         self._record(outcomes[index])
 
     def _pending_batches(self, jobs, pending) -> List[List[int]]:
-        """Group pending job indices into compatible lockstep slices."""
+        """Group pending job indices into slices (:func:`group_batches`)."""
         groups = group_batches([jobs[index] for index in pending], self.batch_size)
         return [[pending[position] for position in group] for group in groups]
 
     # ------------------------------------------------------------------
-    def _run_serial(self, jobs, pending, suite, keys, outcomes,
-                    first_attempt: int = 1) -> None:
-        """Classic in-process path; ``first_attempt > 1`` resumes the
-        attempt budget for points whose batched first attempt failed."""
+    def _run_serial(self, jobs, pending, suite, keys, outcomes) -> None:
+        """In-process path: each slice runs through :func:`run_slice`, and
+        its failed members re-run together until the budget is spent."""
         max_attempts = self.retries + 1
-        for index in pending:
-            job = jobs[index]
-            started = time.monotonic()
-            for attempt in range(first_attempt, max_attempts + 1):
-                try:
-                    _apply_chaos(job.chaos, attempt, allow_exit=False)
-                    payload = result_to_payload(run_job(job, suite))
-                except Exception as exc:  # noqa: BLE001 - structured failure row
-                    if attempt >= max_attempts:
-                        self._fail(
-                            index, job, "error", f"{type(exc).__name__}: {exc}",
-                            attempt, time.monotonic() - started, outcomes,
-                        )
-                else:
-                    self._commit(
-                        index, job, keys[index], payload,
-                        attempt, time.monotonic() - started, outcomes,
-                    )
-                    break
-
-    def _run_serial_batched(self, jobs, pending, suite, keys, outcomes) -> None:
-        """Serial mode with lockstep slices: batch the first attempt of
-        every multi-job slice, then push failures (and all singleton
-        slices — which may carry chaos) through the classic path."""
-        max_attempts = self.retries + 1
-        singles: List[int] = []
         for indices in self._pending_batches(jobs, pending):
-            if len(indices) <= 1:
-                singles.extend(indices)
-                continue
             started = time.monotonic()
-            try:
-                points = BatchRunner(
-                    [jobs[index] for index in indices], suite=suite
-                ).run()
-            except Exception as exc:  # noqa: BLE001 - whole-slice failure
-                message = f"{type(exc).__name__}: {exc}"
-                if max_attempts > 1:
-                    self._run_serial(jobs, indices, suite, keys, outcomes,
-                                     first_attempt=2)
+            for attempt in range(1, max_attempts + 1):
+                members = [jobs[index] for index in indices]
+                try:
+                    for job in members:  # a chaos job is always alone
+                        _apply_chaos(job.chaos, attempt, allow_exit=False)
+                except Exception as exc:  # noqa: BLE001 - structured failure row
+                    replies = [("error", f"{type(exc).__name__}: {exc}")] * len(members)
                 else:
-                    for index in indices:
-                        self._fail(index, jobs[index], "error", message,
-                                   1, time.monotonic() - started, outcomes)
-                continue
-            elapsed = time.monotonic() - started
-            retry: List[int] = []
-            for index, point in zip(indices, points):
-                if point.result is not None:
-                    self._commit(index, jobs[index], keys[index],
-                                 result_to_payload(point.result), 1, elapsed,
-                                 outcomes)
-                elif max_attempts > 1:
-                    retry.append(index)
-                else:
-                    self._fail(index, jobs[index], "error",
-                               point.error or "batch point failed", 1, elapsed,
-                               outcomes)
-            if retry:
-                self._run_serial(jobs, retry, suite, keys, outcomes,
-                                 first_attempt=2)
-        if singles:
-            self._run_serial(jobs, singles, suite, keys, outcomes)
+                    replies = run_slice(members, suite)
+                elapsed = time.monotonic() - started
+                retry: List[int] = []
+                for index, (status, body) in zip(indices, replies):
+                    if status == "ok":
+                        self._commit(index, jobs[index], keys[index],
+                                     result_to_payload(body), attempt, elapsed, outcomes)
+                    elif attempt < max_attempts:
+                        retry.append(index)
+                    else:
+                        self._fail(index, jobs[index], "error", body, attempt,
+                                   elapsed, outcomes)
+                indices = retry
+                if not indices:
+                    break
 
     # ------------------------------------------------------------------
     def _spawn(self, indices: List[int], attempt: int, jobs, suite) -> _Running:
@@ -395,11 +374,11 @@ class Executor:
 
         With ``batch_size == 1`` every unit is a single index and this is
         the classic one-process-per-job-attempt pool.  With batching,
-        first attempts are compatible slices (one process simulates the
-        whole slice in lockstep) and any failure — a point error inside
-        the slice, or the whole worker crashing or timing out — degrades
-        the affected indices to singleton retries with the attempt budget
-        carried over.
+        first attempts are slices (one process runs the whole slice back
+        to back) and any failure — a point error inside the slice, or the
+        whole worker crashing or timing out — degrades the affected
+        indices to singleton retries with the attempt budget carried
+        over.
         """
         max_attempts = self.retries + 1
         # Work units awaiting a first attempt.

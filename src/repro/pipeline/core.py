@@ -38,8 +38,9 @@ The TME and recycling behaviour (Sections 2-3):
 
 from __future__ import annotations
 
+import contextlib
 import gc
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from ..isa.program import Program, STACK_TOP
 from ..isa.registers import FP_BASE, STACK_POINTER_REG
@@ -59,9 +60,32 @@ from .stages import (
     SimulationError,
 )
 from .stages.commit import _values_equal  # noqa: F401  (re-export for tests)
-from .uop import ST_COMPLETED
 
-__all__ = ["Core", "SimulationError"]
+__all__ = ["Core", "SimulationError", "gc_epoch"]
+
+
+@contextlib.contextmanager
+def gc_epoch() -> Iterator[None]:
+    """Hold the cyclic garbage collector off for the block.
+
+    A simulation allocates heavily (uops, fetch records, heap entries)
+    but creates no garbage *cycles* worth collecting mid-run, and keeping
+    the generational collector from scanning the growing columns is a
+    measurable win.  One rule: whoever disables the collector collects.
+    Entered with the collector enabled, the block disables it, then
+    re-enables it and collects once on exit.  Entered with it already
+    disabled, the block leaves it alone, and the caller that disabled it
+    collects — so a batch slice pays one collection, not one per run.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+        gc.collect()
 
 
 class Core:
@@ -186,15 +210,7 @@ class Core:
         state = self.state
         instances = self.instances
         step = self.step
-        # The sim loop allocates heavily (uops, fetch records, heap
-        # entries) but creates no garbage *cycles* worth collecting
-        # mid-run; keeping the generational collector from scanning the
-        # growing columns is a measurable win.  One collection at the
-        # end reclaims whatever cyclic garbage the run produced.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with gc_epoch():
             while state.cycle < max_cycles:
                 for inst in instances:
                     if not (inst.halted or inst.reached_target()):
@@ -207,14 +223,6 @@ class Core:
                         f"no commits for {deadlock_limit} cycles at cycle "
                         f"{state.cycle}; contexts: {self.contexts}"
                     )
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-            # Collect even when gc was already disabled on entry: batch
-            # drivers manage the collector themselves, and skipping the
-            # collection here would carry this run's cyclic garbage into
-            # every later point of the batch.
-            gc.collect()
         self._finalize_stats()
         return self.stats
 
@@ -249,101 +257,6 @@ class Core:
         )
         state.cycle += 1
         stats.cycles = state.cycle
-
-    def next_activity_cycle(self) -> Optional[int]:
-        """Earliest cycle at which stepping this core could change state.
-
-        Returns the current cycle when any stage provably has work *now*,
-        a future cycle when every stage is idle until a known wakeup
-        (queue due-heaps, in-flight completions, icache fills, decode
-        latency), or ``None`` when the core is fully quiescent (done or
-        deadlocked — no event will ever arrive).
-
-        The predicate is deliberately conservative: anything not
-        *provably* idle counts as activity, so a lockstep batch driver
-        may fast-forward ``state.cycle`` to the returned bound and record
-        the gap as idle cycles without changing a single simulated
-        outcome.  The per-stage no-op conditions mirror the stage
-        entry points:
-
-        * rename drains open recycle streams every cycle, so any open
-          stream means activity now;
-        * commit retires when an instance's commit-chain head is
-          COMPLETED, or advances the chain when a handover is pinned;
-        * resolve pops ``state.completions`` at exactly its key cycle;
-        * issue pops the queues' ready/due heaps (stale entries count as
-          activity — popping them is cheap and keeps this conservative);
-        * rename consumes decode-buffer heads once ``ready_cycle``
-          arrives (per-context ready cycles are monotonic, so the head
-          is the earliest);
-        * fetch is eligibility-gated; for a context blocked only by its
-          fetch stall the bound is ``fetch_stall_until``, and every other
-          blocker (buffer full, stream open, halted) can only be lifted
-          by activity that is itself accounted above.  Merge detection
-          (``try_merge``) is side-effectful, so a context that is
-          fetch-eligible *now* counts as activity even if it would only
-          open a stream.
-        """
-        state = self.state
-        now = state.cycle
-        if state.streams:
-            return now
-        contexts = state.contexts
-        for inst in state.instances:
-            if inst.halted:
-                continue
-            ctx = contexts[inst.commit_ctx]
-            al = ctx.active_list
-            pos = al.commit_pos
-            if ctx.commit_limit_pos is not None and pos >= ctx.commit_limit_pos:
-                if ctx.commit_successor is not None:
-                    return now  # chain handover pending
-                continue  # waits on a primaryship swap (a completion event)
-            if pos < al.tail_pos:
-                uop = al._ring[pos % al.capacity]
-                if uop is not None and uop.cols.state[uop.uid] == ST_COMPLETED:
-                    return now
-        bound: Optional[int] = None
-        completions = state.completions
-        if completions:
-            due = min(completions)
-            if due <= now:
-                return now
-            bound = due
-        for queue in (state.int_queue, state.fp_queue):
-            if queue._ready:
-                return now
-            heap = queue._due
-            if heap:
-                due = heap[0][0]
-                if due <= now:
-                    return now
-                if bound is None or due < bound:
-                    bound = due
-        decode_cap = state.config.decode_buffer_size
-        streams = state.streams
-        for ctx in contexts:
-            buf = ctx.decode_buffer
-            if buf:
-                ready = buf[0].ready_cycle
-                if ready <= now:
-                    return now
-                if bound is None or ready < bound:
-                    bound = ready
-            cstate = ctx.state
-            if (
-                (cstate is CtxState.ACTIVE or cstate is CtxState.INACTIVE)
-                and not ctx.fetch_stopped
-                and len(buf) < decode_cap
-                and ctx.id not in streams
-                and not (ctx.instance and ctx.instance.halted)
-            ):
-                stall = ctx.fetch_stall_until
-                if stall <= now:
-                    return now
-                if bound is None or stall < bound:
-                    bound = stall
-        return bound
 
     def set_profiler(self, profiler) -> None:
         """Attach (or clear) a per-stage profiler with a ``timed(name, fn)``

@@ -79,9 +79,8 @@ class CoreState:
         )
         #: Structure-of-arrays backing store for every Uop's hot fields
         #: (state, operands, destination mapping, scheduler counters) —
-        #: core-owned parallel columns keyed by dense uop id, so a
-        #: future lockstep-batch sweep can step many cores over plain
-        #: arrays.  The Uop objects are thin views over these columns.
+        #: core-owned parallel columns keyed by dense uop id.  The Uop
+        #: objects are thin views over these columns.
         self.uop_cols = UopColumns()
         #: Decoded-uop cache: (program, pc) -> predigested static record.
         self.uop_cache = DecodedUopCache(cfg.uop_cache_entries)

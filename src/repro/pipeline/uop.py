@@ -23,8 +23,8 @@ heaps, the forwarding index, register-file waiter lists) validates
 entries by reading the uop's state, and a recycled slot would alias a
 live uop's state onto a dead reference.  Column growth is therefore
 O(total renamed uops per run) — bounded by the commit target in
-practice — and a generation-tagged free list can be layered in when
-the lockstep-batch sweep needs long-lived cores.
+practice — and a generation-tagged free list can be layered in if a
+core ever needs to outlive one run.
 """
 
 from __future__ import annotations
@@ -70,9 +70,8 @@ STATE_CODES = {obj: code for code, obj in enumerate(STATE_OBJS)}
 class UopColumns:
     """Parallel columns for every Uop's hot fields, keyed by uop id.
 
-    One instance per :class:`CoreState` (never a module global): a
-    future lockstep-batch sweep steps many cores by walking each
-    core's columns as flat arrays.
+    One instance per :class:`CoreState` (never a module global), so no
+    two cores ever share columns.
     """
 
     __slots__ = (

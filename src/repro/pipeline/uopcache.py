@@ -20,10 +20,9 @@ disables caching entirely (every lookup decodes, nothing is stored) —
 the simulated machine's behaviour is identical either way; only the
 simulator's speed and the hit/miss counters change.
 
-Ownership: every core builds its own cache, a lockstep batch
-(:mod:`repro.sim.batch`) included, so no cache state is ever shared
-between cores and a point's counters read the same whether it ran
-alone or in a batch.
+Ownership: every core builds its own cache, so no cache state is ever
+shared between cores and a point's counters read the same whether it
+ran alone or in a batch slice.
 """
 
 from __future__ import annotations

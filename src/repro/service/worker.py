@@ -11,9 +11,11 @@ lease → execute → complete/fail — differing only in transport:
   stateless: results are pushed back into the head's artifact store and
   a worker that dies simply lets its lease expire and re-queue.
 
-Execution itself is :func:`repro.exec.jobs.execute_payload` — the exact
-function the multiprocessing pool's workers run, so service results are
-bit-identical to ``Executor``/serial ones by construction.
+Execution itself is :func:`repro.exec.jobs.execute_payload` (local
+threads, one task at a time) or :func:`repro.exec.jobs.execute_payload_batch`
+(a remote worker's lease) — the exact functions the multiprocessing
+pool's workers run, so service results are bit-identical to
+``Executor``/serial ones by construction.
 """
 
 from __future__ import annotations
@@ -35,40 +37,24 @@ def execute_task(task: Dict) -> Dict:
 
 
 def execute_task_batch(tasks) -> Dict[str, tuple]:
-    """Run a slice of leased tasks, lockstep-batching compatible ones.
+    """Run a lease of tasks as one slice per suite
+    (:func:`~repro.exec.jobs.execute_payload_batch`).
 
-    Tasks group by (suite args, machine); each multi-task group runs as
-    one :class:`~repro.sim.batch.BatchRunner` batch, singletons take the
-    classic path.  Returns ``{task key: ("ok", result_payload) |
-    ("error", message)}`` — per-task, so the caller still completes or
-    fails each lease individually and resume/dedup semantics are
-    unchanged.
+    Returns ``{task key: ("ok", result_payload) | ("error", message)}`` —
+    per task, so the caller still completes or fails each lease
+    individually and resume/dedup semantics are unchanged.
     """
     groups: Dict[tuple, list] = {}
-    ordered: list = []  # (suite_args, group) in first-appearance order
     for task in tasks:
-        group_key = (tuple(task["suite"]), task["payload"]["spec"]["machine"])
-        group = groups.get(group_key)
-        if group is None:
-            group = groups[group_key] = []
-            ordered.append((group_key[0], group))
-        group.append(task)
+        groups.setdefault(tuple(task["suite"]), []).append(task)
     results: Dict[str, tuple] = {}
-    for suite_args, group in ordered:
-        if len(group) == 1:
-            task = group[0]
-            try:
-                results[task["key"]] = ("ok", execute_payload(task["payload"], suite_args))
-            except Exception as exc:  # noqa: BLE001 - reported per task
-                results[task["key"]] = ("error", f"{type(exc).__name__}: {exc}")
-            continue
+    for suite_args, group in sorted(groups.items()):
         try:
-            batch = execute_payload_batch([t["payload"] for t in group], suite_args)
-        except Exception as exc:  # noqa: BLE001 - whole-batch failure
-            message = f"{type(exc).__name__}: {exc}"
-            batch = [("error", message)] * len(group)
-        for task, (status, body) in zip(group, batch):
-            results[task["key"]] = (status, body)
+            replies = execute_payload_batch([t["payload"] for t in group], suite_args)
+        except Exception as exc:  # noqa: BLE001 - whole-slice failure
+            replies = [("error", f"{type(exc).__name__}: {exc}")] * len(group)
+        for task, reply in zip(group, replies):
+            results[task["key"]] = reply
     return results
 
 
@@ -76,12 +62,11 @@ class LocalWorkerPool:
     """Daemon threads executing the head's own queue (no HTTP hop)."""
 
     def __init__(self, scheduler, workers: int = 1, poll: float = 0.5,
-                 name: str = "local", batch_size: int = 1):
+                 name: str = "local"):
         self.scheduler = scheduler
         self.workers = max(0, int(workers))
         self.poll = poll
         self.name = name
-        self.batch_size = max(1, int(batch_size))
         self._stop = threading.Event()
         self._threads: list = []
 
@@ -102,14 +87,11 @@ class LocalWorkerPool:
 
     def _loop(self, worker_id: str) -> None:
         while not self._stop.is_set():
-            leases = self.scheduler.lease(self.batch_size, worker=worker_id)
+            leases = self.scheduler.lease(1, worker=worker_id)
             if not leases:
                 self.scheduler.wait_for_work(timeout=self.poll)
                 continue
-            if len(leases) == 1:
-                self._run_one(leases[0], worker_id)
-            else:
-                self._run_batch(leases, worker_id)
+            self._run_one(leases[0], worker_id)
 
     def _run_one(self, task: Dict, worker_id: str) -> None:
         started = _monotonic()
@@ -124,18 +106,6 @@ class LocalWorkerPool:
             elapsed=_monotonic() - started,
         )
 
-    def _run_batch(self, tasks, worker_id: str) -> None:
-        started = _monotonic()
-        results = execute_task_batch(tasks)
-        elapsed = _monotonic() - started
-        for task in tasks:
-            status, body = results[task["key"]]
-            if status == "ok":
-                self.scheduler.complete(task["key"], body, worker=worker_id,
-                                        elapsed=elapsed)
-            else:
-                self.scheduler.fail(task["key"], str(body), worker=worker_id)
-
 
 def run_worker(
     head_url: str,
@@ -144,54 +114,34 @@ def run_worker(
     poll: float = 0.5,
     max_idle: Optional[float] = None,
     stop: Optional[threading.Event] = None,
-    batch_size: int = 1,
 ) -> int:
     """Remote worker main loop: lease shards from ``head_url``, execute,
     push results back.  Returns the number of tasks executed.  Exits when
     ``stop`` is set or nothing has been leased for ``max_idle`` seconds
-    (None = run forever, the daemon deployment mode).  With
-    ``batch_size > 1`` each lease cycle asks for up to that many tasks
-    and lockstep-batches the compatible ones; completion and failure are
-    still reported per task key, so the head's artifact store, dedup and
-    resume behaviour are unchanged."""
+    (None = run forever, the daemon deployment mode).  Each lease of up
+    to ``lease_size`` tasks runs as one slice (:func:`execute_task_batch`);
+    completion and failure are still reported per task key, so the
+    head's artifact store, dedup and resume behaviour are unchanged."""
     client = ServiceClient(head_url)
-    batch_size = max(1, int(batch_size))
     executed = 0
     idle_since = _monotonic()
     while stop is None or not stop.is_set():
-        tasks = client.lease(
-            max_tasks=max(lease_size, batch_size), worker=worker_id
-        )
+        tasks = client.lease(max_tasks=lease_size, worker=worker_id)
         if not tasks:
             if max_idle is not None and _monotonic() - idle_since > max_idle:
                 break
             time.sleep(poll)
             continue
         idle_since = _monotonic()
-        if batch_size > 1 and len(tasks) > 1:
-            started = _monotonic()
-            results = execute_task_batch(tasks)
-            elapsed = _monotonic() - started
-            for task in tasks:
-                status, body = results[task["key"]]
-                if status == "ok":
-                    client.complete_task(task["key"], body, worker=worker_id,
-                                         elapsed=elapsed)
-                    executed += 1
-                else:
-                    client.fail_task(task["key"], str(body), worker=worker_id)
-            continue
+        started = _monotonic()
+        results = execute_task_batch(tasks)
+        elapsed = _monotonic() - started
         for task in tasks:
-            started = _monotonic()
-            try:
-                payload = execute_task(task)
-            except Exception as exc:  # noqa: BLE001 - reported to the head
-                client.fail_task(task["key"], f"{type(exc).__name__}: {exc}",
-                                 worker=worker_id)
-                continue
-            client.complete_task(
-                task["key"], payload, worker=worker_id,
-                elapsed=_monotonic() - started,
-            )
-            executed += 1
+            status, body = results[task["key"]]
+            if status == "ok":
+                client.complete_task(task["key"], body, worker=worker_id,
+                                     elapsed=elapsed)
+                executed += 1
+            else:
+                client.fail_task(task["key"], str(body), worker=worker_id)
     return executed

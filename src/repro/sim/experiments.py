@@ -7,12 +7,13 @@ harness under ``benchmarks/``, the CLI and the ``campaign`` subcommand
 all call these.
 
 Each experiment builds its full batch of :class:`RunSpec` jobs up front
-and hands them to :func:`_run_all`: with no ``executor`` the batch runs
-strictly serially in-process (the historical behaviour, and the default
-everywhere, including tests); with an :class:`repro.exec.Executor` the
-same batch is executed on the orchestration engine — worker pool,
-content-addressed result cache, retries — producing numerically
-identical tables because the per-spec simulations are deterministic.
+and hands them to :func:`~repro.sim.runner.run_matrix`: with no
+``executor`` the batch runs strictly serially in-process (the historical
+behaviour, and the default everywhere, including tests); with an
+:class:`repro.exec.Executor` the same batch is executed on the
+orchestration engine — worker pool, content-addressed result cache,
+retries — producing numerically identical tables because the per-spec
+simulations are deterministic.
 
 Scaling: the ``commit_target`` (per-program measurement window) and
 ``num_mixes`` arguments trade fidelity against wall-clock; defaults are
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..pipeline.config import PolicyKind
 from ..workloads.suite import WorkloadSuite
-from .runner import RunResult, RunSpec, run_spec
+from .runner import RunSpec, run_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..exec.pool import Executor
@@ -38,17 +39,6 @@ POLICIES = [f"{kind.value}-{limit}" for kind in PolicyKind for limit in (8, 16, 
 MACHINES = ["small.1.8", "small.2.8", "big.1.8", "big.2.16"]
 #: Program counts for the multiprogram figures.
 WIDTHS = (1, 2, 4)
-
-
-def _run_all(
-    specs: Sequence[RunSpec],
-    suite: WorkloadSuite,
-    executor: Optional["Executor"],
-) -> List[RunResult]:
-    """Execute an experiment's batch serially or on the engine."""
-    if executor is None:
-        return [run_spec(spec, suite) for spec in specs]
-    return executor.map(specs, suite=suite)
 
 
 def _mixes_for(suite: WorkloadSuite, width: int, num_mixes: int) -> List[List[str]]:
@@ -75,7 +65,7 @@ def figure3(
         for kernel in kernels
         for variant in variants
     ]
-    results = iter(_run_all(specs, suite, executor))
+    results = iter(run_matrix(specs, suite, executor))
     out: Dict[str, Dict[str, float]] = {}
     for kernel in kernels:
         out[kernel] = {variant: next(results).ipc for variant in variants}
@@ -111,7 +101,7 @@ def figure4(
                 specs.append(
                     RunSpec(tuple(mix), features=variant, commit_target=commit_target)
                 )
-    results = iter(_run_all(specs, suite, executor))
+    results = iter(run_matrix(specs, suite, executor))
     out: Dict[int, Dict[str, float]] = {}
     for width in widths:
         mixes = _mixes_for(suite, width, num_mixes)
@@ -156,7 +146,7 @@ def figure5(
                         commit_target=commit_target,
                     )
                 )
-    results = iter(_run_all(specs, suite, executor))
+    results = iter(run_matrix(specs, suite, executor))
     out: Dict[str, Dict[int, float]] = {policy: {} for policy in policies}
     for width in widths:
         mixes = _mixes_for(suite, width, num_mixes)
@@ -202,7 +192,7 @@ def figure6(
                             commit_target=commit_target,
                         )
                     )
-    results = iter(_run_all(specs, suite, executor))
+    results = iter(run_matrix(specs, suite, executor))
     out: Dict[str, Dict[str, Dict[int, float]]] = {}
     for machine in machines:
         out[machine] = {v: {} for v in variants}
@@ -258,7 +248,7 @@ def table1(
             specs.append(
                 RunSpec(tuple(mix), features="REC/RS/RU", commit_target=commit_target)
             )
-    results = iter(_run_all(specs, suite, executor))
+    results = iter(run_matrix(specs, suite, executor))
     rows: Dict[str, Dict[str, float]] = {}
     singles: List[Dict[str, float]] = []
     for kernel in suite.names:
@@ -391,7 +381,7 @@ def ablation_confidence(
         for threshold in thresholds
         for kernel in kernels
     ]
-    results = iter(_run_all(specs, suite, executor))
+    results = iter(run_matrix(specs, suite, executor))
     out: Dict[int, float] = {}
     for threshold in thresholds:
         total = sum(next(results).ipc for _ in kernels)

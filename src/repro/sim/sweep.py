@@ -106,37 +106,22 @@ class Sweep:
         self,
         suite: Optional[WorkloadSuite] = None,
         executor: Optional["Executor"] = None,
-        batch_size: int = 1,
     ) -> List[SweepRow]:
         """Run every (grid point × workload) pair.
 
-        With no ``executor`` the sweep runs in-process: strictly serially
-        by default, or — with ``batch_size > 1`` — as lockstep batches on
-        the :class:`~repro.sim.batch.BatchRunner` (identical rows, one
-        shared suite and decoded-uop store across each slice).  With an
-        executor the batch goes through the orchestration engine (parallel
-        workers, result cache, retries; give the *executor* a
-        ``batch_size`` to batch its attempts) and a job that exhausts its
-        retries raises :class:`repro.exec.ExecutionError`.  Row order and
-        numeric content are identical on every path.
+        With no ``executor`` the sweep runs strictly serially in-process.
+        With an executor the batch goes through the orchestration engine
+        (parallel workers, result cache, retries, ``batch_size`` slices)
+        and a job that exhausts its retries raises
+        :class:`repro.exec.ExecutionError`.  Row order and numeric content
+        are identical on every path.
         """
         from ..exec.jobs import run_job
 
         suite = suite or WorkloadSuite()
         jobs = self.jobs()
         if executor is None:
-            if batch_size > 1:
-                from .batch import run_jobs_batched
-
-                results = []
-                for point in run_jobs_batched(jobs, suite, batch_size=batch_size):
-                    if point.result is None:
-                        raise RuntimeError(
-                            f"sweep point {point.job.label()} failed: {point.error}"
-                        )
-                    results.append(point.result)
-            else:
-                results = [run_job(job, suite) for job in jobs]
+            results = [run_job(job, suite) for job in jobs]
         else:
             results = executor.map(jobs, suite=suite)
         rows: List[SweepRow] = []

@@ -101,22 +101,6 @@ class UtilizationStats:
         stage.slots_used += committed
         stage.histogram[committed] += 1
 
-    def record_idle(self, cycles: int) -> None:
-        """Bulk-record ``cycles`` fully idle cycles across all stages.
-
-        Exactly equivalent to ``record_cycle(0, 0, 0, 0, 0)`` repeated
-        ``cycles`` times — the lockstep batch driver's fast-forward uses
-        this so skipped cycles leave averages, utilization fractions and
-        histograms bit-identical to a serial run that stepped them.
-        """
-        if cycles <= 0:
-            return
-        for stage in (
-            self.fetch, self.rename, self.recycled_rename, self.issue, self.commit,
-        ):
-            stage.cycles += cycles
-            stage.histogram[0] += cycles
-
     @property
     def rename_fill_from_recycling(self) -> float:
         """Share of used rename slots supplied by recycling (0..1)."""

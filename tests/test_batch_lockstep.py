@@ -1,27 +1,23 @@
-"""Lockstep batch simulation: bit-identity, grouping, and engine wiring.
+"""Batch slices: bit-identity, grouping, failure isolation and the gc epoch.
 
-The contract under test is the one :mod:`repro.sim.batch` documents:
-every point simulated in a batch is *bit-identical* to the same point
-run serially — every ``SimStats`` field, utilization histograms, cycle
-stamps — regardless of batch composition or size.
+A slice (:func:`repro.exec.jobs.run_slice`) runs its jobs one after
+another through ``Core.run`` inside one garbage-collector epoch.  The
+contract under test: every point simulated in a slice is
+*bit-identical* to the same point run serially — every ``SimStats``
+field — regardless of slice composition or size.
 """
 
 import gc as gc_module
 import importlib.util
 import json
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
-from repro.exec.jobs import Job, stats_to_payload
-from repro.pipeline.uopcache import DecodedUopCache
-from repro.sim.batch import (
-    BatchRunner,
-    group_batches,
-    run_jobs_batched,
-    validate_batch,
-)
+import repro.exec.jobs as jobs_module
+from repro.exec.jobs import Chaos, Job, run_slice, stats_to_payload
+from repro.exec.pool import Executor, group_batches
+from repro.pipeline.core import Core
 from repro.sim.runner import RunSpec, run_spec
 from repro.workloads.suite import WorkloadSuite
 
@@ -46,25 +42,18 @@ GOLDEN_SPECS = [
     for features in gen_golden_stats.FEATURES
 ]
 
+#: Golden-fixture fields read off ``SimStats``; the utilization fields
+#: are pinned on the same ``Core.run`` by ``tests/test_golden_stats.py``.
+UTILIZATION_FIELDS = (
+    "fetch_util_average", "fetch_util_utilization", "rename_fill_from_recycling",
+)
 
-def snapshot_from_driver(driver) -> dict:
-    """The golden fixture's field set, off a finished batch driver."""
-    stats = driver.core.stats
-    util = driver.core.state.util
-    out = {}
-    for field in (
-        "cycles", "committed", "fetched", "renamed", "renamed_recycled",
-        "renamed_reused", "renamed_reused_loads", "squashed", "ipc",
-        "pct_recycled", "pct_reused", "forks", "forks_used_tme", "respawns",
-        "respawn_streams", "merges", "back_merges", "cond_branches_resolved",
-        "mispredicts", "mispredicts_covered", "streams_ended_exhausted",
-        "streams_ended_squashed", "streams_ended_branch_mismatch",
-    ):
-        out[field] = getattr(stats, field)
-    out["fetch_util_average"] = util.fetch.average
-    out["fetch_util_utilization"] = util.fetch.utilization
-    out["rename_fill_from_recycling"] = util.rename_fill_from_recycling
-    return out
+
+def results_of(replies):
+    """The ``RunResult`` of every reply, failing on the first error."""
+    for status, body in replies:
+        assert status == "ok", body
+    return [body for _, body in replies]
 
 
 @pytest.fixture(scope="module")
@@ -79,88 +68,63 @@ def serial_results(suite):
 
 class TestGoldenParity:
     def test_batch_of_8_matches_golden_fixture(self, suite):
-        """The whole fixture matrix, lockstep in one batch, hits the seed
-        numbers bit-for-bit — including utilization averages fed by the
-        idle fast-forward's bulk recording."""
-        runner = BatchRunner([Job(spec=s) for s in GOLDEN_SPECS], suite=suite)
-        points = runner.run()
-        assert all(p.error is None for p in points)
-        for spec, driver in zip(GOLDEN_SPECS, runner.drivers):
+        """The whole fixture matrix, back to back in one slice, hits the
+        seed numbers bit-for-bit."""
+        results = results_of(run_slice([Job(spec=s) for s in GOLDEN_SPECS], suite))
+        for spec, result in zip(GOLDEN_SPECS, results):
             key = f"{spec.workload[0]}|{spec.features}"
-            assert snapshot_from_driver(driver) == GOLDEN["runs"][key], key
+            expected = {
+                name: value for name, value in GOLDEN["runs"][key].items()
+                if name not in UTILIZATION_FIELDS
+            }
+            got = {name: getattr(result.stats, name) for name in expected}
+            assert got == expected, key
 
     @pytest.mark.parametrize("batch_size", [1, 3, 8])
     def test_batched_stats_identical_to_serial(self, suite, serial_results, batch_size):
         jobs = [Job(spec=s) for s in GOLDEN_SPECS]
-        points = run_jobs_batched(jobs, suite, batch_size=batch_size)
-        assert len(points) == len(jobs)
-        for serial, point in zip(serial_results, points):
-            assert point.error is None, point.error
-            assert stats_to_payload(point.result.stats) == stats_to_payload(
+        outcomes = Executor(jobs=1, batch_size=batch_size).run(jobs, suite=suite)
+        assert len(outcomes) == len(jobs)
+        for serial, outcome in zip(serial_results, outcomes):
+            assert outcome.ok, outcome.failure
+            assert stats_to_payload(outcome.result.stats) == stats_to_payload(
                 serial.stats
             )
-            assert point.result.per_program_ipc == serial.per_program_ipc
+            assert outcome.result.per_program_ipc == serial.per_program_ipc
 
-    def test_every_core_owns_its_decode_cache(self, suite):
-        specs = GOLDEN_SPECS[:3]  # one kernel, so one shared Program
-        runner = BatchRunner([Job(spec=s) for s in specs], suite=suite)
-        runner.run()
-        caches = [driver.core.state.uop_cache for driver in runner.drivers]
-        assert all(isinstance(cache, DecodedUopCache) for cache in caches)
-        assert len({id(cache) for cache in caches}) == len(caches)
-        (program,) = suite.mix(specs[0].workload)
-        views = [cache.program_view(program) for cache in caches]
-        assert len({id(view) for view in views}) == len(views)
+    def test_every_core_owns_its_decode_cache(self, suite, serial_results):
+        """Three points on one kernel share its assembled ``Program``; a
+        decode cache shared between them would let the later points hit
+        where a serial run misses."""
+        results = results_of(run_slice([Job(spec=s) for s in GOLDEN_SPECS[:3]], suite))
+        for serial, result in zip(serial_results, results):
+            assert result.stats.uop_cache_misses > 0
+            for name in ("uop_cache_hits", "uop_cache_misses", "decode_counts"):
+                assert getattr(result.stats, name) == getattr(serial.stats, name), name
 
     def test_composition_independence(self, suite, serial_results):
-        """A point's numbers do not depend on who else is in its batch."""
-        target = GOLDEN_SPECS[0]
+        """A point's numbers do not depend on who else is in its slice."""
+        target = Job(spec=GOLDEN_SPECS[0])
         expected = stats_to_payload(serial_results[0].stats)
         for companions in ([1], [2, 3], [4, 5, 6, 7]):
-            batch = [Job(spec=target)] + [
-                Job(spec=GOLDEN_SPECS[i]) for i in companions
-            ]
-            points = BatchRunner(batch, suite=suite).run()
-            assert stats_to_payload(points[0].result.stats) == expected, companions
+            others = [Job(spec=GOLDEN_SPECS[i]) for i in companions]
+            first = results_of(run_slice([target] + others, suite))[0]
+            last = results_of(run_slice(others + [target], suite))[-1]
+            assert stats_to_payload(first.stats) == expected, companions
+            assert stats_to_payload(last.stats) == expected, companions
 
     def test_max_cycles_cutoff_identical_to_serial(self, suite):
-        """Cutting a run short mid-flight lands on the same cycle/stats
-        whether the last stretch was stepped or fast-forwarded."""
+        """Cutting a run short mid-flight lands on the same cycle and
+        stats in a slice as alone."""
         spec = RunSpec(workload=("compress",), features="TME",
                        commit_target=800, max_cycles=400)
         serial = run_spec(spec, suite)
-        (point,) = BatchRunner([Job(spec=spec)], suite=suite, quantum=64).run()
-        assert point.error is None
-        assert point.result.stats.cycles == serial.stats.cycles == 400
-        assert stats_to_payload(point.result.stats) == stats_to_payload(serial.stats)
+        (result,) = results_of(run_slice([Job(spec=spec)], suite))
+        assert result.stats.cycles == serial.stats.cycles == 400
+        assert stats_to_payload(result.stats) == stats_to_payload(serial.stats)
 
 
 class TestGrouping:
-    def test_mixed_machines_rejected_eagerly(self):
-        jobs = [
-            Job(spec=RunSpec(workload=("compress",), machine="big.2.16")),
-            Job(spec=RunSpec(workload=("compress",), machine="small.2.8")),
-        ]
-        with pytest.raises(ValueError, match="incompatible machine"):
-            validate_batch(jobs)
-        with pytest.raises(ValueError, match="incompatible machine"):
-            BatchRunner(jobs)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            BatchRunner([])
-
-    def test_group_batches_never_mixes_machines(self):
-        jobs = [
-            Job(spec=RunSpec(workload=("compress",), machine=m))
-            for m in ("big.2.16", "small.2.8", "big.2.16", "small.2.8")
-        ]
-        groups = group_batches(jobs, batch_size=4)
-        assert sorted(sum(groups, [])) == [0, 1, 2, 3]  # a partition
-        for indices in groups:
-            machines = {jobs[i].spec.machine for i in indices}
-            assert len(machines) == 1
-
     def test_group_batches_respects_size_and_order(self):
         jobs = [Job(spec=RunSpec(workload=("compress",))) for _ in range(5)]
         groups = group_batches(jobs, batch_size=2)
@@ -171,8 +135,6 @@ class TestGrouping:
         assert group_batches(jobs, batch_size=1) == [[0], [1], [2]]
 
     def test_chaos_jobs_run_as_singletons(self):
-        from repro.exec.jobs import Chaos
-
         spec = RunSpec(workload=("compress",))
         jobs = [
             Job(spec=spec),
@@ -183,63 +145,112 @@ class TestGrouping:
         assert [1] in groups
         assert sorted(sum(groups, [])) == [0, 1, 2]
 
-    def test_run_jobs_batched_handles_mixed_machines(self, suite):
+    def test_mixed_machines_share_one_slice(self, suite):
         jobs = [
             Job(spec=RunSpec(workload=("compress",), machine=m,
                              commit_target=200))
-            for m in ("big.2.16", "small.2.8", "big.2.16")
+            for m in ("big.2.16", "small.2.8", "big.2.16", "small.1.8")
         ]
-        points = run_jobs_batched(jobs, suite, batch_size=3)
-        assert len(points) == 3
-        assert all(p.error is None for p in points)
-        # Input order preserved across the machine split.
-        for job, point in zip(jobs, points):
-            assert point.job is job
+        assert group_batches(jobs, batch_size=4) == [[0, 1, 2, 3]]
+        results = results_of(run_slice(jobs, suite))
+        for job, result in zip(jobs, results):
+            assert result.spec == job.spec
+            assert stats_to_payload(result.stats) == stats_to_payload(
+                run_spec(job.spec, suite).stats
+            )
 
 
 class TestFailureIsolation:
     def test_failing_point_does_not_sink_siblings(self, suite):
         jobs = [
             Job(spec=RunSpec(workload=("compress",), commit_target=400)),
+            Job(spec=RunSpec(workload=("no_such_kernel",), commit_target=400)),
             Job(spec=RunSpec(workload=("compress",), commit_target=400,
                              max_cycles=0)),
             Job(spec=RunSpec(workload=("li",), commit_target=400)),
         ]
-        points = BatchRunner(jobs, suite=suite).run()
-        assert points[0].error is None and points[2].error is None
+        replies = run_slice(jobs, suite)
+        assert [status for status, _ in replies] == ["ok", "error", "ok", "ok"]
+        assert replies[1][1].startswith("KeyError:")
+        assert "no_such_kernel" in replies[1][1]
         # max_cycles=0 finishes instantly with zero commits — a valid
         # (empty) result, not an error; the isolation claim is that the
-        # degenerate sibling changed nothing for the healthy ones.
-        healthy = run_spec(jobs[0].spec, suite)
-        assert stats_to_payload(points[0].result.stats) == stats_to_payload(
-            healthy.stats
-        )
+        # failing and degenerate siblings changed nothing for the rest.
+        for index in (0, 3):
+            healthy = run_spec(jobs[index].spec, suite)
+            assert stats_to_payload(replies[index][1].stats) == stats_to_payload(
+                healthy.stats
+            )
+
+
+@pytest.fixture
+def gc_calls(monkeypatch):
+    """Record every ``gc.disable``/``enable``/``collect`` call (they
+    still take effect) and every job a slice runs, in order."""
+    calls = []
+    for name in ("disable", "enable", "collect"):
+        real = getattr(gc_module, name)
+
+        def recorded(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(gc_module, name, recorded)
+    real_run_job = jobs_module.run_job
+
+    def recorded_job(job, suite):
+        result = real_run_job(job, suite)
+        calls.append("job")
+        return result
+
+    monkeypatch.setattr(jobs_module, "run_job", recorded_job)
+    return calls
 
 
 class TestGcDiscipline:
-    def test_collect_runs_even_when_gc_already_disabled(self, suite):
-        """Satellite: ``Core.run`` must collect at end-of-run even when
-        the caller (e.g. a batch driver) had already disabled the
-        collector — otherwise each point's cyclic garbage rides along
-        into every later point of the batch."""
-        from repro.pipeline.core import Core
+    SPEC = RunSpec(workload=("compress",), commit_target=200)
 
-        spec = RunSpec(workload=("compress",), commit_target=200)
-        core = Core(spec.build_config())
-        core.load(suite.mix(spec.workload), commit_target=spec.commit_target)
-        was_enabled = gc_module.isenabled()
+    def _loaded_core(self, suite):
+        core = Core(self.SPEC.build_config())
+        core.load(suite.mix(self.SPEC.workload), commit_target=self.SPEC.commit_target)
+        return core
+
+    def test_run_with_collector_disabled_leaves_collection_to_caller(self, suite, gc_calls):
+        """Whoever disables the collector collects: a run entered with it
+        already disabled neither collects nor re-enables it."""
         gc_module.disable()
         try:
-            with mock.patch("repro.pipeline.core.gc.collect") as collect:
-                core.run(max_cycles=spec.max_cycles)
-            assert collect.called
-            assert not gc_module.isenabled()  # run() must not re-enable
+            del gc_calls[:]
+            self._loaded_core(suite).run(max_cycles=self.SPEC.max_cycles)
+            assert gc_calls == []
+            assert not gc_module.isenabled()
         finally:
-            if was_enabled:
-                gc_module.enable()
+            gc_module.enable()
 
-    def test_batch_runner_restores_collector_state(self, suite):
-        jobs = [Job(spec=RunSpec(workload=("compress",), commit_target=200))]
+    def test_run_with_collector_enabled_owns_its_epoch(self, suite, gc_calls):
         assert gc_module.isenabled()
-        BatchRunner(jobs, suite=suite).run()
+        self._loaded_core(suite).run(max_cycles=self.SPEC.max_cycles)
+        assert gc_calls == ["disable", "enable", "collect"]
+        assert gc_module.isenabled()
+
+    def test_slice_disables_once_and_collects_once_after_last_job(self, suite, gc_calls):
+        assert gc_module.isenabled()
+        replies = run_slice([Job(spec=self.SPEC)] * 3, suite)
+        assert [status for status, _ in replies] == ["ok"] * 3
+        assert gc_calls == ["disable", "job", "job", "job", "enable", "collect"]
+        assert gc_module.isenabled()
+
+    def test_batch_runner_restores_collector_state(self, suite, gc_calls):
+        """A slice restores the collector's prior state; entered with it
+        disabled, the slice leaves both the collector and collection to
+        its caller."""
+        gc_module.disable()
+        try:
+            del gc_calls[:]
+            run_slice([Job(spec=self.SPEC)] * 2, suite)
+            assert gc_calls == ["job", "job"]
+            assert not gc_module.isenabled()
+        finally:
+            gc_module.enable()
+        run_slice([Job(spec=self.SPEC)], suite)
         assert gc_module.isenabled()

@@ -235,6 +235,15 @@ class TestServiceCli:
         assert args.worker == "http://head:8752"
         assert args.lease_size == 2 and args.max_idle == 30.0
 
+    def test_serve_rejects_batch_size(self, capsys):
+        """A remote worker runs each lease of ``--lease-size`` tasks as
+        one slice; there is no second knob for it."""
+        for argv in (["serve", "--batch-size", "4"],
+                     ["serve", "--worker", "http://head:8752", "--batch-size", "4"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+            assert "--batch-size" in capsys.readouterr().err
+
     def test_submit_parses_grid_flags(self):
         args = build_parser().parse_args(
             ["submit", "--workload", "compress", "go",

@@ -1,10 +1,10 @@
-"""Executor and service-worker integration of lockstep batching.
+"""Executor and service-worker integration of batch slices.
 
 The orchestration contract: ``batch_size`` changes *how* attempts are
-scheduled (one process per compatible slice instead of one per job),
-never *what* comes out — outcomes are per job, bit-identical to the
-unbatched engine, with cache and journal artifacts still written one
-per point so dedup and resume are unchanged.
+scheduled (one process per slice instead of one per job), never *what*
+comes out — outcomes are per job, bit-identical to the unbatched
+engine, with cache and journal artifacts still written one per point so
+dedup and resume are unchanged.
 """
 
 import os
@@ -19,8 +19,8 @@ from repro.exec.jobs import (
     stats_to_payload,
 )
 from repro.exec.pool import Executor
-from repro.service.worker import execute_task_batch
-from repro.sim.runner import RunSpec
+from repro.service.worker import execute_task, execute_task_batch
+from repro.sim.runner import RunSpec, run_spec
 from repro.workloads.suite import WorkloadSuite
 
 SPECS = [
@@ -93,15 +93,19 @@ class TestParallelBatched:
         assert all(outcome.ok for outcome in outcomes)
 
     def test_mixed_machines_split_across_batches(self, suite):
+        """Slices take jobs in input order, whatever their machines."""
         mixed = [
             Job(spec=RunSpec(workload=("compress",), machine=machine,
                              commit_target=200))
             for machine in ("big.2.16", "small.2.8", "big.2.16", "small.2.8")
         ]
-        outcomes = Executor(jobs=2, batch_size=4).run(mixed, suite=suite)
+        outcomes = Executor(jobs=2, batch_size=2).run(mixed, suite=suite)
         assert all(outcome.ok for outcome in outcomes)
         for job, outcome in zip(mixed, outcomes):
             assert outcome.job is job
+            assert comparable(outcome) == stats_to_payload(
+                run_spec(job.spec, suite).stats
+            )
 
 
 class TestWorkerBatchExecution:
@@ -120,18 +124,24 @@ class TestWorkerBatchExecution:
             assert body["spec"]["features"] == spec.features
 
     def test_execute_task_batch_groups_and_reports_per_key(self):
+        """A lease mixing suites and machines runs one slice per suite,
+        and every task's result equals its own single-task run."""
         tasks = [
             self._task(RunSpec(workload=("compress",), commit_target=200), "t1"),
-            self._task(RunSpec(workload=("li",), commit_target=200), "t2"),
+            self._task(RunSpec(workload=("li",), commit_target=200), "t2",
+                       suite_args=(6, False)),
             self._task(
                 RunSpec(workload=("compress",), machine="small.2.8",
                         commit_target=200),
                 "t3",
             ),
+            self._task(RunSpec(workload=("no_such_kernel",)), "t4"),
         ]
         results = execute_task_batch(tasks)
-        assert set(results) == {"t1", "t2", "t3"}
-        for key in ("t1", "t2", "t3"):
-            status, body = results[key]
+        assert set(results) == {"t1", "t2", "t3", "t4"}
+        for task in tasks[:3]:
+            status, body = results[task["key"]]
             assert status == "ok", body
-            assert "stats" in body
+            assert body == execute_task(task)
+        status, body = results["t4"]
+        assert status == "error" and "no_such_kernel" in body

@@ -1,6 +1,6 @@
 """What cores share or observe is immutable by type.
 
-Every core of a lockstep batch loads the same assembled ``Program``
+Every job of a batch slice loads the same assembled ``Program``
 objects, and every subscriber of the event bus receives the same event
 objects.  Writing to either raises, in every run.
 """

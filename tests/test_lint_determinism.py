@@ -137,3 +137,17 @@ def test_missing_path_is_an_error(tmp_path):
 def test_individual_targets_clean(target):
     proc = run_lint(REPO / target)
     assert proc.returncode == 0, proc.stdout
+
+
+def test_parallel_lint_matches_serial(tmp_path):
+    """``jobs=2`` lints the files on a process pool; the findings are
+    exactly the in-process ones, in the same order."""
+    from repro.analysis.lint.engine import lint_files
+
+    bad = tmp_path / "bad.py"
+    bad.write_text("import time\nstart = time.time()\nfor k in {1: 2}.keys():\n    pass\n")
+    files = [bad, *sorted((REPO / "src" / "repro" / "exec").glob("*.py"))]
+    serial = lint_files(files, jobs=1)
+    assert {f.code for f in serial if f.path == str(bad)} == {"DET001", "DET003"}
+    assert any(f.path != str(bad) for f in serial)
+    assert lint_files(files, jobs=2) == serial

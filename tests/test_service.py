@@ -4,6 +4,7 @@ These tests run real simulations (tiny ``commit_target``) through real
 HTTP on loopback — the full ``submit → lease → execute → fetch`` path.
 """
 
+import json
 import multiprocessing
 import os
 import signal
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.exec.jobs import Job, run_job, spec_from_payload, stats_to_payload
 from repro.service import (
     ArtifactStore,
     CampaignServer,
@@ -22,6 +24,7 @@ from repro.service import (
     sweep_spec,
 )
 from repro.sim.sweep import Sweep
+from repro.workloads.suite import WorkloadSuite
 
 #: Tiny commit target: each simulation lands in tens of milliseconds.
 CT = 150
@@ -244,6 +247,27 @@ class TestRemoteWorker:
         assert metrics["jobs"]["leases_granted"] >= 2
         assert all(job["resolution"] == "run"
                    for job in status["jobs"])
+
+    def test_leased_slices_bit_identical_to_serial(self, idle_server):
+        """Each lease of up to three tasks runs as one slice; every
+        stored result equals the same point run serially, on every
+        ``SimStats`` field."""
+        client = ServiceClient(idle_server.url, timeout=60.0)
+        sizes = [32, 64]
+        campaign_id = client.submit(grid_spec(sizes))["id"]
+        executed = run_worker(idle_server.url, "w0", lease_size=3,
+                              poll=0.05, max_idle=0.5)
+        assert executed == 4
+        assert client.wait(campaign_id, timeout=30.0)["state"] == "done"
+        documents = client.fetch_results(campaign_id)
+        assert len(documents) == 4
+        suite = WorkloadSuite()
+        for document in documents:
+            job = Job(spec=spec_from_payload(document["spec"]),
+                      overrides=tuple(sorted(document["overrides"].items())))
+            stored = idle_server.store.lookup(document["key"])
+            expected = stats_to_payload(run_job(job, suite).stats)
+            assert stored["stats"] == json.loads(json.dumps(expected)), document["label"]
 
     def test_worker_failure_reports_and_retries_exhaust(self, idle_server):
         client = ServiceClient(idle_server.url, timeout=30.0)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Pinned batch-sweep benchmark: lockstep batching vs the per-point pool.
+"""Pinned batch-sweep benchmark: batched slices vs the per-point pool.
 
 Runs one fixed 8-point sweep (compress on ``big.2.16`` with REC/RS/RU,
 an ``active_list_size`` × ``confidence_threshold`` grid) twice through
@@ -7,8 +7,8 @@ the same executor pool, in the same process, back to back:
 
 * **baseline** — ``batch_size=1``: the classic pool, one worker process
   per point attempt;
-* **batched** — ``batch_size=8``: the whole compatible slice runs
-  lockstep in one worker process (:mod:`repro.sim.batch`).
+* **batched** — ``batch_size=8``: the whole slice runs back to back in
+  one worker process (:func:`repro.exec.jobs.run_slice`).
 
 Both sides pin ``mp_context="spawn"`` so the per-attempt process cost —
 the thing batching amortises — is the portable one (spawn is the only
@@ -89,7 +89,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pool-jobs", type=int, default=2,
                         help="worker processes in the pool (both modes)")
     parser.add_argument("--batch-size", type=int, default=8,
-                        help="lockstep slice size for the batched mode")
+                        help="slice size for the batched mode")
     parser.add_argument("--rounds", type=int, default=2,
                         help="samples per mode (best-of is recorded)")
     parser.add_argument("--bench-json", default=None, metavar="PATH",
