@@ -724,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def batch_size_arg(value: str) -> int:
         # Eager validation: a bad batch size should die at parse time,
-        # not after the first slice of simulations has already run.
+        # not after the first simulations have already run.
         size = int(value)
         if size < 1:
             raise argparse.ArgumentTypeError(
@@ -780,13 +780,13 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument("--journal", default=None, metavar="PATH",
                                  help="append-only completion journal (resume)")
     campaign_parser.add_argument("--timeout", type=float, default=None,
-                                 help="per-job wall-clock budget in seconds "
-                                      "(bounds a whole slice when batching)")
+                                 help="wall-clock budget in seconds for one "
+                                      "attempt of one job, from its dispatch")
     campaign_parser.add_argument("--batch-size", type=batch_size_arg, default=1,
                                  metavar="N",
-                                 help="run up to N jobs back to back per "
-                                      "worker attempt; 1 = one job per "
-                                      "attempt")
+                                 help="jobs one worker process serves, one at "
+                                      "a time, before it exits (and per gc "
+                                      "epoch); 1 = a fresh process per job")
     add_exec_flags(
         campaign_parser,
         jobs_default=os.cpu_count() or 1,

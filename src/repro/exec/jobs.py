@@ -227,10 +227,11 @@ def execute_payload(payload: Dict, suite_args: Tuple[int, bool]) -> Dict:
 
 
 def execute_payload_batch(payloads, suite_args: Tuple[int, bool]):
-    """Worker-side slice entry: run payloads back to back (:func:`run_slice`).
+    """Remote-worker lease entry: run payloads back to back (:func:`run_slice`).
 
     Returns one ``("ok", result_payload)`` or ``("error", message)`` pair
-    per payload, in input order; the pool retries failed points singly.
+    per payload, in input order, so each leased task completes or fails
+    on its own key.
     """
     replies = run_slice([job_from_payload(p) for p in payloads], suite_for_args(*suite_args))
     return [

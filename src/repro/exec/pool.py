@@ -2,10 +2,17 @@
 
 Design
 ------
-One OS process per job attempt (not a persistent pool): a worker that
-hard-crashes or hangs takes down only its own attempt, the parent
-``terminate()``s deadline violators, and retries are a fresh process with
-clean state.  Job payloads and results cross the pipe as plain dicts, so
+Up to ``jobs`` worker processes, each fed one point at a time over a
+duplex pipe: an idle worker takes the next pending point (retries
+first), and each reply lands in the cache, the journal and the progress
+reporter as soon as its point finishes.  A worker serves at most
+``batch_size`` points and then exits.  It holds the garbage collector
+off for its whole life and never collects, so its points share one gc
+epoch and its memory goes back to the OS when it exits; ``batch_size=1``
+is a fresh process per point.  A worker that hard-crashes or hangs takes
+down only the point in flight: that point is charged one attempt, the
+parent ``terminate()``s deadline violators, and a fresh worker takes the
+next point.  Job payloads and results cross the pipe as plain dicts, so
 workers stay compatible with both ``fork`` and ``spawn`` start methods.
 Kernels re-assemble once per worker via the process-global suite cache in
 :mod:`repro.exec.jobs` — negligible next to a simulation.
@@ -16,26 +23,31 @@ Order of precedence when resolving a job:
 2. the content-addressed :class:`~repro.exec.cache.ResultCache`,
 3. actual execution (serial in-process when ``jobs <= 1``, else the pool).
 
-Every successful execution is written back to both stores.  A job that
-exhausts its retries yields a structured :class:`~repro.exec.jobs.JobFailure`
-row in its outcome — the batch always completes.
+Every successful execution is written back to both stores as it lands.
+A job that exhausts its retries yields a structured
+:class:`~repro.exec.jobs.JobFailure` row in its outcome — the batch
+always completes.
 
 Serial mode (``jobs <= 1``) is the default everywhere and preserves the
-historical strictly-sequential semantics: exceptions are still retried and
-reported structurally, but per-job timeouts are not enforced (there is no
-second process to do the killing) and chaos ``exit`` injection is treated
-as an ordinary failure rather than killing the caller.
+historical strictly-sequential semantics: each point lands as it
+finishes, exceptions are retried at once and reported structurally, but
+per-job timeouts are not enforced (there is no second process to do the
+killing) and chaos ``exit`` injection is treated as an ordinary failure
+rather than killing the caller.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import multiprocessing.connection
 import os
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..pipeline.core import gc_epoch
 from ..sim.runner import RunResult, RunSpec
 from ..workloads.suite import WorkloadSuite
 from .cache import Journal, ResultCache, cache_key
@@ -45,12 +57,16 @@ from .jobs import (
     JobFailure,
     JobOutcome,
     execute_payload,
-    execute_payload_batch,
     job_to_payload,
     result_from_payload,
     result_to_payload,
-    run_slice,
+    run_job,
 )
+# The pool runs only ``execute_payload``; remote-worker leases run
+# ``execute_payload_batch``.  It stays importable from here because the
+# benchmark's tracer (``perfbench/tracing.py``) patches both names on
+# this module.
+from .jobs import execute_payload_batch  # noqa: F401
 from .progress import ProgressReporter
 
 #: Scheduler poll interval while waiting on workers (seconds).
@@ -68,28 +84,6 @@ class ExecutionError(RuntimeError):
         super().__init__(f"{len(self.failures)} job(s) failed: {lines}")
 
 
-def group_batches(jobs: Sequence[Job], batch_size: int) -> List[List[int]]:
-    """Partition job *indices* into slices of up to ``batch_size``.
-
-    Jobs carrying chaos fault-injection run alone (chaos applies per
-    attempt, which only makes sense for one-job attempts); the rest are
-    chunked in input order.  ``batch_size <= 1`` yields all singletons.
-    """
-    slices: List[List[int]] = []
-    chunk: List[int] = []
-    for index, job in enumerate(jobs):
-        if job.chaos is not None:
-            slices.append([index])
-            continue
-        chunk.append(index)
-        if len(chunk) >= batch_size:
-            slices.append(chunk)
-            chunk = []
-    if chunk:
-        slices.append(chunk)
-    return slices
-
-
 def _apply_chaos(chaos: Optional[Chaos], attempt: int, allow_exit: bool) -> None:
     """Honour a job's fault-injection hooks for this attempt."""
     if chaos is None:
@@ -104,53 +98,69 @@ def _apply_chaos(chaos: Optional[Chaos], attempt: int, allow_exit: bool) -> None
         raise RuntimeError("chaos: injected failure")
 
 
-def _worker_entry(conn, payload: Dict, suite_args: Tuple[int, bool], chaos: Optional[Chaos], attempt: int) -> None:
-    """Top-level worker target (must be importable under ``spawn``)."""
-    try:
-        _apply_chaos(chaos, attempt, allow_exit=True)
-        result_payload = execute_payload(payload, suite_args)
-        conn.send(("ok", result_payload))
-    except BaseException as exc:  # noqa: BLE001 - forwarded to the parent
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        conn.close()
+def _serve(conn, parent_end, suite_args: Tuple[int, bool], quota: int) -> None:
+    """Top-level worker target (must be importable under ``spawn``).
 
-
-def _batch_worker_entry(conn, payloads: List[Dict], suite_args: Tuple[int, bool]) -> None:
-    """Top-level batch worker target: one slice per process.
-
-    Replies ``("batch", [(status, body), ...])`` with one entry per
-    payload; per-point failures are structured inside the list, so only
-    a whole-slice failure (e.g. a malformed payload) uses the
-    ``("error", message)`` shape.
+    Serves up to ``quota`` points, each a ``(payload, chaos, attempt)``
+    message, and replies ``("ok", result_payload)`` or
+    ``("error", message)`` as each finishes; ``None`` stops it early.
+    ``execute_payload`` is looked up per point through this module's
+    globals, so a wrapper installed on it before a fork is what the
+    worker runs.
     """
+    parent_end.close()  # a copy inherited under fork: with it closed, a dead parent reads as EOF
+    gc.disable()  # for good: the worker exits instead of collecting
     try:
-        conn.send(("batch", execute_payload_batch(payloads, suite_args)))
-    except BaseException as exc:  # noqa: BLE001 - forwarded to the parent
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except (BrokenPipeError, OSError):
-            pass
+        for _ in range(quota):
+            message = conn.recv()
+            if message is None:
+                break
+            payload, chaos, attempt = message
+            try:
+                _apply_chaos(chaos, attempt, allow_exit=True)
+                reply = ("ok", execute_payload(payload, suite_args))
+            except Exception as exc:  # noqa: BLE001 - forwarded to the parent
+                reply = ("error", f"{type(exc).__name__}: {exc}")
+            conn.send(reply)
+    except (EOFError, OSError):
+        pass  # the parent is gone
     finally:
         conn.close()
 
 
 @dataclass
-class _Running:
-    """Book-keeping for one in-flight worker process.
+class _Worker:
+    """One live worker process and the point it is serving, if any."""
 
-    ``indices`` holds one job index for a classic single-job attempt and
-    the whole slice for a batch attempt.
-    """
-
-    indices: List[int]
-    attempt: int
     process: multiprocessing.Process
     conn: "multiprocessing.connection.Connection"
-    started: float
+    served: int = 0
+    index: Optional[int] = None  # job index in flight; None while idle
+    attempt: int = 0
+    dispatched: float = 0.0
+
+    def dispatch(self, index: int, attempt: int, job: Job) -> None:
+        self.index, self.attempt, self.dispatched = index, attempt, time.monotonic()
+        try:
+            self.conn.send((job_to_payload(job), job.chaos, attempt))
+        except OSError:
+            pass  # it died idle: its pipe reads as EOF, a crash of this point
+
+    def stop(self) -> None:
+        """Send an idle worker the stop message, terminate a busy one, and
+        join it."""
+        if self.index is None:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass  # already gone
+        else:
+            self.process.terminate()
+        self.conn.close()
+        self.process.join(timeout=1.0)
+        if self.process.is_alive():  # pragma: no cover - stubborn worker
+            self.process.kill()
+            self.process.join(timeout=1.0)
 
 
 class Executor:
@@ -166,22 +176,20 @@ class Executor:
         Extra attempts after the first failure (so ``retries=2`` means at
         most 3 attempts per job).
     timeout:
-        Per-attempt wall-clock budget in seconds (parallel mode only); a
-        worker past its deadline is terminated and the attempt counts as a
-        ``"timeout"`` failure.
+        Per-attempt wall-clock budget in seconds (parallel mode only),
+        counted from the point's dispatch: a worker past it is terminated
+        and that one point's attempt counts as a ``"timeout"`` failure.
     journal:
         A :class:`Journal`, a path to one, or None — completed results are
         appended as they land so an interrupted batch resumes for free.
     progress:
         A :class:`ProgressReporter` shared across batches.
     batch_size:
-        Slice width.  ``1`` (the default) gives one job per attempt;
-        ``N > 1`` makes each first attempt a slice of up to N jobs run
-        back to back in one process, in one gc epoch
-        (:func:`~repro.exec.jobs.run_slice`).  In parallel mode retries
-        re-run failed points singly, ``timeout`` bounds a whole slice
-        attempt, and a crashed or timed out slice falls back to
-        singleton retries for every member.
+        Points per worker process and per gc epoch.  ``1`` (the default)
+        is a fresh process per point; ``N > 1`` lets a worker serve up to
+        N points, one at a time, before it exits.  In serial mode N
+        consecutive points share one gc epoch.  Either way each point
+        lands and retries on its own.
     """
 
     def __init__(
@@ -306,171 +314,109 @@ class Executor:
         )
         self._record(outcomes[index])
 
-    def _pending_batches(self, jobs, pending) -> List[List[int]]:
-        """Group pending job indices into slices (:func:`group_batches`)."""
-        groups = group_batches([jobs[index] for index in pending], self.batch_size)
-        return [[pending[position] for position in group] for group in groups]
-
     # ------------------------------------------------------------------
     def _run_serial(self, jobs, pending, suite, keys, outcomes) -> None:
-        """In-process path: each slice runs through :func:`run_slice`, and
-        its failed members re-run together until the budget is spent."""
+        """In-process path: each point lands as it finishes, a failed point
+        is retried at once, and ``batch_size`` consecutive points share
+        one gc epoch."""
         max_attempts = self.retries + 1
-        for indices in self._pending_batches(jobs, pending):
-            started = time.monotonic()
-            for attempt in range(1, max_attempts + 1):
-                members = [jobs[index] for index in indices]
-                try:
-                    for job in members:  # a chaos job is always alone
-                        _apply_chaos(job.chaos, attempt, allow_exit=False)
-                except Exception as exc:  # noqa: BLE001 - structured failure row
-                    replies = [("error", f"{type(exc).__name__}: {exc}")] * len(members)
-                else:
-                    replies = run_slice(members, suite)
-                elapsed = time.monotonic() - started
-                retry: List[int] = []
-                for index, (status, body) in zip(indices, replies):
-                    if status == "ok":
-                        self._commit(index, jobs[index], keys[index],
-                                     result_to_payload(body), attempt, elapsed, outcomes)
-                    elif attempt < max_attempts:
-                        retry.append(index)
-                    else:
-                        self._fail(index, jobs[index], "error", body, attempt,
-                                   elapsed, outcomes)
-                indices = retry
-                if not indices:
-                    break
+        for first in range(0, len(pending), self.batch_size):
+            with gc_epoch():
+                for index in pending[first:first + self.batch_size]:
+                    job, started = jobs[index], time.monotonic()
+                    for attempt in range(1, max_attempts + 1):
+                        try:
+                            _apply_chaos(job.chaos, attempt, allow_exit=False)
+                            result = run_job(job, suite)
+                        except Exception as exc:  # noqa: BLE001 - structured failure row
+                            if attempt == max_attempts:
+                                self._fail(index, job, "error", f"{type(exc).__name__}: {exc}",
+                                           attempt, time.monotonic() - started, outcomes)
+                        else:
+                            self._commit(index, job, keys[index], result_to_payload(result),
+                                         attempt, time.monotonic() - started, outcomes)
+                            break
 
     # ------------------------------------------------------------------
-    def _spawn(self, indices: List[int], attempt: int, jobs, suite) -> _Running:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        suite_args = (suite.iters, suite.extended)
-        if len(indices) == 1:
-            job = jobs[indices[0]]
-            args = (child_conn, job_to_payload(job), suite_args, job.chaos, attempt)
-            target = _worker_entry
-        else:
-            payloads = [job_to_payload(jobs[index]) for index in indices]
-            args = (child_conn, payloads, suite_args)
-            target = _batch_worker_entry
-        process = self._ctx.Process(target=target, args=args, daemon=True)
-        process.start()
-        child_conn.close()  # parent keeps only the read end
-        return _Running(
-            indices=list(indices), attempt=attempt, process=process,
-            conn=parent_conn, started=time.monotonic(),
+    def _start_worker(self, suite: WorkloadSuite) -> _Worker:
+        parent_end, child_end = self._ctx.Pipe()
+        process = self._ctx.Process(
+            target=_serve,
+            args=(child_end, parent_end, (suite.iters, suite.extended), self.batch_size),
+            daemon=True,
         )
-
-    def _reap(self, handle: _Running) -> None:
-        handle.conn.close()
-        handle.process.join(timeout=1.0)
-        if handle.process.is_alive():  # pragma: no cover - stubborn worker
-            handle.process.kill()
-            handle.process.join(timeout=1.0)
+        process.start()
+        child_end.close()  # the parent keeps only its own end
+        return _Worker(process=process, conn=parent_end)
 
     def _run_parallel(self, jobs, pending, suite, keys, outcomes) -> None:
-        """Pool scheduler over work units of one-or-more job indices.
+        """Per-point dispatch over up to ``jobs`` workers.
 
-        With ``batch_size == 1`` every unit is a single index and this is
-        the classic one-process-per-job-attempt pool.  With batching,
-        first attempts are slices (one process runs the whole slice back
-        to back) and any failure — a point error inside the slice, or the
-        whole worker crashing or timing out — degrades the affected
-        indices to singleton retries with the attempt budget carried
-        over.
+        Every idle worker takes the next pending point (retries first),
+        and workers are started up to ``jobs`` while work remains.  Each
+        reply is committed the moment it arrives.  A dead worker
+        (``"crash"``) or one past ``timeout`` since dispatch
+        (``"timeout"``) charges an attempt to its point in flight only;
+        a worker that has served its quota is joined and replaced.
         """
         max_attempts = self.retries + 1
-        # Work units awaiting a first attempt.
-        queue: List[List[int]] = self._pending_batches(jobs, pending)
-        retry_queue: List[Tuple[int, int]] = []  # (index, next attempt)
-        running: List[_Running] = []
-        started_at: Dict[int, float] = {}
+        todo: Deque[Tuple[int, int]] = deque((index, 1) for index in pending)
+        first_dispatched: Dict[int, float] = {}
+        workers: List[_Worker] = []
 
-        def launch_capacity() -> None:
-            while len(running) < self.jobs and (retry_queue or queue):
-                if retry_queue:
-                    index, attempt = retry_queue.pop(0)
-                    indices = [index]
-                else:
-                    indices, attempt = queue.pop(0), 1
-                now = time.monotonic()
-                for index in indices:
-                    started_at.setdefault(index, now)
-                running.append(self._spawn(indices, attempt, jobs, suite))
-
-        def settle_index(index: int, attempt: int, kind: str, message: str) -> None:
-            """One index's attempt ended without a usable result."""
-            if attempt >= max_attempts:
-                self._fail(
-                    index, jobs[index], kind, message,
-                    attempt, time.monotonic() - started_at[index], outcomes,
-                )
+        def settle(index: int, attempt: int, kind: str, message: str) -> None:
+            """One attempt of a point ended without a result."""
+            if attempt < max_attempts:
+                todo.appendleft((index, attempt + 1))
             else:
-                retry_queue.append((index, attempt + 1))
+                self._fail(index, jobs[index], kind, message, attempt,
+                           time.monotonic() - first_dispatched[index], outcomes)
 
-        def settle(handle: _Running, kind: str, message: str) -> None:
-            """A whole attempt (single or slice) died: settle each member."""
-            self._reap(handle)
-            for index in handle.indices:
-                settle_index(index, handle.attempt, kind, message)
+        def retire(worker: _Worker, kind: str) -> None:
+            """Stop a dead or overdue worker; only its point in flight pays."""
+            workers.remove(worker)
+            worker.stop()
+            message = (f"exceeded {self.timeout:.1f}s budget" if kind == "timeout"
+                       else f"worker exited with code {worker.process.exitcode}")
+            settle(worker.index, worker.attempt, kind, message)
 
-        launch_capacity()
-        while running:
-            progressed = False
-            for handle in list(running):
-                if handle.conn.poll():
-                    running.remove(handle)
-                    progressed = True
-                    try:
-                        status, body = handle.conn.recv()
-                    except (EOFError, OSError):
-                        settle(handle, "crash", "worker died mid-reply")
-                        continue
-                    if status == "ok":
-                        self._reap(handle)
-                        index = handle.indices[0]
-                        self._commit(
-                            index, jobs[index], keys[index],
-                            body, handle.attempt,
-                            time.monotonic() - started_at[index], outcomes,
-                        )
-                    elif status == "batch":
-                        self._reap(handle)
-                        for index, (point_status, point_body) in zip(
-                            handle.indices, body
-                        ):
-                            if point_status == "ok":
-                                self._commit(
-                                    index, jobs[index], keys[index],
-                                    point_body, handle.attempt,
-                                    time.monotonic() - started_at[index],
-                                    outcomes,
-                                )
-                            else:
-                                settle_index(
-                                    index, handle.attempt, "error",
-                                    str(point_body),
-                                )
+        try:
+            while True:
+                idle = [worker for worker in workers if worker.index is None]
+                while todo and (idle or len(workers) < self.jobs):
+                    if idle:
+                        worker = idle.pop(0)
                     else:
-                        settle(handle, "error", str(body))
-                elif not handle.process.is_alive():
-                    running.remove(handle)
-                    progressed = True
-                    code = handle.process.exitcode
-                    settle(handle, "crash", f"worker exited with code {code}")
-                elif (
-                    self.timeout is not None
-                    and time.monotonic() - handle.started > self.timeout
-                ):
-                    running.remove(handle)
-                    progressed = True
-                    handle.process.terminate()
-                    settle(handle, "timeout", f"exceeded {self.timeout:.1f}s budget")
-            launch_capacity()
-            if running and not progressed:
-                # Block until any worker has output (bounded, then re-check
-                # liveness and deadlines).
-                multiprocessing.connection.wait(
-                    [handle.conn for handle in running], timeout=_POLL_INTERVAL
-                )
+                        worker = self._start_worker(suite)
+                        workers.append(worker)
+                    index, attempt = todo.popleft()
+                    first_dispatched.setdefault(index, time.monotonic())
+                    worker.dispatch(index, attempt, jobs[index])
+                busy = {worker.conn: worker for worker in workers if worker.index is not None}
+                if not busy:
+                    break
+                for conn in multiprocessing.connection.wait(list(busy), timeout=_POLL_INTERVAL):
+                    worker = busy[conn]
+                    try:
+                        status, body = conn.recv()
+                    except (EOFError, OSError):
+                        retire(worker, "crash")
+                        continue
+                    index, attempt, worker.index = worker.index, worker.attempt, None
+                    if status == "ok":
+                        self._commit(index, jobs[index], keys[index], body, attempt,
+                                     time.monotonic() - first_dispatched[index], outcomes)
+                    else:
+                        settle(index, attempt, "error", str(body))
+                    worker.served += 1
+                    if worker.served >= self.batch_size:
+                        workers.remove(worker)
+                        worker.stop()
+                if self.timeout is not None:
+                    now = time.monotonic()
+                    for worker in [worker for worker in workers if worker.index is not None
+                                   and now - worker.dispatched > self.timeout]:
+                        retire(worker, "timeout")
+        finally:
+            for worker in workers:
+                worker.stop()

@@ -7,8 +7,8 @@ addressed from ``text_base``; the data segment is a byte image copied
 into fresh memory whenever a program instance starts.
 
 Programs are immutable by type: one assembled image is loaded into
-every core its suite serves (every job of a batch slice, one after
-another), so rebinding a field, assigning into ``instructions`` or
+every core its suite serves (every job one worker process serves, one
+after another), so rebinding a field, assigning into ``instructions`` or
 adding a label raises instead of leaking into later cores.
 """
 

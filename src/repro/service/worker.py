@@ -12,9 +12,10 @@ lease → execute → complete/fail — differing only in transport:
   a worker that dies simply lets its lease expire and re-queue.
 
 Execution itself is :func:`repro.exec.jobs.execute_payload` (local
-threads, one task at a time) or :func:`repro.exec.jobs.execute_payload_batch`
-(a remote worker's lease) — the exact functions the multiprocessing
-pool's workers run, so service results are bit-identical to
+threads, one task at a time — the function the multiprocessing pool's
+workers run per point) or :func:`repro.exec.jobs.execute_payload_batch`
+(a remote worker's lease, run back to back through the same
+``run_job``), so service results are bit-identical to
 ``Executor``/serial ones by construction.
 """
 

@@ -111,8 +111,8 @@ class Sweep:
 
         With no ``executor`` the sweep runs strictly serially in-process.
         With an executor the batch goes through the orchestration engine
-        (parallel workers, result cache, retries, ``batch_size`` slices)
-        and a job that exhausts its retries raises
+        (parallel workers, result cache, retries, ``batch_size`` points
+        per worker process) and a job that exhausts its retries raises
         :class:`repro.exec.ExecutionError`.  Row order and numeric content
         are identical on every path.
         """

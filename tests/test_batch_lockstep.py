@@ -1,4 +1,4 @@
-"""Batch slices: bit-identity, grouping, failure isolation and the gc epoch.
+"""Batch slices: bit-identity, composition, failure isolation and the gc epoch.
 
 A slice (:func:`repro.exec.jobs.run_slice`) runs its jobs one after
 another through ``Core.run`` inside one garbage-collector epoch.  The
@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 import repro.exec.jobs as jobs_module
-from repro.exec.jobs import Chaos, Job, run_slice, stats_to_payload
-from repro.exec.pool import Executor, group_batches
+from repro.exec.jobs import Job, run_slice, stats_to_payload
+from repro.exec.pool import Executor
 from repro.pipeline.core import Core
 from repro.sim.runner import RunSpec, run_spec
 from repro.workloads.suite import WorkloadSuite
@@ -125,33 +125,12 @@ class TestGoldenParity:
 
 
 class TestGrouping:
-    def test_group_batches_respects_size_and_order(self):
-        jobs = [Job(spec=RunSpec(workload=("compress",))) for _ in range(5)]
-        groups = group_batches(jobs, batch_size=2)
-        assert groups == [[0, 1], [2, 3], [4]]
-
-    def test_batch_size_one_is_all_singletons(self):
-        jobs = [Job(spec=RunSpec(workload=("compress",))) for _ in range(3)]
-        assert group_batches(jobs, batch_size=1) == [[0], [1], [2]]
-
-    def test_chaos_jobs_run_as_singletons(self):
-        spec = RunSpec(workload=("compress",))
-        jobs = [
-            Job(spec=spec),
-            Job(spec=spec, chaos=Chaos(fail_first_attempts=1)),
-            Job(spec=spec),
-        ]
-        groups = group_batches(jobs, batch_size=3)
-        assert [1] in groups
-        assert sorted(sum(groups, [])) == [0, 1, 2]
-
     def test_mixed_machines_share_one_slice(self, suite):
         jobs = [
             Job(spec=RunSpec(workload=("compress",), machine=m,
                              commit_target=200))
             for m in ("big.2.16", "small.2.8", "big.2.16", "small.1.8")
         ]
-        assert group_batches(jobs, batch_size=4) == [[0, 1, 2, 3]]
         results = results_of(run_slice(jobs, suite))
         for job, result in zip(jobs, results):
             assert result.spec == job.spec

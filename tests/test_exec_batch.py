@@ -1,10 +1,10 @@
-"""Executor and service-worker integration of batch slices.
+"""Executor ``batch_size`` and service-worker batch slices.
 
-The orchestration contract: ``batch_size`` changes *how* attempts are
-scheduled (one process per slice instead of one per job), never *what*
-comes out — outcomes are per job, bit-identical to the unbatched
-engine, with cache and journal artifacts still written one per point so
-dedup and resume are unchanged.
+The orchestration contract: ``batch_size`` changes *where* points run
+(how many share one worker process and gc epoch), never *what* comes
+out — outcomes are per job, bit-identical to the unbatched engine, with
+cache and journal artifacts still written one per point so dedup and
+resume are unchanged.
 """
 
 import os
@@ -61,7 +61,8 @@ class TestSerialBatched:
         chaotic = [Job(spec=SPECS[0], chaos=Chaos(fail_first_attempts=1))] + jobs[:2]
         outcomes = Executor(jobs=1, batch_size=4, retries=2).run(chaotic, suite=suite)
         assert all(outcome.ok for outcome in outcomes)
-        assert outcomes[0].attempts == 2  # failed once, then succeeded solo
+        assert outcomes[0].attempts == 2  # failed once, retried at once
+        assert [outcome.attempts for outcome in outcomes[1:]] == [1, 1]
 
 
 class TestParallelBatched:
@@ -87,13 +88,14 @@ class TestParallelBatched:
         resumed = third.run(jobs, suite=suite)
         assert all(outcome.cached for outcome in resumed)
 
-    def test_crashed_batch_degrades_to_singleton_retries(self, jobs, suite):
+    def test_crash_retries_only_the_point_in_flight(self, jobs, suite):
         chaotic = [Job(spec=SPECS[0], chaos=Chaos(exit_first_attempts=1))] + jobs[:3]
         outcomes = Executor(jobs=2, batch_size=4, retries=1).run(chaotic, suite=suite)
         assert all(outcome.ok for outcome in outcomes)
+        assert [outcome.attempts for outcome in outcomes] == [2, 1, 1, 1]
 
     def test_mixed_machines_split_across_batches(self, suite):
-        """Slices take jobs in input order, whatever their machines."""
+        """A worker serves points in dispatch order, whatever their machines."""
         mixed = [
             Job(spec=RunSpec(workload=("compress",), machine=machine,
                              commit_target=200))

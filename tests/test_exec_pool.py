@@ -1,10 +1,18 @@
 """Orchestration engine: fault tolerance, retries, parallel == serial."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
-from repro.exec import Chaos, ExecutionError, Executor, Job, ProgressReporter
+from repro.exec import Chaos, ExecutionError, Executor, Job, Journal, ProgressReporter
 from repro.exec.jobs import stats_to_payload
-from repro.sim.runner import RunSpec, run_matrix
+from repro.pipeline.core import Core
+from repro.sim.runner import RunSpec, run_matrix, run_spec
 from repro.sim.sweep import Sweep
 from repro.workloads import WorkloadSuite
 
@@ -160,6 +168,119 @@ class TestProgress:
         )
         assert "jobs 3/10" in line and "2 cached" in line
         assert "1 failed" in line and "01:05" in line and "00:30" in line
+
+
+class TestPerPointDispatch:
+    """An idle worker takes the next point, and each result lands as soon
+    as its point finishes."""
+
+    LONG = tiny_spec(commit_target=4000)
+    SHORT = [tiny_spec(workload=(kernel,), commit_target=100) for kernel in ("vortex", "li", "go")]
+
+    def test_short_points_land_before_a_long_one_with_their_own_elapsed(self):
+        events = []
+        reporter = ProgressReporter(callback=events.append)
+        outcomes = Executor(jobs=2, batch_size=4, progress=reporter).run(
+            [self.LONG] + self.SHORT, suite=SUITE)
+        assert all(outcome.ok for outcome in outcomes)
+        # One worker serves the long point while the other serves the
+        # three short ones, each landing the moment it finishes.
+        assert [event.label for event in events][-1] == self.LONG.label()
+        long_elapsed = outcomes[0].elapsed
+        assert all(outcome.elapsed < long_elapsed for outcome in outcomes[1:])
+        assert len({outcome.elapsed for outcome in outcomes}) == 4
+
+    def test_crash_fails_only_the_point_in_flight(self):
+        """A chaos exit on the third point a worker serves costs that point
+        alone; the two this worker already returned keep their results."""
+        jobs = [Job(spec=self.LONG), Job(spec=self.SHORT[0]), Job(spec=self.SHORT[1]),
+                Job(spec=self.SHORT[2], chaos=Chaos(exit_first_attempts=1))]
+        outcomes = Executor(jobs=2, batch_size=4, retries=0).run(jobs, suite=SUITE)
+        assert [outcome.ok for outcome in outcomes] == [True, True, True, False]
+        assert outcomes[3].failure.kind == "crash"
+        assert [outcome.attempts for outcome in outcomes[:3]] == [1, 1, 1]
+        for job, outcome in zip(jobs[:3], outcomes):
+            assert stats_to_payload(outcome.result.stats) == stats_to_payload(
+                run_spec(job.spec, SUITE).stats)
+
+    def test_serial_journals_each_point_before_the_next_starts(self, tmp_path, monkeypatch):
+        journal = Journal(tmp_path / "journal.jsonl")
+        journaled_at_start = []
+        real_run = Core.run
+
+        def run(core, *args, **kwargs):
+            journaled_at_start.append(len(journal.load()))
+            return real_run(core, *args, **kwargs)
+
+        monkeypatch.setattr(Core, "run", run)
+        outcomes = Executor(jobs=1, batch_size=3, journal=journal).run(SPECS, suite=SUITE)
+        assert all(outcome.ok for outcome in outcomes)
+        assert journaled_at_start == [0, 1, 2]
+        assert len(journal.load()) == 3
+
+    def test_more_workers_than_cpus_with_chaos_matches_serial(self):
+        specs = [tiny_spec(workload=(kernel,), features=features, commit_target=150)
+                 for kernel in ("compress", "li", "go", "vortex")
+                 for features in ("SMT", "TME", "REC/RS/RU")]
+        jobs = [Job(spec=spec) for spec in specs]
+        jobs[4] = Job(spec=specs[4], chaos=Chaos(fail_first_attempts=1))
+        jobs[9] = Job(spec=specs[9], chaos=Chaos(exit_first_attempts=1))
+        started = time.monotonic()
+        outcomes = Executor(jobs=4, batch_size=3, retries=1).run(jobs, suite=SUITE)
+        assert time.monotonic() - started < 60.0
+        assert all(outcome.ok for outcome in outcomes)
+        assert [outcome.attempts for outcome in outcomes] == [
+            2 if index in (4, 9) else 1 for index in range(len(jobs))]
+        for spec, outcome in zip(specs, outcomes):
+            assert outcome.job.spec == spec
+            assert stats_to_payload(outcome.result.stats) == stats_to_payload(
+                run_spec(spec, SUITE).stats)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_workers_exit_when_the_parent_is_killed(self):
+        """An idle worker blocked on its pipe, and a busy one, both exit
+        once a SIGKILLed parent is gone."""
+        script = (
+            "import os, sys\n"
+            "import repro.exec.pool as pool\n"
+            "from repro.exec import Executor\n"
+            "from repro.sim.runner import RunSpec\n"
+            "real = pool.execute_payload\n"
+            "def announced(payload, suite_args):\n"
+            "    print('start', os.getpid(), flush=True)\n"
+            "    result = real(payload, suite_args)\n"
+            "    print('done', os.getpid(), flush=True)\n"
+            "    return result\n"
+            "pool.execute_payload = announced\n"
+            "Executor(jobs=2, batch_size=4).run([\n"
+            "    RunSpec(workload=('compress',), commit_target=100),\n"
+            "    RunSpec(workload=('compress',), commit_target=4000)])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        parent = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                                  text=True, env=env)
+        workers = set()
+        for line in parent.stdout:  # until the short point's worker is idle
+            event, pid = line.split()
+            workers.add(int(pid))
+            if event == "done":
+                break
+        parent.kill()
+        parent.wait(timeout=10)
+
+        def alive(pid):
+            try:
+                return "\tZ" not in Path(f"/proc/{pid}/status").read_text()
+            except OSError:
+                return False
+
+        deadline = time.monotonic() + 20
+        while any(alive(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        stuck = [pid for pid in workers if alive(pid)]
+        for pid in stuck:
+            os.kill(pid, signal.SIGKILL)
+        assert len(workers) == 2 and not stuck
 
 
 class TestJobValidation:

@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Pinned batch-sweep benchmark: batched slices vs the per-point pool.
+"""Pinned batch-sweep benchmark: long-lived workers vs a process per point.
 
 Runs one fixed 8-point sweep (compress on ``big.2.16`` with REC/RS/RU,
 an ``active_list_size`` × ``confidence_threshold`` grid) twice through
-the same executor pool, in the same process, back to back:
+the same 2-worker executor pool, in the same process, back to back:
 
-* **baseline** — ``batch_size=1``: the classic pool, one worker process
-  per point attempt;
-* **batched** — ``batch_size=8``: the whole slice runs back to back in
-  one worker process (:func:`repro.exec.jobs.run_slice`).
+* **baseline** — ``batch_size=1``: a fresh worker process per point;
+* **batched** — ``batch_size=8``: each worker serves up to 8 points, one
+  at a time, in one process and one gc epoch.  The pool still hands
+  every idle worker the next point, so the sweep spreads over both
+  workers and only the per-process cost is saved.
 
-Both sides pin ``mp_context="spawn"`` so the per-attempt process cost —
-the thing batching amortises — is the portable one (spawn is the only
+Both sides pin ``mp_context="spawn"`` so the per-process cost — the
+thing batching amortises — is the portable one (spawn is the only
 start method on Windows and the default on macOS; fork-specific
 copy-on-write savings would make the baseline unrealistically cheap and
 platform-dependent).
@@ -89,7 +90,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pool-jobs", type=int, default=2,
                         help="worker processes in the pool (both modes)")
     parser.add_argument("--batch-size", type=int, default=8,
-                        help="slice size for the batched mode")
+                        help="points per worker process in the batched mode")
     parser.add_argument("--rounds", type=int, default=2,
                         help="samples per mode (best-of is recorded)")
     parser.add_argument("--bench-json", default=None, metavar="PATH",
