@@ -13,7 +13,6 @@ See ``docs/LINTING.md`` for how to write a rule.
 
 from .baseline import DEFAULT_BASELINE_PATH, Baseline
 from .engine import (
-    CONC_PROFILE,
     DEFAULT_PROFILE,
     DETERMINISM_PROFILE,
     SHARING_PROFILE,
@@ -21,7 +20,6 @@ from .engine import (
     LintTarget,
     collect_files,
     lint_files,
-    lint_program,
     lint_source,
     restrict,
     run_lint,
@@ -29,7 +27,6 @@ from .engine import (
 from .registry import (
     FileContext,
     Finding,
-    ProgramContext,
     Rule,
     all_rules,
     get_rule,
@@ -39,7 +36,6 @@ from .report import render_text, to_json, to_sarif, write_sarif
 
 __all__ = [
     "Baseline",
-    "CONC_PROFILE",
     "DEFAULT_BASELINE_PATH",
     "DEFAULT_PROFILE",
     "DETERMINISM_PROFILE",
@@ -48,12 +44,10 @@ __all__ = [
     "LintTarget",
     "collect_files",
     "lint_files",
-    "lint_program",
     "lint_source",
     "restrict",
     "run_lint",
     "FileContext",
-    "ProgramContext",
     "Finding",
     "Rule",
     "all_rules",

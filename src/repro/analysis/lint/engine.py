@@ -28,23 +28,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from . import rules_concurrency  # noqa: F401 - registers the CONC rules
 from . import rules_determinism  # noqa: F401 - registers the DET rules
 from . import rules_sharing  # noqa: F401 - registers SHR005
 from .baseline import Baseline
-from .registry import FileContext, Finding, ProgramContext, all_rules
+from .registry import FileContext, Finding, all_rules
 
 __all__ = [
     "LintResult",
     "LintTarget",
-    "CONC_PROFILE",
     "DEFAULT_PROFILE",
     "DETERMINISM_PROFILE",
     "SHARING_PROFILE",
     "collect_files",
     "lint_source",
     "lint_files",
-    "lint_program",
     "restrict",
     "run_lint",
 ]
@@ -68,17 +65,6 @@ DETERMINISM_PROFILE = (
         codes=("DET001", "DET002", "DET003", "DET005"),
     ),
     LintTarget(paths=rules_determinism.DET004_TARGETS, codes=("DET004",)),
-)
-
-#: The concurrency sweep: whole-program CONC rules over the subsystems
-#: that share state across threads/processes.  One target, because the
-#: analysis must see scheduler *and* store *and* cache together to
-#: resolve cross-class calls.
-CONC_PROFILE = (
-    LintTarget(
-        paths=("src/repro/service", "src/repro/exec", "src/repro/analysis/conc"),
-        codes=rules_concurrency.CONC_RULE_CODES,
-    ),
 )
 
 #: The sharing sweep: SHR005 over the layers whose jobs a batch slice
@@ -162,29 +148,22 @@ def _suppressed_lines(source: str, marker: str = "det-ok:") -> Set[int]:
     return out
 
 
-def _file_context(path: str, source: str) -> FileContext:
-    tree = ast.parse(source, filename=path)
-    return FileContext(
-        path, source, tree,
-        _suppressed_lines(source),
-        conc_suppressed=_suppressed_lines(source, "conc-ok:"),
-        shr_suppressed=_suppressed_lines(source, "shr-ok:"),
-    )
-
-
 def lint_source(
     path: str, source: str, codes: Optional[Tuple[str, ...]] = None
 ) -> List[Finding]:
-    """Run the selected file-scope rules over one file's text."""
+    """Run the selected rules over one file's text."""
     try:
-        ctx = _file_context(path, source)
+        tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         return [Finding(path, exc.lineno or 0, SYNTAX_ERROR_CODE,
                         f"syntax error: {exc.msg}")]
+    ctx = FileContext(
+        path, source, tree,
+        _suppressed_lines(source),
+        shr_suppressed=_suppressed_lines(source, "shr-ok:"),
+    )
     findings: List[Finding] = []
     for rule in all_rules(set(codes) if codes is not None else None):
-        if rule.scope != "file":
-            continue
         findings.extend(
             f for f in rule.check(ctx)
             if f.line not in ctx.suppressed_for(f.code)
@@ -221,41 +200,6 @@ def _lint_items(
     return sorted(findings, key=lambda f: (f.path, f.line, f.code))
 
 
-def lint_program(
-    files: Sequence[Union[str, Path]],
-    codes: Optional[Tuple[str, ...]] = None,
-) -> List[Finding]:
-    """Run the selected program-scope rules over all files at once.
-
-    Runs serially in the parent (the whole-program model is built once
-    and shared, so there is nothing to fan out).  Unparseable files are
-    skipped here — the file-scope pass reports the syntax error.
-    """
-    rules = [
-        r for r in all_rules(set(codes) if codes is not None else None)
-        if r.scope == "program"
-    ]
-    if not rules:
-        return []
-    contexts: List[FileContext] = []
-    for f in files:
-        path = str(f)
-        try:
-            contexts.append(_file_context(path, Path(path).read_text()))
-        except SyntaxError:
-            continue
-    pctx = ProgramContext(contexts)
-    by_path = {ctx.path: ctx for ctx in contexts}
-    findings: List[Finding] = []
-    for rule in rules:
-        for finding in rule.check_program(pctx):
-            ctx = by_path.get(finding.path)
-            if ctx is not None and finding.line in ctx.suppressed_for(finding.code):
-                continue
-            findings.append(finding)
-    return sorted(findings, key=lambda f: (f.path, f.line, f.code))
-
-
 def run_lint(
     targets: Sequence[LintTarget],
     jobs: int = 1,
@@ -270,10 +214,9 @@ def run_lint(
     blocking_codes = {r.code for r in all_rules() if r.blocking}
     blocking_codes.add(SYNTAX_ERROR_CODE)
 
-    findings: List[Finding] = []
     ran_codes: Set[str] = set()
-    #: file -> every code some target selects for it (file-scope rules
-    #: run once per file, over the union)
+    #: file -> every code some target selects for it (rules run once
+    #: per file, over the union)
     file_codes: Dict[str, Set[str]] = {}
     for target in targets:
         files = collect_files(target.paths)
@@ -283,10 +226,8 @@ def run_lint(
         ran_codes.update(codes)
         for f in files:
             file_codes.setdefault(str(f), set()).update(codes)
-        findings.extend(lint_program(files, codes=codes))
     items = [(path, tuple(sorted(codes))) for path, codes in file_codes.items()]
-    findings.extend(_lint_items(items, jobs))
-    findings.sort(key=lambda f: (f.path, f.line, f.code))
+    findings = _lint_items(items, jobs)
     linted_paths = set(file_codes)
 
     result = LintResult(findings=findings)

@@ -33,7 +33,6 @@ from typing import Dict, Iterator, List, Optional, Set, Type
 __all__ = [
     "Finding",
     "FileContext",
-    "ProgramContext",
     "Rule",
     "register",
     "all_rules",
@@ -68,8 +67,7 @@ class FileContext:
     themselves.
     """
 
-    __slots__ = ("path", "source", "tree", "suppressed", "conc_suppressed",
-                 "shr_suppressed")
+    __slots__ = ("path", "source", "tree", "suppressed", "shr_suppressed")
 
     def __init__(
         self,
@@ -77,41 +75,20 @@ class FileContext:
         source: str,
         tree: ast.AST,
         suppressed: Set[int],
-        conc_suppressed: Set[int] = frozenset(),
         shr_suppressed: Set[int] = frozenset(),
     ):
         self.path = path
         self.source = source
         self.tree = tree
         self.suppressed = suppressed
-        #: lines carrying ``# conc-ok: <reason>`` (CONC-family suppression)
-        self.conc_suppressed = conc_suppressed
         #: lines carrying ``# shr-ok: <reason>`` (SHR-family suppression)
         self.shr_suppressed = shr_suppressed
 
     def suppressed_for(self, code: str) -> Set[int]:
         """Lines whose suppression comment covers ``code``'s family."""
-        if code.startswith("CONC"):
-            return self.conc_suppressed
         if code.startswith("SHR"):
             return self.shr_suppressed
         return self.suppressed
-
-
-class ProgramContext:
-    """Every file of one lint target, for whole-program rules.
-
-    Program-scope rules see all files at once (cross-file facts like a
-    lock-order graph need the full picture).  ``cache`` is a scratch
-    dict shared by the rules of one run, so a family of rules can build
-    its expensive program model exactly once.
-    """
-
-    __slots__ = ("files", "cache")
-
-    def __init__(self, files: List[FileContext]):
-        self.files = files
-        self.cache: Dict[str, object] = {}
 
 
 class Rule:
@@ -122,14 +99,8 @@ class Rule:
     #: blocking rules always fail the run; warn-first rules defer to the
     #: baseline ratchet
     blocking: bool = True
-    #: "file" rules get one FileContext at a time; "program" rules get a
-    #: ProgramContext covering the whole target
-    scope: str = "file"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def check_program(self, pctx: ProgramContext) -> Iterator[Finding]:
         raise NotImplementedError
 
     def finding(self, ctx: FileContext, node: ast.AST, message: str) -> Finding:

@@ -495,13 +495,12 @@ def _cmd_analyze(args) -> int:
 #: Suppression conventions per rule family (``--explain``).
 _SUPPRESS_BY_FAMILY = {
     "DET": "# det-ok: <reason>",
-    "CONC": "# conc-ok: <reason>",
     "SHR": "# shr-ok: <reason>",
 }
 
 
 def _explain_rules(query: str) -> int:
-    """Print one rule (or a family) with scope/severity/suppression."""
+    """Print one rule (or a family) with severity/suppression."""
     from .analysis.lint import all_rules
 
     want = query.upper()
@@ -523,7 +522,6 @@ def _explain_rules(query: str) -> int:
         suppression = _SUPPRESS_BY_FAMILY.get(family or "", "(none)")
         severity = "blocking" if rule.blocking else "warn-first (baseline ratchet)"
         print(f"{rule.code}: {rule.summary}")
-        print(f"  scope:       {rule.scope}")
         print(f"  severity:    {severity}")
         print(f"  suppression: {suppression}")
     return 0
@@ -532,7 +530,6 @@ def _explain_rules(query: str) -> int:
 def _cmd_lint(args) -> int:
     """Whole-repo lint over the pluggable rule engine."""
     from .analysis.lint import (
-        CONC_PROFILE,
         DEFAULT_BASELINE_PATH,
         DEFAULT_PROFILE,
         Baseline,
@@ -570,11 +567,9 @@ def _cmd_lint(args) -> int:
         elif codes is not None:
             # Each profile target keeps its own paths, narrowed to the
             # requested codes.
-            targets = restrict(DEFAULT_PROFILE + CONC_PROFILE, codes)
+            targets = restrict(DEFAULT_PROFILE, codes)
         else:
             targets = list(DEFAULT_PROFILE)
-            if args.conc:
-                targets.extend(CONC_PROFILE)
         result = run_lint(targets, jobs=args.jobs, baseline=baseline)
     except (FileNotFoundError, KeyError) as exc:
         print(f"lint: {exc}", file=sys.stderr)
@@ -924,8 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = sub.add_parser(
         "lint",
-        help="whole-repo lint (determinism DET001-DET005, "
-             "concurrency CONC001-CONC006, sharing SHR005)",
+        help="whole-repo lint (determinism DET001-DET005, sharing SHR005)",
     )
     lint_parser.add_argument("paths", nargs="*", default=None,
                              help="files/dirs to lint; default: the "
@@ -935,13 +929,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   "or comma-separated); without paths, "
                                   "each profile target runs the requested "
                                   "codes it owns")
-    lint_parser.add_argument("--conc", action="store_true",
-                             help="also run the whole-program concurrency "
-                                  "profile (CONC rules over the service/"
-                                  "exec layers)")
     lint_parser.add_argument("--explain", default=None, metavar="RULE",
                              help="explain one rule code or family prefix "
-                                  "(summary, scope, severity, suppression "
+                                  "(summary, severity, suppression "
                                   "convention) and exit")
     lint_parser.add_argument("--jobs", type=int, default=1,
                              help="parallel per-file analysis processes")

@@ -1,9 +1,11 @@
 """The campaign server: a stdlib-only JSON API over the scheduler.
 
 ``http.server.ThreadingHTTPServer`` + one handler — no frameworks, no
-new dependencies.  One thread per request; long-lived requests (the
-NDJSON event stream) coexist with submissions because every handler only
-takes the scheduler lock for short critical sections.
+new dependencies.  One thread per request; each handler validates its
+request, then posts it to the scheduler's owner thread and waits for the
+reply.  Long-lived requests (the NDJSON event stream) park on the owner
+between events, so they coexist with submissions.  A malformed request
+is answered 400 with an ``error`` message.
 
 API (see ``docs/SERVICE.md`` for the full reference):
 
@@ -29,7 +31,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Union
 
 from .. import __version__
-from ..analysis.conc.sanitizer import current_sanitizer, enable_from_env
 from ..stats.export import stats_to_dict
 from ..exec.jobs import result_from_payload, spec_from_payload
 from .scheduler import JOB_FAILED, Scheduler
@@ -46,6 +47,32 @@ _RESULT_RE = re.compile(r"^/jobs/([A-Za-z0-9_.-]+)/result$")
 #: How long one blocking poll of the event stream waits before emitting
 #: nothing and re-checking the client is still connected.
 _EVENT_POLL_SECONDS = 5.0
+
+
+class _BadRequest(ValueError):
+    """A malformed request, answered 400 with this message."""
+
+
+def _json_object(body) -> Dict:
+    if not isinstance(body, dict):
+        raise _BadRequest("request body must be a JSON object")
+    return body
+
+
+def _task_key(body: Dict) -> str:
+    if "key" not in body:
+        raise _BadRequest('missing "key"')
+    if not isinstance(body["key"], str):
+        raise _BadRequest('"key" must be a string')
+    return body["key"]
+
+
+def _convert(body: Dict, name: str, convert, default):
+    """``convert(body[name])`` (or of ``default``); 400 if it raises."""
+    try:
+        return convert(body.get(name, default))
+    except (TypeError, ValueError):
+        raise _BadRequest(f'"{name}" is not a valid {convert.__name__}') from None
 
 
 def job_result_document(record, payload: Dict) -> Dict:
@@ -96,15 +123,21 @@ class _Handler(BaseHTTPRequestHandler):
     def _error(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
 
-    def _read_json(self) -> Optional[Dict]:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _read_json(self):
+        """The request body's JSON value (``{}`` when empty)."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            raise _BadRequest("Content-Length is not an integer") from None
+        if length < 0:
+            raise _BadRequest("Content-Length is negative")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
-            return None
+            raise _BadRequest("request body is not valid JSON") from None
 
     # ------------------------------------------------------------------
     # Routing
@@ -114,11 +147,7 @@ class _Handler(BaseHTTPRequestHandler):
             if self.path == "/healthz":
                 self._send_json(200, {"ok": True, "version": __version__})
             elif self.path == "/metrics":
-                document = self.scheduler.metrics()
-                sanitizer = self.server.campaign_server.sanitizer  # type: ignore[attr-defined]
-                if sanitizer is not None:
-                    document["conc_sanitizer"] = sanitizer.counts()
-                self._send_json(200, document)
+                self._send_json(200, self.scheduler.metrics())
             elif match := _CAMPAIGN_RE.match(self.path):
                 self._get_campaign(match.group(1))
             elif match := _EVENTS_RE.match(self.path):
@@ -133,18 +162,18 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         try:
             body = self._read_json()
-            if body is None:
-                self._error(400, "request body is not valid JSON")
-            elif self.path == "/campaigns":
+            if self.path == "/campaigns":
                 self._submit(body)
             elif self.path == "/lease":
-                self._lease(body)
+                self._lease(_json_object(body))
             elif self.path == "/complete":
-                self._complete(body)
+                self._complete(_json_object(body))
             elif self.path == "/fail":
-                self._fail(body)
+                self._fail(_json_object(body))
             else:
                 self._error(404, f"no such endpoint {self.path!r}")
+        except _BadRequest as exc:
+            self._error(400, str(exc))
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
             pass
 
@@ -208,29 +237,32 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _lease(self, body: Dict) -> None:
         tasks = self.scheduler.lease(
-            max_tasks=int(body.get("max_tasks", 1)),
+            max_tasks=_convert(body, "max_tasks", int, 1),
             worker=str(body.get("worker", "remote")),
         )
         self._send_json(200, {"tasks": tasks})
 
     def _complete(self, body: Dict) -> None:
-        for field in ("key", "payload"):
-            if field not in body:
-                self._error(400, f'missing "{field}"')
-                return
+        key = _task_key(body)
+        if "payload" not in body:
+            raise _BadRequest('missing "payload"')
+        elapsed = _convert(body, "elapsed", float, 0.0)
+        try:
+            result_from_payload(body["payload"])
+        except Exception as exc:  # noqa: BLE001 - any malformed payload is the client's
+            raise _BadRequest(
+                f'"payload" is not a result: {type(exc).__name__}: {exc}'
+            ) from None
         accepted = self.scheduler.complete(
-            body["key"], body["payload"],
+            key, body["payload"],
             worker=str(body.get("worker", "remote")),
-            elapsed=float(body.get("elapsed", 0.0)),
+            elapsed=elapsed,
         )
         self._send_json(200, {"accepted": accepted})
 
     def _fail(self, body: Dict) -> None:
-        if "key" not in body:
-            self._error(400, 'missing "key"')
-            return
         accepted = self.scheduler.fail(
-            body["key"], str(body.get("message", "worker reported failure")),
+            _task_key(body), str(body.get("message", "worker reported failure")),
             worker=str(body.get("worker", "remote")),
         )
         self._send_json(200, {"accepted": accepted})
@@ -250,10 +282,6 @@ class CampaignServer:
         resume: bool = True,
         verbose: bool = False,
     ):
-        # The TSan-lite sanitizer must activate before any locks are
-        # constructed (REPRO_CONC_SANITIZE=1; see docs/CONCURRENCY.md).
-        enable_from_env()
-        self.sanitizer = current_sanitizer()
         if not isinstance(store, ArtifactStore):
             store = ArtifactStore(store)
         self.store = store
@@ -297,9 +325,12 @@ class CampaignServer:
         return self
 
     def stop(self) -> None:
+        """Stop the HTTP loop and the local workers, then close the
+        scheduler, which ends every open event stream."""
         self._httpd.shutdown()
         self._httpd.server_close()
         self.pool.stop()
+        self.scheduler.close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
@@ -314,3 +345,4 @@ class CampaignServer:
         finally:
             self._httpd.server_close()
             self.pool.stop()
+            self.scheduler.close()

@@ -20,11 +20,11 @@ Concurrency model
 * **The journal** is a single append-only file shared by concurrent
   writers, so appends go through an advisory :class:`FileLock` — without
   it two processes appending simultaneously can interleave partial
-  lines.  (Threads within one server additionally serialise on the
-  scheduler lock; the file lock is what protects *cross-process*
-  writers: a second server instance or a crashed-and-restarted one.)
-* **Campaign ids** are allocated from a locked counter file so two
-  submitting requests can never mint the same id.
+  lines.  (Within one server only the scheduler's owner thread writes
+  the store; the file lock orders *processes*: a second server instance
+  or a crashed-and-restarted one.)
+* **Campaign ids** are allocated from a locked counter file so no two
+  writers (two servers on one store, say) can mint the same id.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..analysis.conc.sanitizer import conc_wrap
 from ..exec.cache import Journal, ResultCache, write_atomic
 
 try:  # pragma: no cover - platform probe
@@ -207,14 +206,9 @@ class ArtifactStore(ResultCache):
         self.root_dir = Path(root)
         super().__init__(self.root_dir / "cache", sim_version=sim_version)
         self.journal = Journal(self.root_dir / "journal.jsonl")
-        self.journal_lock = conc_wrap(
-            FileLock(self.root_dir / "journal.lock"),
-            "ArtifactStore.journal_lock",
-        )
+        self.journal_lock = FileLock(self.root_dir / "journal.lock")
         self._ids_path = self.root_dir / "ids"
-        self._ids_lock = conc_wrap(
-            FileLock(self.root_dir / "ids.lock"), "ArtifactStore._ids_lock"
-        )
+        self._ids_lock = FileLock(self.root_dir / "ids.lock")
         self.campaigns_dir = self.root_dir / "campaigns"
         if compact_on_start:
             with self.journal_lock:

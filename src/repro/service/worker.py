@@ -4,7 +4,8 @@ Local and remote workers share one execution path and one protocol —
 lease → execute → complete/fail — differing only in transport:
 
 * :class:`LocalWorkerPool` threads call the :class:`~repro.service.scheduler.Scheduler`
-  directly (the head node's built-in capacity);
+  directly (the head node's built-in capacity), which posts each call
+  to its owner thread;
 * :func:`run_worker` speaks the same three endpoints over HTTP
   (``repro-sim serve --worker http://head:PORT``), so a sweep grid
   shards across as many hosts as are pointed at the head.  Workers are
@@ -27,6 +28,7 @@ from typing import Dict, Optional
 
 from ..exec.jobs import execute_payload, execute_payload_batch
 from .client import ServiceClient
+from .scheduler import SchedulerClosed
 
 #: Worker-side wall clock (elapsed reporting, idle timeouts only).
 _monotonic = time.monotonic  # det-ok: service timing, not simulation state
@@ -87,12 +89,15 @@ class LocalWorkerPool:
         self._threads.clear()
 
     def _loop(self, worker_id: str) -> None:
-        while not self._stop.is_set():
-            leases = self.scheduler.lease(1, worker=worker_id)
-            if not leases:
-                self.scheduler.wait_for_work(timeout=self.poll)
-                continue
-            self._run_one(leases[0], worker_id)
+        try:
+            while not self._stop.is_set():
+                leases = self.scheduler.lease(1, worker=worker_id)
+                if not leases:
+                    self.scheduler.wait_for_work(timeout=self.poll)
+                    continue
+                self._run_one(leases[0], worker_id)
+        except SchedulerClosed:
+            pass  # the server stopped while this task ran; it re-runs on resume
 
     def _run_one(self, task: Dict, worker_id: str) -> None:
         started = _monotonic()

@@ -346,22 +346,21 @@ class TestLintCli:
         assert main(["lint", "--explain", "SHR005"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("SHR005:")
-        assert "scope:       file" in out
         assert "severity:    warn-first (baseline ratchet)" in out
         assert "suppression: # shr-ok: <reason>" in out
 
     def test_explain_family_prefix(self, capsys):
-        assert main(["lint", "--explain", "CONC"]) == 0
+        assert main(["lint", "--explain", "DET"]) == 0
         out = capsys.readouterr().out
-        for n in range(1, 7):
-            assert f"CONC00{n}:" in out
+        for n in range(1, 6):
+            assert f"DET00{n}:" in out
         assert "severity:    blocking" in out
         assert "warn-first (baseline ratchet)" in out
 
     def test_explain_all(self, capsys):
         assert main(["lint", "--explain", "all"]) == 0
         out = capsys.readouterr().out
-        assert "DET001:" in out and "CONC001:" in out and "SHR005:" in out
+        assert "DET001:" in out and "SHR005:" in out
 
     def test_explain_unknown_rule_exits_2(self, capsys):
         assert main(["lint", "--explain", "NOPE999"]) == 2
@@ -370,9 +369,7 @@ class TestLintCli:
     def test_list_rules_shows_the_registry(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         codes = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-        assert codes == [f"CONC00{n}" for n in range(1, 7)] + [
-            f"DET00{n}" for n in range(1, 6)
-        ] + ["SHR005"]
+        assert codes == [f"DET00{n}" for n in range(1, 6)] + ["SHR005"]
 
     def test_rules_keeps_each_profile_targets_paths(self, at_repo_root, capsys):
         """``--rules DET001`` lints DET001 where the default profile does,
@@ -383,19 +380,6 @@ class TestLintCli:
         assert main(["lint", "--rules", "DET001", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["blocking"] == payload["baselined"] == []
-
-    def test_rules_runs_conc_codes_over_the_conc_target(self, at_repo_root, capsys):
-        """Requesting every CONC code finds exactly what ``--conc`` finds."""
-        import json
-
-        def findings(argv):
-            assert main(["lint", "--json", *argv]) == 0
-            payload = json.loads(capsys.readouterr().out)
-            return payload["blocking"] + payload["baselined"]
-
-        codes = ",".join(f"CONC00{n}" for n in range(1, 7))
-        by_conc = [f for f in findings(["--conc"]) if f["code"].startswith("CONC")]
-        assert findings(["--rules", codes]) == by_conc
 
     def test_overlapping_paths_lint_each_file_once(self, tmp_path, capsys):
         import json

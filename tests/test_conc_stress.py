@@ -1,17 +1,15 @@
-"""Concurrency stress tests, run under the TSan-lite sanitizer.
+"""Concurrency stress tests for the service layer.
 
-Two pressure points from the service layer's concurrency model:
+Two pressure points:
 
 * the **journal**: many threads *and* separate processes appending to one
   ``ArtifactStore`` journal through the advisory :class:`FileLock` — every
   append must survive intact (no torn/interleaved lines, no lost keys);
 * **lease expiry**: a scheduler with a tiny ``lease_ttl`` whose leases are
   deliberately dropped by some workers and completed by others — expired
-  leases must re-queue and the campaign must still converge to ``done``.
-
-Both run inside ``sanitized(...)`` with the statically inferred guard map
-installed, so any lock-order inversion or unguarded shared-state access
-the stress shakes loose fails the test.
+  leases must re-queue and the campaign must still converge to ``done``;
+* **closing**: callers racing ``Scheduler.close()`` must each get a reply
+  or ``SchedulerClosed`` — none may wait forever on the stopped owner.
 """
 
 import json
@@ -25,10 +23,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis.conc import service_facts
-from repro.analysis.conc.sanitizer import install_guards, sanitized
 from repro.exec.cache import Journal
-from repro.service.scheduler import Scheduler
+from repro.service.scheduler import Scheduler, SchedulerClosed
 from repro.service.spec import sweep_spec
 from repro.service.store import ArtifactStore
 
@@ -58,131 +54,156 @@ def _spawn_appender(root: Path, tag: str, count: int) -> subprocess.Popen:
 
 def test_journal_survives_thread_and_process_hammering(tmp_path):
     threads_n, procs_n, per_writer = 3, 2, 20
-    with sanitized() as s:
-        # One store instance per thread — exactly how independent writers
-        # (a second server, a restarted one) share the directory tree.
-        stores = [
-            ArtifactStore(tmp_path, compact_on_start=False)
-            for _ in range(threads_n)
-        ]
-        errors = []
+    # One store instance per thread — exactly how independent writers
+    # (a second server, a restarted one) share the directory tree.
+    stores = [
+        ArtifactStore(tmp_path, compact_on_start=False)
+        for _ in range(threads_n)
+    ]
+    errors = []
 
-        def hammer(store, tag):
-            try:
-                for i in range(per_writer):
-                    store.record(f"{tag}-{i:03d}", {"tag": tag, "seq": i})
-            except Exception as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
-
-        procs = [
-            _spawn_appender(tmp_path, f"proc{p}", per_writer)
-            for p in range(procs_n)
-        ]
-        threads = [
-            threading.Thread(target=hammer, args=(store, f"thread{t}"))
-            for t, store in enumerate(stores)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60.0)
-        for proc in procs:
-            _, err = proc.communicate(timeout=60.0)
-            assert proc.returncode == 0, err.decode()
-        assert errors == []
-
-        # Every line parses (the file lock prevented interleaved partial
-        # writes) and every writer's every key survived.
-        lines = (tmp_path / "journal.jsonl").read_text().splitlines()
-        parsed = [json.loads(line) for line in lines]
-        expected = (threads_n + procs_n) * per_writer
-        assert len(parsed) == expected
-        replayed = Journal(tmp_path / "journal.jsonl").load()
-        assert len(replayed) == expected
-        for tag in [f"thread{t}" for t in range(threads_n)] + [
-            f"proc{p}" for p in range(procs_n)
-        ]:
+    def hammer(store, tag):
+        try:
             for i in range(per_writer):
-                assert replayed[f"{tag}-{i:03d}"] == {"tag": tag, "seq": i}
+                store.record(f"{tag}-{i:03d}", {"tag": tag, "seq": i})
+        except Exception as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
 
-    assert s.counts()["acquires"] >= threads_n * per_writer
-    s.assert_quiet()
+    procs = [
+        _spawn_appender(tmp_path, f"proc{p}", per_writer)
+        for p in range(procs_n)
+    ]
+    threads = [
+        threading.Thread(target=hammer, args=(store, f"thread{t}"))
+        for t, store in enumerate(stores)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60.0)
+    for proc in procs:
+        _, err = proc.communicate(timeout=60.0)
+        assert proc.returncode == 0, err.decode()
+    assert errors == []
+
+    # Every line parses (the file lock prevented interleaved partial
+    # writes) and every writer's every key survived.
+    lines = (tmp_path / "journal.jsonl").read_text().splitlines()
+    parsed = [json.loads(line) for line in lines]
+    expected = (threads_n + procs_n) * per_writer
+    assert len(parsed) == expected
+    replayed = Journal(tmp_path / "journal.jsonl").load()
+    assert len(replayed) == expected
+    for tag in [f"thread{t}" for t in range(threads_n)] + [
+        f"proc{p}" for p in range(procs_n)
+    ]:
+        for i in range(per_writer):
+            assert replayed[f"{tag}-{i:03d}"] == {"tag": tag, "seq": i}
 
 
 def test_lease_expiry_under_contention(tmp_path):
     """Dropped leases expire, re-queue and are completed by healthier
-    workers; the campaign converges and the sanitizer stays quiet."""
-    facts = service_facts()
-    guard_map = facts.guard_attrs("Scheduler")
-    with sanitized(static_edges=facts.order_edges()) as s:
-        uninstall = install_guards(Scheduler, guard_map)
-        try:
-            store = ArtifactStore(tmp_path)
-            scheduler = Scheduler(store, lease_ttl=0.05)
-            status = scheduler.submit(
-                sweep_spec(
-                    ["compress"],
-                    grid={"active_list_size": [8, 16, 24, 32, 40, 48]},
-                    commit_target=100,
-                    label="lease-stress",
-                )
+    workers; the campaign converges."""
+    store = ArtifactStore(tmp_path)
+    scheduler = Scheduler(store, lease_ttl=0.05)
+    try:
+        status = scheduler.submit(
+            sweep_spec(
+                ["compress"],
+                grid={"active_list_size": [8, 16, 24, 32, 40, 48]},
+                commit_target=100,
+                label="lease-stress",
             )
-            campaign_id = status["id"]
+        )
+        campaign_id = status["id"]
 
-            # Lease-and-abandon up front so expiry provably happens even
-            # if the racing droppers below never win a lease.
-            abandoned = scheduler.lease(max_tasks=2, worker="doomed")
-            assert abandoned
-            time.sleep(0.06)  # let those leases expire
+        # Lease-and-abandon up front so expiry provably happens even
+        # if the racing droppers below never win a lease.
+        abandoned = scheduler.lease(max_tasks=2, worker="doomed")
+        assert abandoned
+        time.sleep(0.06)  # let those leases expire
 
-            stop = threading.Event()
+        stop = threading.Event()
 
-            def dropper():
-                # Grabs leases and walks away; each one must expire and
-                # re-queue rather than wedging the campaign.
-                while not stop.is_set():
-                    scheduler.lease(max_tasks=1, worker="dropper")
-                    time.sleep(0.02)
+        def dropper():
+            # Grabs leases and walks away; each one must expire and
+            # re-queue rather than wedging the campaign.
+            while not stop.is_set():
+                scheduler.lease(max_tasks=1, worker="dropper")
+                time.sleep(0.02)
 
-            def worker():
-                while not stop.is_set():
-                    tasks = scheduler.lease(max_tasks=1, worker="worker")
-                    if not tasks:
-                        time.sleep(0.005)
-                        continue
-                    for task in tasks:
-                        # Completing a lease that expired under us is
-                        # tolerated (complete returns False) — exactly
-                        # the race this stress is about.
-                        scheduler.complete(
-                            task["key"],
-                            {"ipc": 1.0, "stress": True},
-                            worker="worker",
-                        )
+        def worker():
+            while not stop.is_set():
+                tasks = scheduler.lease(max_tasks=1, worker="worker")
+                if not tasks:
+                    time.sleep(0.005)
+                    continue
+                for task in tasks:
+                    # Completing a lease that expired under us is
+                    # tolerated (complete returns False) — exactly
+                    # the race this stress is about.
+                    scheduler.complete(
+                        task["key"],
+                        {"ipc": 1.0, "stress": True},
+                        worker="worker",
+                    )
 
-            threads = [threading.Thread(target=dropper) for _ in range(2)]
-            threads += [threading.Thread(target=worker) for _ in range(3)]
+        threads = [threading.Thread(target=dropper) for _ in range(2)]
+        threads += [threading.Thread(target=worker) for _ in range(3)]
+        for t in threads:
+            t.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                if scheduler.campaign_status(campaign_id)["state"] == "done":
+                    break
+                time.sleep(0.02)
+            else:
+                pytest.fail("campaign never converged under lease churn")
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=10.0)
+
+        counters = scheduler.metrics()["jobs"]
+        assert counters["leases_expired"] >= 2  # the abandoned pair
+        assert counters["jobs_done"] == 6
+    finally:
+        scheduler.close()
+
+
+def test_close_under_contention_leaves_no_caller_waiting(tmp_path):
+    """Callers racing ``close()`` each get a reply or
+    :class:`SchedulerClosed`; none is left waiting on the stopped owner."""
+    spec = sweep_spec(["compress"], grid={"active_list_size": [8]},
+                      commit_target=100)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for round_ in range(20):  # the race window is narrow; widen the odds
+            scheduler = Scheduler(ArtifactStore(tmp_path / str(round_)))
+            campaign_id = scheduler.submit(spec)["id"]
+            calls = (scheduler.metrics,
+                     lambda: scheduler.wait_for_work(timeout=0.01),
+                     lambda: scheduler.events_since(campaign_id, 0, timeout=0.01))
+            outcomes = []
+
+            def caller(call):
+                try:
+                    while True:
+                        call()
+                except SchedulerClosed:
+                    outcomes.append(call)
+
+            threads = [threading.Thread(target=caller, args=(calls[i % 3],),
+                                        daemon=True) for i in range(8)]
             for t in threads:
                 t.start()
-            try:
-                deadline = time.monotonic() + 30.0
-                while time.monotonic() < deadline:
-                    if scheduler.campaign_status(campaign_id)["state"] == "done":
-                        break
-                    time.sleep(0.02)
-                else:
-                    pytest.fail("campaign never converged under lease churn")
-            finally:
-                stop.set()
-                for t in threads:
-                    t.join(timeout=10.0)
-
-            counters = scheduler.metrics()["jobs"]
-            assert counters["leases_expired"] >= 2  # the abandoned pair
-            assert counters["jobs_done"] == 6
-        finally:
-            uninstall()
-    counts = s.counts()
-    assert counts["acquires"] > 0
-    assert counts["guard_checks"] > 0
-    s.assert_quiet()
+            time.sleep(0.02)
+            scheduler.close()
+            for t in threads:
+                t.join(timeout=5.0)
+                assert not t.is_alive(), f"a caller waits forever (round {round_})"
+            assert len(outcomes) == len(threads)
+    finally:
+        sys.setswitchinterval(previous)

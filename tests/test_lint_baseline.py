@@ -1,5 +1,5 @@
 """Baseline hygiene: stale-entry detection, pruning, and the CLI flags
-that enforce it (``--prune-baseline``, ``--fail-stale``, ``--conc``).
+that enforce it (``--prune-baseline``, ``--fail-stale``).
 
 A baseline entry goes *stale* when the run re-checked it — its rule ran
 and its file was linted — yet the finding no longer fires.  Stale
@@ -15,31 +15,15 @@ import pytest
 from repro.analysis.lint import Baseline, LintTarget, run_lint
 from repro.cli import main
 
-# One CONC001 hit: three guarded accesses and one racy (3/4 = ratio).
-RACY = """
-    import threading
-    class S:
-        def __init__(self):
-            self._lock = threading.Lock()
-            self.items = {}
-        def a(self):
-            with self._lock:
-                self.items["a"] = 1
-        def b(self):
-            with self._lock:
-                return self.items.get("b")
-        def c(self):
-            with self._lock:
-                del self.items["c"]
-        def racy(self):
-            return len(self.items)
+# One DET005 hit (DET005 is warn-first, so a baseline can cover it):
+# a loop over directory entries in filesystem order.
+UNSORTED = """
+    import os
+    def names(root):
+        return [name for name in os.listdir(root)]
 """
 
-FIXED = RACY.replace(
-    "def racy(self):\n            return len(self.items)",
-    "def racy(self):\n            with self._lock:\n"
-    "                return len(self.items)",
-)
+FIXED = UNSORTED.replace("in os.listdir(root)", "in sorted(os.listdir(root))")
 
 
 def write_module(tmp_path, source, name="mod.py"):
@@ -48,15 +32,15 @@ def write_module(tmp_path, source, name="mod.py"):
     return path
 
 
-def conc001_target(path):
-    return [LintTarget(paths=(str(path),), codes=("CONC001",))]
+def det005_target(path):
+    return [LintTarget(paths=(str(path),), codes=("DET005",))]
 
 
 @pytest.fixture
-def racy_baseline(tmp_path):
-    """A module with one CONC001 hit and a baseline that covers it."""
-    path = write_module(tmp_path, RACY)
-    result = run_lint(conc001_target(path))
+def unsorted_baseline(tmp_path):
+    """A module with one DET005 hit and a baseline that covers it."""
+    path = write_module(tmp_path, UNSORTED)
+    result = run_lint(det005_target(path))
     assert len(result.findings) == 1
     baseline = Baseline.from_findings(result.findings)
     baseline_path = tmp_path / "baseline.json"
@@ -65,47 +49,47 @@ def racy_baseline(tmp_path):
 
 
 class TestStaleDetection:
-    def test_live_entry_is_not_stale(self, racy_baseline):
-        path, baseline_path, _ = racy_baseline
+    def test_live_entry_is_not_stale(self, unsorted_baseline):
+        path, baseline_path, _ = unsorted_baseline
         result = run_lint(
-            conc001_target(path), baseline=Baseline.load(baseline_path)
+            det005_target(path), baseline=Baseline.load(baseline_path)
         )
         assert result.stale == []
         assert result.blocking == []  # covered by the baseline
         assert len(result.baselined) == 1
 
-    def test_fixed_finding_goes_stale(self, racy_baseline):
-        path, baseline_path, fingerprint = racy_baseline
+    def test_fixed_finding_goes_stale(self, unsorted_baseline):
+        path, baseline_path, fingerprint = unsorted_baseline
         path.write_text(textwrap.dedent(FIXED))
         result = run_lint(
-            conc001_target(path), baseline=Baseline.load(baseline_path)
+            det005_target(path), baseline=Baseline.load(baseline_path)
         )
         assert result.stale == [fingerprint]
         assert result.findings == []
 
-    def test_unchecked_entry_is_left_alone(self, racy_baseline):
+    def test_unchecked_entry_is_left_alone(self, unsorted_baseline):
         """An entry is only stale when this run actually re-checked it:
         linting a *different* file, or skipping the rule, must not
         condemn it."""
-        path, baseline_path, _ = racy_baseline
+        path, baseline_path, _ = unsorted_baseline
         path.write_text(textwrap.dedent(FIXED))
         baseline = Baseline.load(baseline_path)
 
         other = write_module(path.parent, FIXED, name="other.py")
-        assert run_lint(conc001_target(other), baseline=baseline).stale == []
+        assert run_lint(det005_target(other), baseline=baseline).stale == []
 
-        different_rule = [LintTarget(paths=(str(path),), codes=("CONC003",))]
+        different_rule = [LintTarget(paths=(str(path),), codes=("DET001",))]
         assert run_lint(different_rule, baseline=baseline).stale == []
 
 
 class TestPrune:
     def test_prune_removes_and_counts(self):
-        baseline = Baseline({"a::CONC001::x": 1, "b::CONC001::y": 2})
-        assert baseline.prune(["a::CONC001::x", "never::CONC001::z"]) == 1
-        assert sorted(baseline.entries) == ["b::CONC001::y"]
+        baseline = Baseline({"a::DET005::x": 1, "b::DET005::y": 2})
+        assert baseline.prune(["a::DET005::x", "never::DET005::z"]) == 1
+        assert sorted(baseline.entries) == ["b::DET005::y"]
 
     def test_prune_empty_is_noop(self):
-        baseline = Baseline({"a::CONC001::x": 1})
+        baseline = Baseline({"a::DET005::x": 1})
         assert baseline.prune([]) == 0
         assert len(baseline) == 1
 
@@ -118,28 +102,28 @@ class TestDeadRuleEntries:
     def test_dead_rule_entry_is_stale_without_relinting(self, tmp_path):
         path = write_module(tmp_path, FIXED)
         baseline = Baseline({"elsewhere.py::DET999::long gone": 1})
-        result = run_lint(conc001_target(path), baseline=baseline)
+        result = run_lint(det005_target(path), baseline=baseline)
         assert result.stale == ["elsewhere.py::DET999::long gone"]
 
     def test_live_rule_entry_for_unlinted_file_survives(self, tmp_path):
         """Contrast: a *known* rule's entry for a file this run never
         looked at must not be condemned."""
         path = write_module(tmp_path, FIXED)
-        baseline = Baseline({"elsewhere.py::CONC001::maybe still real": 1})
-        result = run_lint(conc001_target(path), baseline=baseline)
+        baseline = Baseline({"elsewhere.py::DET005::maybe still real": 1})
+        result = run_lint(det005_target(path), baseline=baseline)
         assert result.stale == []
 
     def test_malformed_fingerprints_are_left_alone(self, tmp_path):
         path = write_module(tmp_path, FIXED)
         baseline = Baseline({"not-a-fingerprint": 1})
-        assert run_lint(conc001_target(path), baseline=baseline).stale == []
+        assert run_lint(det005_target(path), baseline=baseline).stale == []
 
     def test_prune_baseline_drops_dead_rule_entries(self, tmp_path, capsys):
         path = write_module(tmp_path, FIXED)
         baseline_path = tmp_path / "baseline.json"
         Baseline({"elsewhere.py::DET999::long gone": 1}).save(baseline_path)
         code = main([
-            "lint", str(path), "--rules", "CONC001",
+            "lint", str(path), "--rules", "DET005",
             "--baseline", str(baseline_path), "--prune-baseline",
         ])
         assert code == 0
@@ -151,29 +135,29 @@ class TestCliHygieneFlags:
     def lint(self, *argv):
         return main(["lint", *argv])
 
-    def test_fail_stale_exits_nonzero(self, racy_baseline, capsys):
-        path, baseline_path, fingerprint = racy_baseline
+    def test_fail_stale_exits_nonzero(self, unsorted_baseline, capsys):
+        path, baseline_path, fingerprint = unsorted_baseline
         path.write_text(textwrap.dedent(FIXED))
         code = self.lint(
-            str(path), "--rules", "CONC001",
+            str(path), "--rules", "DET005",
             "--baseline", str(baseline_path), "--fail-stale",
         )
         assert code == 1
         assert fingerprint in capsys.readouterr().err
 
-    def test_fail_stale_quiet_when_baseline_is_live(self, racy_baseline):
-        path, baseline_path, _ = racy_baseline
+    def test_fail_stale_quiet_when_baseline_is_live(self, unsorted_baseline):
+        path, baseline_path, _ = unsorted_baseline
         code = self.lint(
-            str(path), "--rules", "CONC001",
+            str(path), "--rules", "DET005",
             "--baseline", str(baseline_path), "--fail-stale",
         )
         assert code == 0
 
-    def test_prune_baseline_rewrites_file(self, racy_baseline, capsys):
-        path, baseline_path, fingerprint = racy_baseline
+    def test_prune_baseline_rewrites_file(self, unsorted_baseline, capsys):
+        path, baseline_path, fingerprint = unsorted_baseline
         path.write_text(textwrap.dedent(FIXED))
         code = self.lint(
-            str(path), "--rules", "CONC001",
+            str(path), "--rules", "DET005",
             "--baseline", str(baseline_path), "--prune-baseline",
         )
         assert code == 0
@@ -181,18 +165,8 @@ class TestCliHygieneFlags:
         assert json.loads(baseline_path.read_text())["entries"] == {}
         # A second prune finds nothing left to do.
         code = self.lint(
-            str(path), "--rules", "CONC001",
+            str(path), "--rules", "DET005",
             "--baseline", str(baseline_path), "--prune-baseline",
         )
         assert code == 0
         assert "pruned 0 stale entries" in capsys.readouterr().out
-
-    def test_conc_flag_runs_conc_profile_clean(self, monkeypatch, capsys):
-        """``lint --conc`` adds the whole-program concurrency profile to
-        the default determinism run — and the committed tree passes it
-        against the committed baseline, with nothing stale."""
-        import pathlib
-
-        monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
-        code = self.lint("--conc", "--fail-stale")
-        assert code == 0, capsys.readouterr().err

@@ -25,12 +25,15 @@ def synthetic_result() -> LintResult:
     blocking = [
         Finding("src/a.py", 0, SYNTAX_ERROR_CODE, "syntax error: bad token"),
         Finding("src/b.py", 7, "DET004", "core module monkey-patched"),
-        Finding("src/c.py", 12, "CONC002",
-                "lock-order inversion: S._a then S._b"),
-        Finding("src/c.py", 31, "CONC004", "S._lock acquired without release"),
+        Finding("src/c.py", 12, "DET001", "wall-clock read time.time()"),
+        Finding("src/c.py", 31, "DET003",
+                "loop iterates over a set (order is salted per process); "
+                "sort or use an ordered container"),
     ]
     baselined = [
-        Finding("src/d.py", 3, "CONC001", "unguarded access to S.items"),
+        Finding("src/d.py", 3, "DET005",
+                "comprehension iterates over directory entries in "
+                "filesystem order; wrap in sorted(...)"),
         Finding("src/e.py", 9, "DET005",
                 "loop iterates over directory entries in filesystem order"),
         Finding("src/e.py", 22, "SHR005", "mutable default argument in f"),
@@ -65,9 +68,9 @@ def test_levels_follow_blocking_semantics():
     document = to_sarif(synthetic_result())
     run = document["runs"][0]
     by_id = {rule["id"]: rule for rule in run["tool"]["driver"]["rules"]}
-    assert by_id["CONC002"]["defaultConfiguration"]["level"] == "error"
-    assert by_id["CONC004"]["defaultConfiguration"]["level"] == "error"
-    for code in ("CONC001", "DET005", "SHR005"):
+    assert by_id["DET001"]["defaultConfiguration"]["level"] == "error"
+    assert by_id["DET003"]["defaultConfiguration"]["level"] == "error"
+    for code in ("DET005", "SHR005"):
         assert by_id[code]["defaultConfiguration"]["level"] == "warning"
     levels = [result["level"] for result in run["results"]]
     assert levels == ["error"] * 4 + ["warning"] * 3
@@ -79,7 +82,7 @@ def test_every_registered_family_is_present():
         for rule in to_sarif(synthetic_result())
         ["runs"][0]["tool"]["driver"]["rules"]
     }
-    for family in ("DET", "CONC", "SHR"):
+    for family in ("DET", "SHR"):
         assert any(code.startswith(family) for code in ids), family
 
 

@@ -4,25 +4,37 @@ These tests run real simulations (tiny ``commit_target``) through real
 HTTP on loopback — the full ``submit → lease → execute → fetch`` path.
 """
 
+import http.client
 import json
 import multiprocessing
 import os
 import signal
 import threading
 import time
+from collections import deque
 from pathlib import Path
 
 import pytest
 
-from repro.exec.jobs import Job, run_job, spec_from_payload, stats_to_payload
+from repro.exec.jobs import (
+    Job,
+    execute_payload,
+    job_to_payload,
+    run_job,
+    spec_from_payload,
+    stats_to_payload,
+)
 from repro.service import (
     ArtifactStore,
     CampaignServer,
+    Scheduler,
     ServiceClient,
     ServiceError,
+    parse_campaign,
     run_worker,
     sweep_spec,
 )
+from repro.service.scheduler import Campaign, JobRecord, SchedulerClosed, Task
 from repro.sim.sweep import Sweep
 from repro.workloads.suite import WorkloadSuite
 
@@ -37,6 +49,22 @@ def grid_spec(alist_values, label=""):
         commit_target=CT,
         label=label,
     )
+
+
+def raw_post(server, path, body=b"", content_length=None):
+    """POST ``body`` as-is, bypassing the client's encoding; returns the
+    status and the decoded JSON reply."""
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        connection.putrequest("POST", path)
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length",
+                             content_length or str(len(body)))
+        connection.endheaders(body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
 
 
 @pytest.fixture
@@ -355,6 +383,113 @@ class TestHttpApi:
         with pytest.raises(ServiceError) as excinfo:
             client.result(f"{campaign_id}.0000")
         assert excinfo.value.status == 409
+
+
+    @pytest.mark.parametrize("path, body, content_length", [
+        ("/lease", b'{"max_tasks": "x"}', None),
+        ("/complete", b'{"key": "k", "payload": {}, "elapsed": "x"}', None),
+        ("/lease", b'[1, 2]', None),
+        ("/fail", b'["key"]', None),
+        ("/lease", b"", "abc"),
+    ], ids=["lease-max-tasks", "complete-elapsed", "lease-array",
+            "fail-array", "content-length"])
+    def test_malformed_worker_requests_are_400(self, idle_server, path, body,
+                                               content_length):
+        status, document = raw_post(idle_server, path, body, content_length)
+        assert status == 400
+        assert document["error"]
+        # The server kept serving.
+        assert ServiceClient(idle_server.url).healthz()["ok"] is True
+
+    def test_complete_writes_nothing_outside_the_store(self, idle_server):
+        store = idle_server.store
+        journal = store.root_dir / "journal.jsonl"
+        before = journal.read_bytes() if journal.exists() else None
+        planted = store.path_for("../../planted").resolve()
+        status, document = raw_post(idle_server, "/complete", json.dumps(
+            {"key": "../../planted", "payload": "not a result"}).encode())
+        assert status == 400
+        assert "payload" in document["error"]
+        # A real result under a key no task has is not written either.
+        spec = parse_campaign(grid_spec([32]))
+        result = execute_payload(job_to_payload(spec.jobs[0]), spec.suite_args)
+        status, document = raw_post(idle_server, "/complete", json.dumps(
+            {"key": "../../planted", "payload": result}).encode())
+        assert (status, document) == (200, {"accepted": False})
+        assert not planted.exists()
+        assert (journal.read_bytes() if journal.exists() else None) == before
+
+
+class TestOwnerThread:
+    """Every scheduler call is a request to one owner thread."""
+
+    SPEC = sweep_spec(["compress"], grid={"active_list_size": [32]},
+                      commit_target=CT)
+
+    @pytest.fixture
+    def scheduler(self, tmp_path):
+        scheduler = Scheduler(ArtifactStore(tmp_path), lease_ttl=0.05)
+        yield scheduler
+        scheduler.close()
+
+    def test_leases_expire_on_the_owners_clock(self, scheduler):
+        scheduler.submit(self.SPEC)
+        assert len(scheduler.lease()) == 1
+        time.sleep(0.2)  # no further lease call
+        metrics = scheduler.metrics()
+        assert metrics["jobs"]["leases_expired"] == 1
+        assert metrics["queue_depth"] == 1
+
+    def test_scheduler_attributes_hold_no_state(self, scheduler):
+        campaign_id = scheduler.submit(self.SPEC)["id"]
+        scheduler.lease()
+        for name, value in vars(scheduler).items():
+            assert not isinstance(
+                value, (dict, list, set, deque, Campaign, JobRecord, Task)
+            ), name
+            assert campaign_id not in repr(value), name
+
+    def test_a_raising_request_leaves_the_owner_serving(self, scheduler):
+        with pytest.raises(TypeError):
+            scheduler.complete(["not", "hashable"], {})
+        assert scheduler.metrics()["queue_depth"] == 0
+
+    def test_close_answers_parked_calls_and_refuses_later_ones(self, scheduler):
+        campaign_id = scheduler.submit(self.SPEC)["id"]
+        scheduler.lease()
+        replies = []
+        threads = [
+            threading.Thread(target=lambda: replies.append(
+                scheduler.wait_for_work(timeout=30.0))),
+            threading.Thread(target=lambda: replies.append(
+                scheduler.events_since(campaign_id, 0, timeout=30.0))),
+        ]
+        for thread in threads:
+            thread.start()
+        time.sleep(0.02)
+        scheduler.close()
+        for thread in threads:
+            thread.join(timeout=1.0)
+            assert not thread.is_alive()
+        assert sorted(replies, key=str) == [([], 0, True), False]
+        with pytest.raises(SchedulerClosed):
+            scheduler.metrics()
+
+    def test_event_stream_ends_when_the_server_stops(self, tmp_path):
+        server = CampaignServer(tmp_path / "store", port=0,
+                                local_workers=0).start()
+        client = ServiceClient(server.url, timeout=30.0)
+        campaign_id = client.submit(grid_spec([32]))["id"]
+        ended = threading.Event()
+
+        def follow():
+            list(client.events(campaign_id))
+            ended.set()
+
+        threading.Thread(target=follow, daemon=True).start()
+        time.sleep(0.2)  # the stream is open and parked on the owner
+        server.stop()
+        assert ended.wait(timeout=1.0), "event stream outlived the server"
 
 
 class TestEventStream:

@@ -57,15 +57,7 @@ def main(argv=None) -> int:
     parser.add_argument("--bench-json", default=None, metavar="PATH",
                         help="merge service_warm_submit_seconds into this "
                              "benchmark payload")
-    parser.add_argument("--sanitize", action="store_true",
-                        help="run with the TSan-lite concurrency sanitizer "
-                             "(lock-order + guarded-by checks) and fail on "
-                             "any violation")
     args = parser.parse_args(argv)
-
-    if args.sanitize:
-        import os
-        os.environ["REPRO_CONC_SANITIZE"] = "1"
 
     from repro.service import CampaignServer, ServiceClient, sweep_spec
 
@@ -120,14 +112,6 @@ def main(argv=None) -> int:
             latency = warm_latency(client, single, args.latency_rounds)
             print(f"warm submit->result latency: {latency * 1000:.1f} ms "
                   f"(best of {args.latency_rounds})")
-
-            if server.sanitizer is not None:
-                counts = client.metrics().get("conc_sanitizer", {})
-                print(f"sanitizer: {counts}")
-                check(counts.get("acquires", 0) > 0,
-                      "sanitizer active but observed no lock traffic")
-                server.sanitizer.assert_quiet()
-                print("sanitizer: no violations")
         finally:
             server.stop()
 
