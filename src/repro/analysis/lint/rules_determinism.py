@@ -1,7 +1,7 @@
 """The determinism rule set (DET001–DET005).
 
 Simulation results must be bit-identical across runs, Python versions
-and processes — the result cache, the resume journal and every
+and processes — the result cache (the resume record) and every
 regression test depend on it.  These rules statically ban the classic
 ways nondeterminism sneaks in; detection logic for DET001–DET004 is
 ported unchanged from the original ``tools/lint_determinism.py``

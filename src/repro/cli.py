@@ -158,16 +158,9 @@ def _cmd_campaign(args) -> int:
             return 2
     line = _ProgressLine()
     progress = ProgressReporter(callback=line)
-    if args.journal:
-        # Clean startup: rewrite the resume journal down to live entries
-        # (repeated resumed campaigns otherwise grow it without bound).
-        from .exec import Journal
-
-        Journal(args.journal).compact()
     executor = Executor(
         jobs=args.jobs,
         cache=None if args.no_cache else args.cache_dir,
-        journal=args.journal,
         timeout=args.timeout,
         progress=progress,
         batch_size=args.batch_size,
@@ -772,8 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_parser.add_argument("--commit-target", type=int, default=None)
     campaign_parser.add_argument("--num-mixes", type=int, default=None)
-    campaign_parser.add_argument("--journal", default=None, metavar="PATH",
-                                 help="append-only completion journal (resume)")
     campaign_parser.add_argument("--timeout", type=float, default=None,
                                  help="wall-clock budget in seconds for one "
                                       "attempt of one job, from its dispatch")

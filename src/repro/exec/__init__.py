@@ -3,7 +3,7 @@
 The engine takes batches of :class:`~repro.exec.jobs.Job` /
 :class:`~repro.sim.runner.RunSpec` work items and executes them on a
 fault-tolerant multiprocessing pool with a content-addressed on-disk
-result cache and an append-only resume journal.  ``run_matrix``,
+result cache, which is also the resume record.  ``run_matrix``,
 ``Sweep.run`` and every figure/table function in
 :mod:`repro.sim.experiments` accept an :class:`Executor`; the CLI exposes
 it via ``--jobs`` / ``--cache-dir`` and the ``campaign`` subcommand.
@@ -17,14 +17,13 @@ Quick start::
     results = ex.map([RunSpec(("gcc",)), RunSpec(("go",))])
 """
 
-from .cache import CACHE_SCHEMA, Journal, ResultCache, cache_key, canonicalize, write_atomic
+from .cache import CACHE_SCHEMA, ResultCache, cache_key, canonicalize, write_atomic
 from .jobs import Chaos, Job, JobFailure, JobOutcome, run_job
 from .pool import ExecutionError, Executor
 from .progress import ProgressEvent, ProgressReporter, format_line
 
 __all__ = [
     "CACHE_SCHEMA",
-    "Journal",
     "ResultCache",
     "cache_key",
     "canonicalize",

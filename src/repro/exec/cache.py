@@ -1,4 +1,4 @@
-"""Content-addressed result cache and the resume journal.
+"""Content-addressed result cache: the one record of a finished point.
 
 Cache key
 ---------
@@ -19,16 +19,9 @@ invalidation logic is needed beyond "bump ``__version__`` when simulator
 behaviour changes".
 
 Layout: ``<root>/<key[:2]>/<key>.json`` — one JSON document per result,
-written atomically (tmp + rename) so a killed run never leaves a torn
-entry.
-
-The :class:`Journal` is an append-only JSONL file recording completed
-(key, payload) pairs; an interrupted campaign replays it on startup and
-resumes where it left off, independently of (and in addition to) the
-content-addressed store.  Repeatedly resumed campaigns re-append every
-completion, so the file grows without bound — :meth:`Journal.compact`
-rewrites it down to live entries and is called on clean startups (the
-campaign CLI and the service's artifact store both do).
+written atomically (tmp + fsync + rename) as each point lands, so a
+killed run never leaves a torn entry and re-running an interrupted
+campaign over the same root resumes where it left off.
 """
 
 from __future__ import annotations
@@ -41,7 +34,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Union
+from typing import Dict, Optional, Union
 
 from ..workloads.suite import WorkloadSuite
 from .jobs import Job, job_to_payload, spec_to_payload
@@ -190,62 +183,4 @@ class ResultCache:
     def __len__(self) -> int:
         if not self.root.is_dir():
             return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
-
-class Journal:
-    """Append-only JSONL checkpoint of completed jobs (crash-safe resume).
-
-    Each line is ``{"key": ..., "payload": ...}``.  A torn final line (the
-    process died mid-write) is silently dropped on load.
-    """
-
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-
-    def load(self) -> Dict[str, Dict]:
-        done: Dict[str, Dict] = {}
-        try:
-            with open(self.path) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue  # torn tail from an interrupted write
-                    done[record["key"]] = record["payload"]
-        except OSError:
-            pass
-        return done
-
-    def append(self, key: str, payload: Dict) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as handle:
-            handle.write(json.dumps({"key": key, "payload": payload}) + "\n")
-            handle.flush()
-
-    def compact(self, live_keys: Optional[Iterable[str]] = None) -> int:
-        """Rewrite the journal down to one line per live key.
-
-        Resumed campaigns re-append nothing, but *repeated* campaigns
-        (and the long-running service) append every completion forever;
-        duplicates and torn tails accumulate.  Compaction keeps the last
-        entry per key — restricted to ``live_keys`` when given — and
-        rewrites the file atomically.  Returns the number of surviving
-        entries.  Call this on *clean* startup only (never mid-campaign:
-        a concurrent appender's new lines would be lost).
-        """
-        done = self.load()
-        if live_keys is not None:
-            wanted = set(live_keys)
-            done = {key: payload for key, payload in sorted(done.items()) if key in wanted}
-        if not done and not self.path.exists():
-            return 0
-        lines = "".join(
-            json.dumps({"key": key, "payload": payload}) + "\n"
-            for key, payload in sorted(done.items())
-        )
-        write_atomic(self.path, lines)
-        return len(done)
+        return sum(1 for _ in self.root.glob("*/*.json"))  # det-ok: a count is order-free

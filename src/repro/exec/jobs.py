@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..pipeline.config import MachineConfig
-from ..pipeline.core import gc_epoch
 from ..sim.runner import RunResult, RunSpec, run_spec
 from ..stats.counters import SimStats
 from ..workloads.suite import WorkloadSuite
@@ -180,31 +179,12 @@ def job_from_payload(payload: Dict) -> Job:
 
 
 # ======================================================================
-# Execution — shared by the serial path and the worker processes
+# Execution — shared by the serial path, pool workers and service workers
 # ======================================================================
 def run_job(job: Job, suite: WorkloadSuite) -> RunResult:
     """Execute one job in-process and return its result."""
     config = job.resolved_config() if job.overrides else None
     return run_spec(job.spec, suite, config=config)
-
-
-def run_slice(jobs: Sequence[Job], suite: WorkloadSuite) -> List[Tuple[str, Any]]:
-    """Execute ``jobs`` one after another inside one gc epoch.
-
-    Returns ``("ok", RunResult)`` or ``("error", "ExcType: message")``
-    per job, in input order: a job that fails never sinks the rest.
-    The collector stays off for the whole slice; each ``Core.run``,
-    entered with it off, leaves collection to the slice, which collects
-    once after its last job (:func:`gc_epoch`).
-    """
-    out: List[Tuple[str, Any]] = []
-    with gc_epoch():
-        for job in jobs:
-            try:
-                out.append(("ok", run_job(job, suite)))
-            except Exception as exc:  # noqa: BLE001 - reported per job
-                out.append(("error", f"{type(exc).__name__}: {exc}"))
-    return out
 
 
 #: Per-process suite cache so a forked/spawned worker assembles each kernel
@@ -225,16 +205,3 @@ def execute_payload(payload: Dict, suite_args: Tuple[int, bool]) -> Dict:
     result = run_job(job_from_payload(payload), suite)
     return result_to_payload(result)
 
-
-def execute_payload_batch(payloads, suite_args: Tuple[int, bool]):
-    """Remote-worker lease entry: run payloads back to back (:func:`run_slice`).
-
-    Returns one ``("ok", result_payload)`` or ``("error", message)`` pair
-    per payload, in input order, so each leased task completes or fails
-    on its own key.
-    """
-    replies = run_slice([job_from_payload(p) for p in payloads], suite_for_args(*suite_args))
-    return [
-        (status, result_to_payload(body) if status == "ok" else body)
-        for status, body in replies
-    ]

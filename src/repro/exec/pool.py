@@ -4,7 +4,7 @@ Design
 ------
 Up to ``jobs`` worker processes, each fed one point at a time over a
 duplex pipe: an idle worker takes the next pending point (retries
-first), and each reply lands in the cache, the journal and the progress
+first), and each reply lands in the cache and the progress
 reporter as soon as its point finishes.  A worker serves at most
 ``batch_size`` points and then exits.  It holds the garbage collector
 off for its whole life and never collects, so its points share one gc
@@ -17,16 +17,13 @@ workers stay compatible with both ``fork`` and ``spawn`` start methods.
 Kernels re-assemble once per worker via the process-global suite cache in
 :mod:`repro.exec.jobs` — negligible next to a simulation.
 
-Order of precedence when resolving a job:
-
-1. the resume :class:`~repro.exec.cache.Journal` (if configured),
-2. the content-addressed :class:`~repro.exec.cache.ResultCache`,
-3. actual execution (serial in-process when ``jobs <= 1``, else the pool).
-
-Every successful execution is written back to both stores as it lands.
-A job that exhausts its retries yields a structured
-:class:`~repro.exec.jobs.JobFailure` row in its outcome — the batch
-always completes.
+A job resolves from the content-addressed
+:class:`~repro.exec.cache.ResultCache` (if configured), else by actual
+execution (serial in-process when ``jobs <= 1``, else the pool).  Every
+successful execution is written to the cache as it lands, so the cache
+is also the resume record of an interrupted batch.  A job that exhausts
+its retries yields a structured :class:`~repro.exec.jobs.JobFailure`
+row in its outcome — the batch always completes.
 
 Serial mode (``jobs <= 1``) is the default everywhere and preserves the
 historical strictly-sequential semantics: each point lands as it
@@ -50,7 +47,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 from ..pipeline.core import gc_epoch
 from ..sim.runner import RunResult, RunSpec
 from ..workloads.suite import WorkloadSuite
-from .cache import Journal, ResultCache, cache_key
+from .cache import ResultCache, cache_key
 from .jobs import (
     Chaos,
     Job,
@@ -62,12 +59,12 @@ from .jobs import (
     result_to_payload,
     run_job,
 )
-# The pool runs only ``execute_payload``; remote-worker leases run
-# ``execute_payload_batch``.  It stays importable from here because the
-# benchmark's tracer (``perfbench/tracing.py``) patches both names on
-# this module.
-from .jobs import execute_payload_batch  # noqa: F401
 from .progress import ProgressReporter
+
+#: No caller: workers run ``execute_payload``.  The name stays bound only
+#: because the benchmark's tracer (``perfbench/tracing.py``) patches it on
+#: this module next to ``execute_payload``.
+execute_payload_batch = None
 
 #: Scheduler poll interval while waiting on workers (seconds).
 _POLL_INTERVAL = 0.02
@@ -179,9 +176,6 @@ class Executor:
         Per-attempt wall-clock budget in seconds (parallel mode only),
         counted from the point's dispatch: a worker past it is terminated
         and that one point's attempt counts as a ``"timeout"`` failure.
-    journal:
-        A :class:`Journal`, a path to one, or None — completed results are
-        appended as they land so an interrupted batch resumes for free.
     progress:
         A :class:`ProgressReporter` shared across batches.
     batch_size:
@@ -198,7 +192,6 @@ class Executor:
         cache: Optional[Union[ResultCache, str, "os.PathLike"]] = None,
         retries: int = 2,
         timeout: Optional[float] = None,
-        journal: Optional[Union[Journal, str, "os.PathLike"]] = None,
         progress: Optional[ProgressReporter] = None,
         mp_context: Optional[str] = None,
         batch_size: int = 1,
@@ -210,9 +203,6 @@ class Executor:
         self.cache = cache
         self.retries = max(0, int(retries))
         self.timeout = timeout
-        if journal is not None and not isinstance(journal, Journal):
-            journal = Journal(journal)
-        self.journal = journal
         self.progress = progress
         if progress is not None:
             progress.workers = max(progress.workers, self.jobs)
@@ -236,16 +226,11 @@ class Executor:
             self.progress.add_total(len(jobs))
 
         keys = self._resolve_keys(jobs, suite)
-        journaled = self.journal.load() if self.journal is not None else {}
 
         pending: List[int] = []
         for index, job in enumerate(jobs):
-            payload = None
             key = keys[index]
-            if key is not None and key in journaled:
-                payload = journaled[key]
-            elif key is not None and self.cache is not None:
-                payload = self.cache.get(key)
+            payload = self.cache.get(key) if key is not None else None
             if payload is not None:
                 outcomes[index] = JobOutcome(
                     job=job, result=result_from_payload(payload), cached=True
@@ -273,11 +258,10 @@ class Executor:
     # Internals
     # ------------------------------------------------------------------
     def _resolve_keys(self, jobs: Sequence[Job], suite: WorkloadSuite) -> List[Optional[str]]:
-        if self.cache is None and self.journal is None:
+        if self.cache is None:
             return [None] * len(jobs)
         fingerprint = suite.fingerprint()
-        version = self.cache.sim_version if self.cache is not None else None
-        return [cache_key(job, fingerprint, version) for job in jobs]
+        return [cache_key(job, fingerprint, self.cache.sim_version) for job in jobs]
 
     def _record(self, outcome: JobOutcome) -> None:
         if self.progress is not None:
@@ -290,12 +274,9 @@ class Executor:
 
     def _commit(self, index: int, job: Job, key: Optional[str], payload: Dict,
                 attempts: int, elapsed: float, outcomes: List[Optional[JobOutcome]]) -> None:
-        """Store a fresh result in the cache + journal and finalise it."""
+        """Store a fresh result in the cache and finalise it."""
         if key is not None:
-            if self.cache is not None:
-                self.cache.put(key, payload, job=job)
-            if self.journal is not None:
-                self.journal.append(key, payload)
+            self.cache.put(key, payload, job=job)
         outcomes[index] = JobOutcome(
             job=job,
             result=result_from_payload(payload),

@@ -4,7 +4,7 @@ Every submitted job maps to a **task** keyed by its content-addressed
 cache key.  Tasks are the unit of execution and of deduplication:
 
 * a job whose key resolves from the :class:`~repro.service.store.ArtifactStore`
-  (journal replay or cache) completes instantly (``resolution="store"``);
+  cache completes instantly (``resolution="store"``);
 * a job whose key matches a task already queued/leased *attaches* to it
   (``resolution="dedup"``) — two clients submitting overlapping sweep
   grids simulate every grid point exactly once;
@@ -13,13 +13,13 @@ cache key.  Tasks are the unit of execution and of deduplication:
 Tasks are handed out as **leases** (to local worker threads and to
 remote workers over HTTP) with a TTL; a lease that expires — worker
 crashed, host vanished — silently re-queues, so a shard is never lost.
-Completions are persisted to the store *before* scheduler state is
-updated: a server killed between the two resumes the job as a store hit
-instead of re-running it.
+Completions are written to the store's cache *before* scheduler state
+is updated: a server killed between the two resumes the job as a store
+hit instead of re-running it.
 
 Campaign records persist in the store on every state transition;
 :meth:`Scheduler.resume` re-admits non-terminal campaigns on startup,
-resolving already-journaled keys without re-execution — the
+resolving keys already in the cache without re-execution — the
 kill-the-server-mid-campaign acceptance path.
 
 One owner thread
@@ -234,7 +234,7 @@ class Scheduler:
     def resume(self) -> List[str]:
         """Re-admit campaigns a previous server life left unfinished.
 
-        Completed jobs resolve from the journal/cache (``resolution ==
+        Completed jobs resolve from the cache (``resolution ==
         "store"``) without re-running; only the remainder re-enters the
         queue.  Returns the resumed campaign ids.
         """
@@ -377,7 +377,7 @@ class _State:
         campaign.reporter.add_total(len(spec.jobs))
         self.campaigns[campaign_id] = campaign
         self.counters["campaigns_submitted"] += 1
-        stored = [self.store.lookup(key) for key in keys]
+        stored = [self.store.get(key) for key in keys]
         finished: List[JobRecord] = []
         for index, (job, key, payload) in enumerate(zip(spec.jobs, keys, stored)):
             record = JobRecord(
@@ -628,7 +628,7 @@ class _State:
         record = self.jobs.get(job_id)
         if record is None:
             return None, None
-        stored = self.store.lookup(record.key) if record.state == JOB_DONE else None
+        stored = self.store.get(record.key) if record.state == JOB_DONE else None
         return dataclasses.replace(record), stored
 
     def events_since(self, campaign_id: str, index: int, timeout: float):

@@ -286,15 +286,17 @@ class CampaignServer:
             store = ArtifactStore(store)
         self.store = store
         self.verbose = verbose
+        # Bind first: a busy port raises before the scheduler starts its
+        # owner thread, so a failed construction leaves no thread behind.
+        self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        self._httpd.daemon_threads = True
+        self._httpd.campaign_server = self  # type: ignore[attr-defined]
         self.scheduler = Scheduler(
             store, lease_ttl=lease_ttl, max_attempts=max_attempts
         )
         if local_workers is None:
             local_workers = os.cpu_count() or 1
         self.pool = LocalWorkerPool(self.scheduler, workers=local_workers, poll=0.2)
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.campaign_server = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
         self._resume = resume
         self.resumed: list = []

@@ -1,30 +1,27 @@
-"""The shared artifact store: `exec.cache` promoted to multi-writer safety.
+"""The shared artifact store: the result cache plus campaign records.
 
 One directory tree serves every campaign, every local worker thread and
 every remote worker pushing results over HTTP::
 
     <root>/
       cache/<aa>/<key>.json   content-addressed results (ResultCache layout)
-      journal.jsonl           append-only completion journal (resume)
-      journal.lock            advisory lock serialising journal writers
       campaigns/<cid>.json    persisted campaign records (server restart)
       ids                     next campaign ordinal
       ids.lock                advisory lock for id allocation
 
+The cache is the only record of a finished task: a restarted server
+resolves every key it finds there as a store hit.
+
 Concurrency model
 -----------------
 * **Cache entries** need no lock: keys are content addresses, writes are
-  atomic tmp-file + ``os.replace`` (see :func:`repro.exec.cache.write_atomic`),
-  and two writers racing on one key carry identical payloads — last
-  replace wins with the same bytes.
-* **The journal** is a single append-only file shared by concurrent
-  writers, so appends go through an advisory :class:`FileLock` — without
-  it two processes appending simultaneously can interleave partial
-  lines.  (Within one server only the scheduler's owner thread writes
-  the store; the file lock orders *processes*: a second server instance
-  or a crashed-and-restarted one.)
-* **Campaign ids** are allocated from a locked counter file so no two
-  writers (two servers on one store, say) can mint the same id.
+  atomic tmp-file + fsync + ``os.replace`` (see
+  :func:`repro.exec.cache.write_atomic`), and two writers racing on one
+  key carry identical payloads — last replace wins with the same bytes.
+* **Campaign ids** are allocated from a counter file under an advisory
+  :class:`FileLock`, so no two writers (two servers on one store, say)
+  can mint the same id.  Within one server only the scheduler's owner
+  thread writes the store; the file lock orders *processes*.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..exec.cache import Journal, ResultCache, write_atomic
+from ..exec.cache import ResultCache, write_atomic
 
 try:  # pragma: no cover - platform probe
     import fcntl
@@ -58,8 +55,8 @@ class FileLock:
     Uses ``fcntl.flock`` where available (POSIX); elsewhere falls back to
     an ``O_CREAT|O_EXCL`` lease file carrying the owner pid, with stale
     leases (older than ``stale`` seconds) broken on the assumption the
-    owner died.  Both variants are re-entrant-free and cheap: journal
-    appends and id allocation hold the lock for microseconds.
+    owner died.  Both variants are re-entrant-free and cheap: id
+    allocation holds the lock for microseconds.
 
     A contended acquire retries with exponential backoff plus jitter —
     starting at ``poll`` and doubling up to ``max_poll`` — so a herd of
@@ -191,51 +188,23 @@ class FileLock:
 class ArtifactStore(ResultCache):
     """Content-addressed result store shared by concurrent campaigns.
 
-    Extends :class:`~repro.exec.cache.ResultCache` (same keys, same
-    entry layout — a plain ``Executor`` pointed at ``<root>/cache``
-    reads and writes the very same artifacts) with a locked completion
-    journal, persisted campaign records, and campaign-id allocation.
+    A :class:`~repro.exec.cache.ResultCache` under ``<root>/cache`` (same
+    keys, same entry layout — a plain ``Executor`` pointed at
+    ``<root>/cache`` reads and writes the very same artifacts) plus
+    persisted campaign records and campaign-id allocation.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        sim_version: Optional[str] = None,
-        compact_on_start: bool = True,
-    ):
+    def __init__(self, root: Union[str, Path], sim_version: Optional[str] = None):
         self.root_dir = Path(root)
         super().__init__(self.root_dir / "cache", sim_version=sim_version)
-        self.journal = Journal(self.root_dir / "journal.jsonl")
-        self.journal_lock = FileLock(self.root_dir / "journal.lock")
         self._ids_path = self.root_dir / "ids"
         self._ids_lock = FileLock(self.root_dir / "ids.lock")
         self.campaigns_dir = self.root_dir / "campaigns"
-        if compact_on_start:
-            with self.journal_lock:
-                self.journal.compact()
-        self._journaled: Dict[str, Dict] = self.journal.load()
-
-    # ------------------------------------------------------------------
-    # Results
-    # ------------------------------------------------------------------
-    def lookup(self, key: str) -> Optional[Dict]:
-        """Resolve a key from the journal replay or the cache; None if the
-        work still has to happen."""
-        payload = self._journaled.get(key)
-        if payload is not None:
-            self.hits += 1
-            return payload
-        return self.get(key)
 
     def record(self, key: str, payload: Dict, job=None) -> None:
-        """Persist one completed job everywhere resume needs it."""
+        """Persist one completed task: the scheduler's one store write,
+        made before it changes any state."""
         self.put(key, payload, job=job)
-        with self.journal_lock:
-            self.journal.append(key, payload)
-        self._journaled[key] = payload
-
-    def journaled_keys(self) -> List[str]:
-        return sorted(self._journaled)
 
     # ------------------------------------------------------------------
     # Campaign records

@@ -12,11 +12,10 @@ lease → execute → complete/fail — differing only in transport:
   stateless: results are pushed back into the head's artifact store and
   a worker that dies simply lets its lease expire and re-queue.
 
-Execution itself is :func:`repro.exec.jobs.execute_payload` (local
-threads, one task at a time — the function the multiprocessing pool's
-workers run per point) or :func:`repro.exec.jobs.execute_payload_batch`
-(a remote worker's lease, run back to back through the same
-``run_job``), so service results are bit-identical to
+Both run each task through :func:`execute_task` — the
+:func:`repro.exec.jobs.execute_payload` the multiprocessing pool's
+workers run per point — and report it the moment it finishes, with its
+own elapsed time, so service results are bit-identical to
 ``Executor``/serial ones by construction.
 """
 
@@ -24,9 +23,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
-from ..exec.jobs import execute_payload, execute_payload_batch
+from ..exec.jobs import execute_payload
+from ..pipeline.core import gc_epoch
 from .client import ServiceClient
 from .scheduler import SchedulerClosed
 
@@ -39,26 +39,19 @@ def execute_task(task: Dict) -> Dict:
     return execute_payload(task["payload"], tuple(task["suite"]))
 
 
-def execute_task_batch(tasks) -> Dict[str, tuple]:
-    """Run a lease of tasks as one slice per suite
-    (:func:`~repro.exec.jobs.execute_payload_batch`).
-
-    Returns ``{task key: ("ok", result_payload) | ("error", message)}`` —
-    per task, so the caller still completes or fails each lease
-    individually and resume/dedup semantics are unchanged.
-    """
-    groups: Dict[tuple, list] = {}
-    for task in tasks:
-        groups.setdefault(tuple(task["suite"]), []).append(task)
-    results: Dict[str, tuple] = {}
-    for suite_args, group in sorted(groups.items()):
-        try:
-            replies = execute_payload_batch([t["payload"] for t in group], suite_args)
-        except Exception as exc:  # noqa: BLE001 - whole-slice failure
-            replies = [("error", f"{type(exc).__name__}: {exc}")] * len(group)
-        for task, reply in zip(group, replies):
-            results[task["key"]] = reply
-    return results
+def _run_task(task: Dict, worker_id: str, complete: Callable, fail: Callable) -> bool:
+    """Execute one leased task and report it the moment it finishes:
+    ``complete(key, payload, worker=, elapsed=)`` with its own elapsed
+    time, or ``fail(key, message, worker=)``.  The scheduler's methods
+    and the client's share those signatures.  Returns whether it succeeded."""
+    started = _monotonic()
+    try:
+        payload = execute_task(task)
+    except Exception as exc:  # noqa: BLE001 - reported as a task failure
+        fail(task["key"], f"{type(exc).__name__}: {exc}", worker=worker_id)
+        return False
+    complete(task["key"], payload, worker=worker_id, elapsed=_monotonic() - started)
+    return True
 
 
 class LocalWorkerPool:
@@ -95,22 +88,10 @@ class LocalWorkerPool:
                 if not leases:
                     self.scheduler.wait_for_work(timeout=self.poll)
                     continue
-                self._run_one(leases[0], worker_id)
+                _run_task(leases[0], worker_id, self.scheduler.complete,
+                          self.scheduler.fail)
         except SchedulerClosed:
             pass  # the server stopped while this task ran; it re-runs on resume
-
-    def _run_one(self, task: Dict, worker_id: str) -> None:
-        started = _monotonic()
-        try:
-            payload = execute_task(task)
-        except Exception as exc:  # noqa: BLE001 - reported as a task failure
-            self.scheduler.fail(task["key"], f"{type(exc).__name__}: {exc}",
-                                worker=worker_id)
-            return
-        self.scheduler.complete(
-            task["key"], payload, worker=worker_id,
-            elapsed=_monotonic() - started,
-        )
 
 
 def run_worker(
@@ -124,10 +105,10 @@ def run_worker(
     """Remote worker main loop: lease shards from ``head_url``, execute,
     push results back.  Returns the number of tasks executed.  Exits when
     ``stop`` is set or nothing has been leased for ``max_idle`` seconds
-    (None = run forever, the daemon deployment mode).  Each lease of up
-    to ``lease_size`` tasks runs as one slice (:func:`execute_task_batch`);
-    completion and failure are still reported per task key, so the
-    head's artifact store, dedup and resume behaviour are unchanged."""
+    (None = run forever, the daemon deployment mode).  A lease of up to
+    ``lease_size`` tasks runs one task after another inside one gc epoch,
+    and each task is completed or failed on its own key the moment it
+    finishes, so the head's store, dedup and ETA see it at once."""
     client = ServiceClient(head_url)
     executed = 0
     idle_since = _monotonic()
@@ -139,15 +120,8 @@ def run_worker(
             time.sleep(poll)
             continue
         idle_since = _monotonic()
-        started = _monotonic()
-        results = execute_task_batch(tasks)
-        elapsed = _monotonic() - started
-        for task in tasks:
-            status, body = results[task["key"]]
-            if status == "ok":
-                client.complete_task(task["key"], body, worker=worker_id,
-                                     elapsed=elapsed)
-                executed += 1
-            else:
-                client.fail_task(task["key"], str(body), worker=worker_id)
+        with gc_epoch():
+            for task in tasks:
+                executed += _run_task(task, worker_id, client.complete_task,
+                                      client.fail_task)
     return executed

@@ -1,10 +1,11 @@
-"""Batch slices: bit-identity, composition, failure isolation and the gc epoch.
+"""Batches: bit-identity, composition, failure isolation and the gc epoch.
 
-A slice (:func:`repro.exec.jobs.run_slice`) runs its jobs one after
-another through ``Core.run`` inside one garbage-collector epoch.  The
-contract under test: every point simulated in a slice is
-*bit-identical* to the same point run serially — every ``SimStats``
-field — regardless of slice composition or size.
+The serial executor (``Executor(jobs=1, batch_size=N)``) runs each batch
+of up to N consecutive points one after another through ``Core.run``
+inside one garbage-collector epoch.  The contract under test: every
+point simulated in a batch is *bit-identical* to the same point run
+alone — every ``SimStats`` field — regardless of batch composition or
+size.
 """
 
 import gc as gc_module
@@ -14,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-import repro.exec.jobs as jobs_module
-from repro.exec.jobs import Job, run_slice, stats_to_payload
+import repro.exec.pool as pool_module
+from repro.exec.jobs import Job, stats_to_payload
 from repro.exec.pool import Executor
 from repro.pipeline.core import Core
 from repro.sim.runner import RunSpec, run_spec
@@ -49,11 +50,16 @@ UTILIZATION_FIELDS = (
 )
 
 
-def results_of(replies):
-    """The ``RunResult`` of every reply, failing on the first error."""
-    for status, body in replies:
-        assert status == "ok", body
-    return [body for _, body in replies]
+def run_batch(jobs, suite):
+    """Every job's outcome from one serial batch holding all of them."""
+    return Executor(jobs=1, batch_size=len(jobs), retries=0).run(jobs, suite=suite)
+
+
+def results_of(outcomes):
+    """The ``RunResult`` of every outcome, failing on the first failure."""
+    for outcome in outcomes:
+        assert outcome.ok, outcome.failure
+    return [outcome.result for outcome in outcomes]
 
 
 @pytest.fixture(scope="module")
@@ -68,9 +74,9 @@ def serial_results(suite):
 
 class TestGoldenParity:
     def test_batch_of_8_matches_golden_fixture(self, suite):
-        """The whole fixture matrix, back to back in one slice, hits the
+        """The whole fixture matrix, back to back in one batch, hits the
         seed numbers bit-for-bit."""
-        results = results_of(run_slice([Job(spec=s) for s in GOLDEN_SPECS], suite))
+        results = results_of(run_batch([Job(spec=s) for s in GOLDEN_SPECS], suite))
         for spec, result in zip(GOLDEN_SPECS, results):
             key = f"{spec.workload[0]}|{spec.features}"
             expected = {
@@ -96,30 +102,30 @@ class TestGoldenParity:
         """Three points on one kernel share its assembled ``Program``; a
         decode cache shared between them would let the later points hit
         where a serial run misses."""
-        results = results_of(run_slice([Job(spec=s) for s in GOLDEN_SPECS[:3]], suite))
+        results = results_of(run_batch([Job(spec=s) for s in GOLDEN_SPECS[:3]], suite))
         for serial, result in zip(serial_results, results):
             assert result.stats.uop_cache_misses > 0
             for name in ("uop_cache_hits", "uop_cache_misses", "decode_counts"):
                 assert getattr(result.stats, name) == getattr(serial.stats, name), name
 
     def test_composition_independence(self, suite, serial_results):
-        """A point's numbers do not depend on who else is in its slice."""
+        """A point's numbers do not depend on who else is in its batch."""
         target = Job(spec=GOLDEN_SPECS[0])
         expected = stats_to_payload(serial_results[0].stats)
         for companions in ([1], [2, 3], [4, 5, 6, 7]):
             others = [Job(spec=GOLDEN_SPECS[i]) for i in companions]
-            first = results_of(run_slice([target] + others, suite))[0]
-            last = results_of(run_slice(others + [target], suite))[-1]
+            first = results_of(run_batch([target] + others, suite))[0]
+            last = results_of(run_batch(others + [target], suite))[-1]
             assert stats_to_payload(first.stats) == expected, companions
             assert stats_to_payload(last.stats) == expected, companions
 
     def test_max_cycles_cutoff_identical_to_serial(self, suite):
         """Cutting a run short mid-flight lands on the same cycle and
-        stats in a slice as alone."""
+        stats in a batch as alone."""
         spec = RunSpec(workload=("compress",), features="TME",
                        commit_target=800, max_cycles=400)
         serial = run_spec(spec, suite)
-        (result,) = results_of(run_slice([Job(spec=spec)], suite))
+        (result,) = results_of(run_batch([Job(spec=spec)], suite))
         assert result.stats.cycles == serial.stats.cycles == 400
         assert stats_to_payload(result.stats) == stats_to_payload(serial.stats)
 
@@ -131,7 +137,7 @@ class TestGrouping:
                              commit_target=200))
             for m in ("big.2.16", "small.2.8", "big.2.16", "small.1.8")
         ]
-        results = results_of(run_slice(jobs, suite))
+        results = results_of(run_batch(jobs, suite))
         for job, result in zip(jobs, results):
             assert result.spec == job.spec
             assert stats_to_payload(result.stats) == stats_to_payload(
@@ -148,16 +154,16 @@ class TestFailureIsolation:
                              max_cycles=0)),
             Job(spec=RunSpec(workload=("li",), commit_target=400)),
         ]
-        replies = run_slice(jobs, suite)
-        assert [status for status, _ in replies] == ["ok", "error", "ok", "ok"]
-        assert replies[1][1].startswith("KeyError:")
-        assert "no_such_kernel" in replies[1][1]
+        outcomes = run_batch(jobs, suite)
+        assert [outcome.ok for outcome in outcomes] == [True, False, True, True]
+        assert outcomes[1].failure.message.startswith("KeyError:")
+        assert "no_such_kernel" in outcomes[1].failure.message
         # max_cycles=0 finishes instantly with zero commits — a valid
         # (empty) result, not an error; the isolation claim is that the
         # failing and degenerate siblings changed nothing for the rest.
         for index in (0, 3):
             healthy = run_spec(jobs[index].spec, suite)
-            assert stats_to_payload(replies[index][1].stats) == stats_to_payload(
+            assert stats_to_payload(outcomes[index].result.stats) == stats_to_payload(
                 healthy.stats
             )
 
@@ -165,7 +171,7 @@ class TestFailureIsolation:
 @pytest.fixture
 def gc_calls(monkeypatch):
     """Record every ``gc.disable``/``enable``/``collect`` call (they
-    still take effect) and every job a slice runs, in order."""
+    still take effect) and every job a batch runs, in order."""
     calls = []
     for name in ("disable", "enable", "collect"):
         real = getattr(gc_module, name)
@@ -175,14 +181,14 @@ def gc_calls(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(gc_module, name, recorded)
-    real_run_job = jobs_module.run_job
+    real_run_job = pool_module.run_job
 
     def recorded_job(job, suite):
         result = real_run_job(job, suite)
         calls.append("job")
         return result
 
-    monkeypatch.setattr(jobs_module, "run_job", recorded_job)
+    monkeypatch.setattr(pool_module, "run_job", recorded_job)
     return calls
 
 
@@ -214,22 +220,22 @@ class TestGcDiscipline:
 
     def test_slice_disables_once_and_collects_once_after_last_job(self, suite, gc_calls):
         assert gc_module.isenabled()
-        replies = run_slice([Job(spec=self.SPEC)] * 3, suite)
-        assert [status for status, _ in replies] == ["ok"] * 3
+        outcomes = run_batch([Job(spec=self.SPEC)] * 3, suite)
+        assert [outcome.ok for outcome in outcomes] == [True] * 3
         assert gc_calls == ["disable", "job", "job", "job", "enable", "collect"]
         assert gc_module.isenabled()
 
     def test_batch_runner_restores_collector_state(self, suite, gc_calls):
-        """A slice restores the collector's prior state; entered with it
-        disabled, the slice leaves both the collector and collection to
+        """A batch restores the collector's prior state; entered with it
+        disabled, the batch leaves both the collector and collection to
         its caller."""
         gc_module.disable()
         try:
             del gc_calls[:]
-            run_slice([Job(spec=self.SPEC)] * 2, suite)
+            run_batch([Job(spec=self.SPEC)] * 2, suite)
             assert gc_calls == ["job", "job"]
             assert not gc_module.isenabled()
         finally:
             gc_module.enable()
-        run_slice([Job(spec=self.SPEC)], suite)
+        run_batch([Job(spec=self.SPEC)], suite)
         assert gc_module.isenabled()

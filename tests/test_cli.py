@@ -203,7 +203,6 @@ class TestOrchestrationCli:
         argv = [
             "campaign", "fig3", "--jobs", "2", "--commit-target", "200",
             "--cache-dir", str(tmp_path / "cache"),
-            "--journal", str(tmp_path / "journal.jsonl"),
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out

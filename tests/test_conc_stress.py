@@ -1,10 +1,10 @@
 """Concurrency stress tests for the service layer.
 
-Two pressure points:
+Three pressure points:
 
-* the **journal**: many threads *and* separate processes appending to one
-  ``ArtifactStore`` journal through the advisory :class:`FileLock` — every
-  append must survive intact (no torn/interleaved lines, no lost keys);
+* the **store**: many threads *and* separate processes recording into one
+  ``ArtifactStore`` — every entry must survive intact (no torn entry, no
+  lost key, no temp file left behind);
 * **lease expiry**: a scheduler with a tiny ``lease_ttl`` whose leases are
   deliberately dropped by some workers and completed by others — expired
   leases must re-queue and the campaign must still converge to ``done``;
@@ -12,7 +12,6 @@ Two pressure points:
   or ``SchedulerClosed`` — none may wait forever on the stopped owner.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -23,19 +22,18 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.exec.cache import Journal
 from repro.service.scheduler import Scheduler, SchedulerClosed
 from repro.service.spec import sweep_spec
 from repro.service.store import ArtifactStore
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
-# Appends `count` records tagged `tag` to the shared store root.
+# Records `count` results tagged `tag` into the shared store root.
 _APPEND_SCRIPT = """
 import sys
 from repro.service.store import ArtifactStore
 root, tag, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
-store = ArtifactStore(root, compact_on_start=False)
+store = ArtifactStore(root)
 for i in range(count):
     store.record(f"{tag}-{i:03d}", {"tag": tag, "seq": i})
 """
@@ -52,14 +50,11 @@ def _spawn_appender(root: Path, tag: str, count: int) -> subprocess.Popen:
     )
 
 
-def test_journal_survives_thread_and_process_hammering(tmp_path):
+def test_store_survives_thread_and_process_hammering(tmp_path):
     threads_n, procs_n, per_writer = 3, 2, 20
     # One store instance per thread — exactly how independent writers
     # (a second server, a restarted one) share the directory tree.
-    stores = [
-        ArtifactStore(tmp_path, compact_on_start=False)
-        for _ in range(threads_n)
-    ]
+    stores = [ArtifactStore(tmp_path) for _ in range(threads_n)]
     errors = []
 
     def hammer(store, tag):
@@ -86,19 +81,17 @@ def test_journal_survives_thread_and_process_hammering(tmp_path):
         assert proc.returncode == 0, err.decode()
     assert errors == []
 
-    # Every line parses (the file lock prevented interleaved partial
-    # writes) and every writer's every key survived.
-    lines = (tmp_path / "journal.jsonl").read_text().splitlines()
-    parsed = [json.loads(line) for line in lines]
-    expected = (threads_n + procs_n) * per_writer
-    assert len(parsed) == expected
-    replayed = Journal(tmp_path / "journal.jsonl").load()
-    assert len(replayed) == expected
+    # Every writer's every key reads back intact through a fresh store,
+    # and no atomic write left its temp file behind.
+    fresh = ArtifactStore(tmp_path)
+    assert len(fresh) == (threads_n + procs_n) * per_writer
     for tag in [f"thread{t}" for t in range(threads_n)] + [
         f"proc{p}" for p in range(procs_n)
     ]:
         for i in range(per_writer):
-            assert replayed[f"{tag}-{i:03d}"] == {"tag": tag, "seq": i}
+            assert fresh.get(f"{tag}-{i:03d}") == {"tag": tag, "seq": i}
+    assert fresh.misses == 0
+    assert sorted(tmp_path.rglob("*.tmp")) == []
 
 
 def test_lease_expiry_under_contention(tmp_path):

@@ -1,25 +1,19 @@
-"""Executor ``batch_size`` and service-worker batch slices.
+"""Executor ``batch_size``.
 
 The orchestration contract: ``batch_size`` changes *where* points run
 (how many share one worker process and gc epoch), never *what* comes
 out — outcomes are per job, bit-identical to the unbatched engine, with
-cache and journal artifacts still written one per point so dedup and
-resume are unchanged.
+cache entries still written one per point so dedup and resume are
+unchanged.
 """
 
 import os
 
 import pytest
 
-from repro.exec.jobs import (
-    Chaos,
-    Job,
-    execute_payload_batch,
-    job_to_payload,
-    stats_to_payload,
-)
+from repro.exec.cache import ResultCache
+from repro.exec.jobs import Chaos, Job, stats_to_payload
 from repro.exec.pool import Executor
-from repro.service.worker import execute_task, execute_task_batch
 from repro.sim.runner import RunSpec, run_spec
 from repro.workloads.suite import WorkloadSuite
 
@@ -71,22 +65,18 @@ class TestParallelBatched:
         assert all(outcome.ok for outcome in outcomes)
         assert [comparable(o) for o in outcomes] == reference
 
-    def test_per_point_cache_and_journal_artifacts(self, jobs, suite, reference, tmp_path):
+    def test_per_point_cache_artifacts(self, jobs, suite, reference, tmp_path):
         cache_dir = os.fspath(tmp_path / "cache")
-        journal = os.fspath(tmp_path / "journal.jsonl")
-        first = Executor(jobs=2, batch_size=4, cache=cache_dir, journal=journal)
+        first = Executor(jobs=2, batch_size=4, cache=cache_dir)
         outcomes = first.run(jobs, suite=suite)
         assert all(outcome.ok and not outcome.cached for outcome in outcomes)
+        assert len(ResultCache(cache_dir)) == len(jobs)
         # A fresh executor over the same cache resolves every point
         # individually — one artifact per point, not per batch.
-        second = Executor(jobs=2, batch_size=4, cache=cache_dir)
-        cached = second.run(jobs, suite=suite)
-        assert all(outcome.cached for outcome in cached)
-        assert [comparable(o) for o in cached] == reference
-        # And the journal alone resumes the batch point-by-point.
-        third = Executor(jobs=1, batch_size=4, journal=journal)
-        resumed = third.run(jobs, suite=suite)
-        assert all(outcome.cached for outcome in resumed)
+        for width in (2, 1):
+            cached = Executor(jobs=width, batch_size=4, cache=cache_dir).run(jobs, suite=suite)
+            assert all(outcome.cached for outcome in cached)
+            assert [comparable(o) for o in cached] == reference
 
     def test_crash_retries_only_the_point_in_flight(self, jobs, suite):
         chaotic = [Job(spec=SPECS[0], chaos=Chaos(exit_first_attempts=1))] + jobs[:3]
@@ -109,41 +99,3 @@ class TestParallelBatched:
                 run_spec(job.spec, suite).stats
             )
 
-
-class TestWorkerBatchExecution:
-    def _task(self, spec, key, suite_args=(12, False)):
-        return {
-            "key": key,
-            "payload": job_to_payload(Job(spec=spec)),
-            "suite": list(suite_args),
-        }
-
-    def test_execute_payload_batch_shapes(self, suite):
-        payloads = [job_to_payload(Job(spec=spec)) for spec in SPECS[:2]]
-        results = execute_payload_batch(payloads, (suite.iters, suite.extended))
-        assert [status for status, _ in results] == ["ok", "ok"]
-        for (_, body), spec in zip(results, SPECS[:2]):
-            assert body["spec"]["features"] == spec.features
-
-    def test_execute_task_batch_groups_and_reports_per_key(self):
-        """A lease mixing suites and machines runs one slice per suite,
-        and every task's result equals its own single-task run."""
-        tasks = [
-            self._task(RunSpec(workload=("compress",), commit_target=200), "t1"),
-            self._task(RunSpec(workload=("li",), commit_target=200), "t2",
-                       suite_args=(6, False)),
-            self._task(
-                RunSpec(workload=("compress",), machine="small.2.8",
-                        commit_target=200),
-                "t3",
-            ),
-            self._task(RunSpec(workload=("no_such_kernel",)), "t4"),
-        ]
-        results = execute_task_batch(tasks)
-        assert set(results) == {"t1", "t2", "t3", "t4"}
-        for task in tasks[:3]:
-            status, body = results[task["key"]]
-            assert status == "ok", body
-            assert body == execute_task(task)
-        status, body = results["t4"]
-        assert status == "error" and "no_such_kernel" in body

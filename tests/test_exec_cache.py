@@ -1,14 +1,18 @@
-"""Content-addressed result cache: keys, hits, misses, invalidation."""
+"""Content-addressed result cache: keys, hits, misses, invalidation, resume."""
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.exec import Executor, Job, ResultCache, cache_key
-from repro.exec.cache import Journal
-from repro.exec.jobs import result_to_payload, stats_to_payload
-from repro.sim.runner import RunSpec
+from repro.exec.jobs import result_to_payload, spec_to_payload, stats_to_payload
+from repro.pipeline.core import Core
+from repro.sim.runner import RunSpec, run_spec
 from repro.workloads import WorkloadSuite
 
 SUITE = WorkloadSuite()
@@ -140,37 +144,6 @@ class TestExecutorCaching:
         assert dataclasses.asdict(cached.result.stats) == dataclasses.asdict(fresh.result.stats)
 
 
-class TestJournal:
-    def test_resume_skips_completed_jobs(self, tmp_path):
-        journal = tmp_path / "campaign.jsonl"
-        spec = tiny_spec()
-        first = Executor(journal=journal).run([spec], suite=SUITE)[0]
-        assert not first.cached
-        # Same spec but rigged to fail if it actually executed: the journal
-        # hit must short-circuit execution entirely.
-        from repro.exec import Chaos
-
-        rigged = Job(spec=spec, chaos=Chaos(fail_first_attempts=99))
-        resumed = Executor(journal=journal, retries=0).run([rigged], suite=SUITE)[0]
-        assert resumed.cached and resumed.ok
-        assert stats_to_payload(resumed.result.stats) == stats_to_payload(first.result.stats)
-
-    def test_torn_tail_is_ignored(self, tmp_path):
-        journal = Journal(tmp_path / "j.jsonl")
-        journal.append("k1", {"x": 1})
-        with open(journal.path, "a") as handle:
-            handle.write('{"key": "k2", "payl')  # interrupted write
-        assert journal.load() == {"k1": {"x": 1}}
-
-    def test_journal_entries_are_json_lines(self, tmp_path):
-        journal = tmp_path / "j.jsonl"
-        Executor(journal=journal).run([tiny_spec()], suite=SUITE)
-        lines = journal.read_text().strip().splitlines()
-        assert len(lines) == 1
-        record = json.loads(lines[0])
-        assert set(record) == {"key", "payload"}
-
-
 class TestCorruptEntryRecovery:
     """A truncated/torn cache entry must never poison its key (satellite:
     crash-safe writes + self-healing reads)."""
@@ -221,45 +194,61 @@ class TestCorruptEntryRecovery:
         assert stats_to_payload(again.result.stats) == stats_to_payload(first.result.stats)
 
 
-class TestJournalCompaction:
-    """Resume journals grow without bound across resumed campaigns; clean
-    startup compacts them down to live entries (satellite)."""
 
-    def test_compaction_pins_size_to_live_entries(self, tmp_path):
-        journal = Journal(tmp_path / "j.jsonl")
-        for round_ in range(3):  # three resumed campaigns, same two keys
-            journal.append("k1", {"round": round_})
-            journal.append("k2", {"round": round_})
-        with open(journal.path, "a") as handle:
-            handle.write('{"key": "k3", "pay')  # torn tail rides along
-        assert len(journal.path.read_text().splitlines()) == 7
-        survivors = journal.compact()
-        assert survivors == 2
-        lines = journal.path.read_text().strip().splitlines()
-        assert len(lines) == 2, "compacted journal must hold one line per key"
-        # Last write wins, and the result still loads.
-        assert journal.load() == {"k1": {"round": 2}, "k2": {"round": 2}}
+#: Eight points, long enough that a kill after the second lands is
+#: mid-campaign.
+KILL_SPECS = [
+    tiny_spec(workload=(kernel,), features=features, commit_target=600)
+    for kernel in ("compress", "li", "go", "vortex")
+    for features in ("TME", "REC/RS/RU")
+]
 
-    def test_compaction_filters_dead_keys(self, tmp_path):
-        journal = Journal(tmp_path / "j.jsonl")
-        journal.append("live", {"x": 1})
-        journal.append("dead", {"x": 2})
-        assert journal.compact(live_keys=["live"]) == 1
-        assert journal.load() == {"live": {"x": 1}}
+#: Runs KILL_SPECS on a two-worker pool over the cache in argv[1] and
+#: prints one line per landed point.
+_CAMPAIGN_SCRIPT = """
+import json, sys
+from repro.exec import Executor, ProgressReporter
+from repro.exec.jobs import spec_from_payload
+specs = [spec_from_payload(payload) for payload in json.loads(sys.argv[2])]
+landed = ProgressReporter(callback=lambda event: print("landed", event.done, flush=True))
+Executor(jobs=2, cache=sys.argv[1], progress=landed).run(specs)
+"""
 
-    def test_compacting_missing_journal_is_a_noop(self, tmp_path):
-        journal = Journal(tmp_path / "never-written.jsonl")
-        assert journal.compact() == 0
-        assert not journal.path.exists()
 
-    def test_resume_still_works_after_compaction(self, tmp_path):
-        journal = tmp_path / "campaign.jsonl"
-        spec = tiny_spec()
-        Executor(journal=journal).run([spec], suite=SUITE)
-        Executor(journal=journal).run([spec], suite=SUITE)  # journal hit
-        Journal(journal).compact()
-        from repro.exec import Chaos
+class TestKillResume:
+    """The cache is the resume record: a campaign SIGKILLed mid-run
+    resumes from its entries alone."""
 
-        rigged = Job(spec=spec, chaos=Chaos(fail_first_attempts=99))
-        resumed = Executor(journal=journal, retries=0).run([rigged], suite=SUITE)[0]
-        assert resumed.cached and resumed.ok
+    def test_rerun_simulates_exactly_the_points_without_an_entry(self, tmp_path, monkeypatch):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        specs = json.dumps([spec_to_payload(spec) for spec in KILL_SPECS])
+        campaign = subprocess.Popen(
+            [sys.executable, "-c", _CAMPAIGN_SCRIPT, str(tmp_path), specs],
+            stdout=subprocess.PIPE, text=True, env=env)
+        for line in campaign.stdout:
+            if line.split() == ["landed", "2"]:
+                break
+        campaign.kill()
+        campaign.wait(timeout=10)
+        campaign.stdout.close()
+
+        cache = ResultCache(tmp_path)
+        stored = [cache.path_for(cache.key_for(Job(spec=spec), SUITE)).exists()
+                  for spec in KILL_SPECS]
+        assert 2 <= sum(stored) < len(KILL_SPECS), "the kill must land mid-campaign"
+
+        simulated = []
+        real_run = Core.run
+
+        def run(core, *args, **kwargs):
+            simulated.append(core)
+            return real_run(core, *args, **kwargs)
+
+        monkeypatch.setattr(Core, "run", run)
+        outcomes = Executor(jobs=1, cache=cache).run(KILL_SPECS, suite=SUITE)
+        assert [outcome.cached for outcome in outcomes] == stored
+        assert len(simulated) == stored.count(False)
+        monkeypatch.setattr(Core, "run", real_run)
+        for spec, outcome in zip(KILL_SPECS, outcomes):
+            assert stats_to_payload(outcome.result.stats) == stats_to_payload(
+                run_spec(spec, SUITE).stats), spec.label()

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec import Chaos, ExecutionError, Executor, Job, Journal, ProgressReporter
+from repro.exec import Chaos, ExecutionError, Executor, Job, ProgressReporter, ResultCache
 from repro.exec.jobs import stats_to_payload
 from repro.pipeline.core import Core
 from repro.sim.runner import RunSpec, run_matrix, run_spec
@@ -203,20 +203,20 @@ class TestPerPointDispatch:
             assert stats_to_payload(outcome.result.stats) == stats_to_payload(
                 run_spec(job.spec, SUITE).stats)
 
-    def test_serial_journals_each_point_before_the_next_starts(self, tmp_path, monkeypatch):
-        journal = Journal(tmp_path / "journal.jsonl")
-        journaled_at_start = []
+    def test_serial_caches_each_point_before_the_next_starts(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        cached_at_start = []
         real_run = Core.run
 
         def run(core, *args, **kwargs):
-            journaled_at_start.append(len(journal.load()))
+            cached_at_start.append(len(cache))
             return real_run(core, *args, **kwargs)
 
         monkeypatch.setattr(Core, "run", run)
-        outcomes = Executor(jobs=1, batch_size=3, journal=journal).run(SPECS, suite=SUITE)
+        outcomes = Executor(jobs=1, batch_size=3, cache=cache).run(SPECS, suite=SUITE)
         assert all(outcome.ok for outcome in outcomes)
-        assert journaled_at_start == [0, 1, 2]
-        assert len(journal.load()) == 3
+        assert cached_at_start == [0, 1, 2]
+        assert len(cache) == 3
 
     def test_more_workers_than_cpus_with_chaos_matches_serial(self):
         specs = [tiny_spec(workload=(kernel,), features=features, commit_target=150)

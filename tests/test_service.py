@@ -9,6 +9,7 @@ import json
 import multiprocessing
 import os
 import signal
+import socket
 import threading
 import time
 from collections import deque
@@ -34,6 +35,7 @@ from repro.service import (
     run_worker,
     sweep_spec,
 )
+from repro.pipeline.core import Core
 from repro.service.scheduler import Campaign, JobRecord, SchedulerClosed, Task
 from repro.sim.sweep import Sweep
 from repro.workloads.suite import WorkloadSuite
@@ -197,7 +199,7 @@ def _serve_forever(root, url_file):
 
 class TestKillResume:
     """Acceptance: SIGKILL the server mid-campaign; a restart resumes from
-    the journal without re-running completed jobs."""
+    the store's cache without re-running completed jobs."""
 
     def test_restart_resumes_without_rerunning(self, tmp_path):
         root = tmp_path / "store"
@@ -227,10 +229,10 @@ class TestKillResume:
         os.kill(process.pid, signal.SIGKILL)
         process.join(timeout=10.0)
 
-        # Clean startup: compaction runs, the journal tells us exactly
-        # which jobs the dead server had finished.
+        # The cache entries say exactly which jobs the dead server had
+        # finished.
         store = ArtifactStore(root)
-        completed = len(store.journaled_keys())
+        completed = len(store)
         assert 0 < completed < 8, "kill must land mid-campaign"
 
         restarted = CampaignServer(store, port=0, local_workers=2).start()
@@ -244,7 +246,7 @@ class TestKillResume:
             metrics = fresh.metrics()
             assert metrics["jobs"]["jobs_from_store"] == completed
             assert metrics["jobs"]["tasks_executed"] == 8 - completed, (
-                "journaled jobs must not re-run after restart"
+                "stored jobs must not re-run after restart"
             )
             assert len(fresh.fetch_results(campaign_id)) == 8
         finally:
@@ -277,9 +279,9 @@ class TestRemoteWorker:
                    for job in status["jobs"])
 
     def test_leased_slices_bit_identical_to_serial(self, idle_server):
-        """Each lease of up to three tasks runs as one slice; every
-        stored result equals the same point run serially, on every
-        ``SimStats`` field."""
+        """Each lease of up to three tasks runs back to back in one gc
+        epoch; every stored result equals the same point run serially,
+        on every ``SimStats`` field."""
         client = ServiceClient(idle_server.url, timeout=60.0)
         sizes = [32, 64]
         campaign_id = client.submit(grid_spec(sizes))["id"]
@@ -293,9 +295,40 @@ class TestRemoteWorker:
         for document in documents:
             job = Job(spec=spec_from_payload(document["spec"]),
                       overrides=tuple(sorted(document["overrides"].items())))
-            stored = idle_server.store.lookup(document["key"])
+            stored = idle_server.store.get(document["key"])
             expected = stats_to_payload(run_job(job, suite).stats)
             assert stored["stats"] == json.loads(json.dumps(expected)), document["label"]
+
+    def test_lease_completes_each_task_before_the_next_starts(self, idle_server,
+                                                              monkeypatch):
+        """One lease of three tasks: each task is completed on the head
+        before the next one starts, with its own ``elapsed``."""
+        client = ServiceClient(idle_server.url, timeout=60.0)
+        campaign_id = client.submit(sweep_spec(
+            ["compress"], grid={"active_list_size": [16, 32, 64]},
+            commit_target=CT))["id"]
+        scheduler = idle_server.scheduler
+        elapsed, completed_at_start = [], []
+        real_run, real_complete = Core.run, scheduler.complete
+
+        def run(core, *args, **kwargs):
+            completed_at_start.append(len(elapsed))
+            return real_run(core, *args, **kwargs)
+
+        def complete(*args, **kwargs):
+            elapsed.append(kwargs["elapsed"])
+            return real_complete(*args, **kwargs)
+
+        monkeypatch.setattr(Core, "run", run)
+        monkeypatch.setattr(scheduler, "complete", complete)
+        started = time.monotonic()
+        assert run_worker(idle_server.url, "w0", lease_size=3, poll=0.05,
+                          max_idle=0.2) == 3
+        wall = time.monotonic() - started
+        assert scheduler.metrics()["jobs"]["leases_granted"] == 3
+        assert completed_at_start == [0, 1, 2]
+        assert len(set(elapsed)) == 3 and sum(elapsed) < wall
+        assert client.wait(campaign_id, timeout=30.0)["state"] == "done"
 
     def test_worker_failure_reports_and_retries_exhaust(self, idle_server):
         client = ServiceClient(idle_server.url, timeout=30.0)
@@ -403,8 +436,7 @@ class TestHttpApi:
 
     def test_complete_writes_nothing_outside_the_store(self, idle_server):
         store = idle_server.store
-        journal = store.root_dir / "journal.jsonl"
-        before = journal.read_bytes() if journal.exists() else None
+        before = len(store)
         planted = store.path_for("../../planted").resolve()
         status, document = raw_post(idle_server, "/complete", json.dumps(
             {"key": "../../planted", "payload": "not a result"}).encode())
@@ -417,7 +449,7 @@ class TestHttpApi:
             {"key": "../../planted", "payload": result}).encode())
         assert (status, document) == (200, {"accepted": False})
         assert not planted.exists()
-        assert (journal.read_bytes() if journal.exists() else None) == before
+        assert len(store) == before
 
 
 class TestOwnerThread:
@@ -431,6 +463,20 @@ class TestOwnerThread:
         scheduler = Scheduler(ArtifactStore(tmp_path), lease_ttl=0.05)
         yield scheduler
         scheduler.close()
+
+    def test_failed_bind_starts_no_owner_thread(self, tmp_path):
+        """A busy port fails the server's constructor before the
+        scheduler starts its owner thread, so no thread is left behind."""
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            before = set(threading.enumerate())
+            with pytest.raises(OSError):
+                CampaignServer(tmp_path / "store", port=busy.getsockname()[1],
+                               local_workers=0)
+            leaked = [thread for thread in threading.enumerate()
+                      if thread not in before and thread.name == "repro-scheduler"]
+        assert leaked == []
 
     def test_leases_expire_on_the_owners_clock(self, scheduler):
         scheduler.submit(self.SPEC)

@@ -1,6 +1,5 @@
 """ArtifactStore + FileLock: the concurrency-safe layer under the server."""
 
-import json
 import os
 import threading
 
@@ -154,19 +153,13 @@ class TestFileLockBackoff:
 
 
 class TestArtifactStore:
-    def test_record_then_lookup(self, tmp_path):
+    def test_record_then_get(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        assert store.lookup(KEY_A) is None
+        assert store.get(KEY_A) is None
         store.record(KEY_A, {"ipc": 1.5})
-        assert store.lookup(KEY_A) == {"ipc": 1.5}
-
-    def test_record_reaches_cache_and_journal(self, tmp_path):
-        ArtifactStore(tmp_path).record(KEY_A, {"ipc": 1.5})
-        # A fresh store resolves the key from either half of the layout.
-        fresh = ArtifactStore(tmp_path)
-        assert fresh.lookup(KEY_A) == {"ipc": 1.5}
-        assert fresh.journaled_keys() == [KEY_A]
-        assert fresh.get(KEY_A) == {"ipc": 1.5}  # plain ResultCache read
+        assert store.get(KEY_A) == {"ipc": 1.5}
+        # A fresh store (a restarted server) resolves it from the cache.
+        assert ArtifactStore(tmp_path).get(KEY_A) == {"ipc": 1.5}
 
     def test_plain_executor_cache_layout(self, tmp_path):
         """An ArtifactStore root's cache/ is a valid ResultCache dir."""
@@ -174,42 +167,6 @@ class TestArtifactStore:
 
         ArtifactStore(tmp_path).record(KEY_A, {"ipc": 1.5})
         assert ResultCache(tmp_path / "cache").get(KEY_A) == {"ipc": 1.5}
-
-    def test_concurrent_writers_never_tear_the_journal(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        keys = [f"{i:02d}" * 32 for i in range(16)]
-
-        def write(key):
-            store.record(key, {"key": key})
-
-        threads = [threading.Thread(target=write, args=(key,)) for key in keys]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        # Every line parses and every key survives a reload.
-        lines = (tmp_path / "journal.jsonl").read_text().strip().splitlines()
-        assert len(lines) == 16
-        for line in lines:
-            json.loads(line)
-        assert ArtifactStore(tmp_path).journaled_keys() == sorted(keys)
-
-    def test_startup_compaction_shrinks_journal(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        for round_ in range(5):
-            store.record(KEY_A, {"round": round_})
-        assert len((tmp_path / "journal.jsonl").read_text().splitlines()) == 5
-        ArtifactStore(tmp_path)  # clean startup compacts
-        lines = (tmp_path / "journal.jsonl").read_text().strip().splitlines()
-        assert len(lines) == 1
-        assert ArtifactStore(tmp_path).lookup(KEY_A) == {"round": 4}
-
-    def test_compaction_can_be_disabled(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.record(KEY_A, {"round": 0})
-        store.record(KEY_A, {"round": 1})
-        ArtifactStore(tmp_path, compact_on_start=False)
-        assert len((tmp_path / "journal.jsonl").read_text().splitlines()) == 2
 
 
 class TestCampaignPersistence:

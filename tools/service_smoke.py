@@ -8,7 +8,10 @@ the full client path and asserts the service's core guarantees:
 2. fetch every result document;
 3. resubmit the identical spec → every job resolves from the store
    (``resolution == "store"``) and **zero** additional simulations run;
-4. measure warm submit→result latency for a single-job campaign and,
+4. stop the server, boot a fresh one on the same store root and resubmit
+   the spec → again every job resolves from the store (the cache is the
+   only record a restart has) and the new server simulates nothing;
+5. measure warm submit→result latency for a single-job campaign and,
    with ``--bench-json``, record it as the ``service_warm_submit_seconds``
    field of the benchmark payload (a warn-only metric for
    ``tools/bench_compare.py``).
@@ -33,6 +36,24 @@ import time
 def check(condition: bool, message: str) -> None:
     if not condition:
         raise SystemExit(f"service_smoke: FAIL — {message}")
+
+
+def check_all_stored(client, spec: dict, executed: int, when: str) -> None:
+    """Submit ``spec``; every job must resolve from the store, every
+    result must fetch, and the server's ``tasks_executed`` must stay at
+    ``executed``."""
+    status = client.wait(client.submit(spec)["id"], timeout=60.0)
+    check(status["state"] == "done", f"{when} campaign finished {status['state']!r}")
+    resolutions = [job["resolution"] for job in status["jobs"]]
+    check(all(r == "store" for r in resolutions),
+          f"{when} resubmit was not pure store hits: {resolutions}")
+    documents = client.fetch_results(status["id"])
+    check(len(documents) == len(status["jobs"]),
+          f"{when} resubmit fetched {len(documents)}/{len(status['jobs'])} results")
+    still_executed = client.metrics()["jobs"]["tasks_executed"]
+    check(still_executed == executed,
+          f"{when} resubmit re-ran {still_executed - executed} task(s)")
+    print(f"{when} resubmit: all store hits, zero re-runs")
 
 
 def warm_latency(client, spec: dict, rounds: int) -> float:
@@ -90,17 +111,16 @@ def main(argv=None) -> int:
             executed = client.metrics()["jobs"]["tasks_executed"]
             print(f"cold campaign done: {executed} simulation(s) executed")
 
-            warm = client.submit(spec)
-            status = client.wait(warm["id"], timeout=60.0)
-            check(status["state"] == "done",
-                  f"warm campaign finished {status['state']!r}")
-            resolutions = [job["resolution"] for job in status["jobs"]]
-            check(all(r == "store" for r in resolutions),
-                  f"warm resubmit was not pure cache hits: {resolutions}")
-            still_executed = client.metrics()["jobs"]["tasks_executed"]
-            check(still_executed == executed,
-                  f"warm resubmit re-ran {still_executed - executed} task(s)")
-            print("warm resubmit: all store hits, zero re-runs")
+            check_all_stored(client, spec, executed, "warm")
+        finally:
+            server.stop()
+
+        server = CampaignServer(
+            root, port=0, local_workers=args.local_workers
+        ).start()
+        try:
+            client = ServiceClient(server.url, timeout=60.0)
+            check_all_stored(client, spec, 0, "restarted")
 
             single = sweep_spec(
                 ["compress"],
