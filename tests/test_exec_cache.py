@@ -195,8 +195,7 @@ class TestCorruptEntryRecovery:
 
 
 
-#: Eight points, long enough that a kill after the second lands is
-#: mid-campaign.
+#: Eight points for a campaign killed after its second lands.
 KILL_SPECS = [
     tiny_spec(workload=(kernel,), features=features, commit_target=600)
     for kernel in ("compress", "li", "go", "vortex")
@@ -204,14 +203,18 @@ KILL_SPECS = [
 ]
 
 #: Runs KILL_SPECS on a two-worker pool over the cache in argv[1] and
-#: prints one line per landed point.
+#: prints one line per landed point.  After the second it waits on stdin,
+#: so the kill lands mid-campaign however slow the machine is.
 _CAMPAIGN_SCRIPT = """
 import json, sys
 from repro.exec import Executor, ProgressReporter
 from repro.exec.jobs import spec_from_payload
 specs = [spec_from_payload(payload) for payload in json.loads(sys.argv[2])]
-landed = ProgressReporter(callback=lambda event: print("landed", event.done, flush=True))
-Executor(jobs=2, cache=sys.argv[1], progress=landed).run(specs)
+def landed(event):
+    print("landed", event.done, flush=True)
+    if event.done == 2:
+        sys.stdin.readline()
+Executor(jobs=2, cache=sys.argv[1], progress=ProgressReporter(callback=landed)).run(specs)
 """
 
 
@@ -224,12 +227,13 @@ class TestKillResume:
         specs = json.dumps([spec_to_payload(spec) for spec in KILL_SPECS])
         campaign = subprocess.Popen(
             [sys.executable, "-c", _CAMPAIGN_SCRIPT, str(tmp_path), specs],
-            stdout=subprocess.PIPE, text=True, env=env)
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
         for line in campaign.stdout:
             if line.split() == ["landed", "2"]:
                 break
         campaign.kill()
         campaign.wait(timeout=10)
+        campaign.stdin.close()
         campaign.stdout.close()
 
         cache = ResultCache(tmp_path)

@@ -247,9 +247,9 @@ class TestPerPointDispatch:
             "from repro.sim.runner import RunSpec\n"
             "real = pool.execute_payload\n"
             "def announced(payload, suite_args):\n"
-            "    print('start', os.getpid(), flush=True)\n"
+            "    os.write(1, b'start %d\\n' % os.getpid())\n"
             "    result = real(payload, suite_args)\n"
-            "    print('done', os.getpid(), flush=True)\n"
+            "    os.write(1, b'done %d\\n' % os.getpid())\n"
             "    return result\n"
             "pool.execute_payload = announced\n"
             "Executor(jobs=2, batch_size=4).run([\n"
@@ -259,11 +259,16 @@ class TestPerPointDispatch:
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         parent = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
                                   text=True, env=env)
-        workers = set()
-        for line in parent.stdout:  # until the short point's worker is idle
+        workers, idle = set(), False
+        # Until both workers are running and the short point's one is idle;
+        # on a loaded machine the short point can end before the second
+        # worker announces its start.  Each announcement is one write(2),
+        # so the two workers' lines cannot interleave as print()'s can.
+        for line in parent.stdout:
             event, pid = line.split()
             workers.add(int(pid))
-            if event == "done":
+            idle = idle or event == "done"
+            if idle and len(workers) == 2:
                 break
         parent.kill()
         parent.wait(timeout=10)

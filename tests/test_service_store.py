@@ -158,7 +158,14 @@ class TestArtifactStore:
         assert store.get(KEY_A) is None
         store.record(KEY_A, {"ipc": 1.5})
         assert store.get(KEY_A) == {"ipc": 1.5}
-        # A fresh store (a restarted server) resolves it from the cache.
+
+    def test_record_reaches_the_cache(self, tmp_path):
+        ArtifactStore(tmp_path).record(KEY_A, {"ipc": 1.5})
+        # One entry under cache/, no second record beside it, and a fresh
+        # store (a restarted server) resolves the key from that entry.
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*.json")) == [
+            ArtifactStore(tmp_path).path_for(KEY_A).relative_to(tmp_path)]
+        assert not (tmp_path / "journal.jsonl").exists()
         assert ArtifactStore(tmp_path).get(KEY_A) == {"ipc": 1.5}
 
     def test_plain_executor_cache_layout(self, tmp_path):
@@ -167,6 +174,26 @@ class TestArtifactStore:
 
         ArtifactStore(tmp_path).record(KEY_A, {"ipc": 1.5})
         assert ResultCache(tmp_path / "cache").get(KEY_A) == {"ipc": 1.5}
+
+    def test_concurrent_writers_never_tear_an_entry(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        keys = [f"{i:02d}" * 32 for i in range(16)]
+
+        def write(key):
+            store.record(key, {"key": key})
+
+        threads = [threading.Thread(target=write, args=(key,)) for key in keys]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        # Every entry parses and every key survives a reload.
+        fresh = ArtifactStore(tmp_path)
+        assert len(fresh) == 16
+        for key in keys:
+            assert fresh.get(key) == {"key": key}
+        assert fresh.misses == 0
+        assert sorted(tmp_path.rglob("*.tmp")) == []
 
 
 class TestCampaignPersistence:
