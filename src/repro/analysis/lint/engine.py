@@ -1,20 +1,21 @@
-"""The lint engine: file discovery, per-file analysis, fan-out, triage.
+"""The lint engine: file discovery, per-file analysis, fan-out.
 
 Pipeline: resolve target paths to ``.py`` files (sorted, so output and
 parallel chunking are deterministic) → parse each file once and run the
-selected rules over the shared AST (``# det-ok: <reason>`` suppressions
-filtered centrally) → triage findings against the committed baseline.
-Per-file analysis is pure, so it fans out across processes through
+selected rules over the shared AST → drop every finding on a line that
+carries its family's suppression marker (:data:`SUPPRESSION_MARKERS`).
+Every finding left fails the run.  Per-file analysis is pure, so it fans
+out across processes through
 ``concurrent.futures.ProcessPoolExecutor.map`` when ``jobs > 1``;
 results are identical to the serial path by construction.
 
-Rule selection is usually a *profile*.  :data:`DETERMINISM_PROFILE`
-reproduces the original ``tools/lint_determinism.py`` behaviour: the
+Rule selection is usually a *profile*.  In :data:`DEFAULT_PROFILE` the
 hot-core targets get every determinism rule except DET004, and the
 whole package is swept with DET004 alone (observers outside the core
 may legitimately read the wall clock, but nobody monkey-patches the
-core).  :data:`DEFAULT_PROFILE` adds SHR005 over the layers whose jobs
-a batch slice runs one after another in one process.  Explicit paths get the full rule set.
+core).  SHR005 runs over the layers whose jobs share a process one
+after another: the consecutive points that one pool worker serves, and
+the tasks of one remote lease.  Explicit paths get the full rule set.
 
 A file named by several targets is parsed and linted once, with the
 union of their rule codes.
@@ -24,30 +25,43 @@ from __future__ import annotations
 
 import ast
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from . import rules_determinism  # noqa: F401 - registers the DET rules
 from . import rules_sharing  # noqa: F401 - registers SHR005
-from .baseline import Baseline
 from .registry import FileContext, Finding, all_rules
 
 __all__ = [
     "LintResult",
     "LintTarget",
     "DEFAULT_PROFILE",
-    "DETERMINISM_PROFILE",
-    "SHARING_PROFILE",
+    "SUPPRESSION_MARKERS",
     "collect_files",
     "lint_source",
     "lint_files",
     "restrict",
     "run_lint",
+    "suppression_marker",
 ]
 
-#: Pseudo-rule for files the parser rejects; always blocking.
+#: Pseudo-rule for files the parser rejects.
 SYNTAX_ERROR_CODE = "DET000"
+
+#: Rule family prefix -> the marker that, followed by a reason on the
+#: same line (``# det-ok: <reason>``), suppresses that family's findings.
+#: A marker never suppresses another family's findings.
+SUPPRESSION_MARKERS = {"DET": "det-ok:", "SHR": "shr-ok:"}
+
+
+def suppression_marker(code: str) -> Optional[str]:
+    """The marker that suppresses ``code``'s findings, if its family has one."""
+    return next(
+        (marker for family, marker in SUPPRESSION_MARKERS.items()
+         if code.startswith(family)),
+        None,
+    )
 
 
 @dataclass(frozen=True)
@@ -58,21 +72,17 @@ class LintTarget:
     codes: Optional[Tuple[str, ...]] = None  # None = every registered rule
 
 
-#: The historical determinism sweep (see module docstring).
-DETERMINISM_PROFILE = (
+#: What ``repro-sim lint`` runs without paths (see the module docstring).
+DEFAULT_PROFILE = (
     LintTarget(
         paths=rules_determinism.DEFAULT_TARGETS,
         codes=("DET001", "DET002", "DET003", "DET005"),
     ),
     LintTarget(paths=rules_determinism.DET004_TARGETS, codes=("DET004",)),
-)
-
-#: The sharing sweep: SHR005 over the layers whose jobs a batch slice
-#: runs one after another in one process.
-SHARING_PROFILE = (
     LintTarget(
         paths=(
             "src/repro/pipeline",
+            "src/repro/service",
             "src/repro/sim",
             "src/repro/workloads",
             "src/repro/isa/program.py",
@@ -80,9 +90,6 @@ SHARING_PROFILE = (
         codes=rules_sharing.SHR_RULE_CODES,
     ),
 )
-
-#: What ``repro-sim lint`` runs without paths or ``--rules``.
-DEFAULT_PROFILE = DETERMINISM_PROFILE + SHARING_PROFILE
 
 
 def restrict(
@@ -102,21 +109,15 @@ def restrict(
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class LintResult:
-    """Findings split by failure semantics."""
+    """Every finding of one run, sorted; any finding fails the run."""
 
-    findings: List[Finding] = field(default_factory=list)  # everything, sorted
-    blocking: List[Finding] = field(default_factory=list)  # fail the run
-    baselined: List[Finding] = field(default_factory=list)  # known warn-first debt
-    #: baseline fingerprints this run *would* have re-checked (their code
-    #: ran and their file was linted) but that no longer fire — paid-off
-    #: debt that should be pruned from the baseline file
-    stale: List[str] = field(default_factory=list)
+    findings: List[Finding]
 
     @property
     def ok(self) -> bool:
-        return not self.blocking
+        return not self.findings
 
     @property
     def exit_code(self) -> int:
@@ -139,7 +140,7 @@ def collect_files(paths: Iterable[Union[str, Path]]) -> List[Path]:
     return list(dict.fromkeys(files))
 
 
-def _suppressed_lines(source: str, marker: str = "det-ok:") -> Set[int]:
+def _suppressed_lines(source: str, marker: str) -> Set[int]:
     """Line numbers carrying a justified ``# <marker> <reason>``."""
     out = set()
     for lineno, text in enumerate(source.splitlines(), start=1):
@@ -157,17 +158,16 @@ def lint_source(
     except SyntaxError as exc:
         return [Finding(path, exc.lineno or 0, SYNTAX_ERROR_CODE,
                         f"syntax error: {exc.msg}")]
-    ctx = FileContext(
-        path, source, tree,
-        _suppressed_lines(source),
-        shr_suppressed=_suppressed_lines(source, "shr-ok:"),
-    )
+    ctx = FileContext(path, source, tree)
+    suppressed = {
+        marker: _suppressed_lines(source, marker)
+        for marker in SUPPRESSION_MARKERS.values()
+    }
     findings: List[Finding] = []
     for rule in all_rules(set(codes) if codes is not None else None):
-        findings.extend(
-            f for f in rule.check(ctx)
-            if f.line not in ctx.suppressed_for(f.code)
-        )
+        marker = suppression_marker(rule.code)
+        skip = suppressed[marker] if marker is not None else set()
+        findings.extend(f for f in rule.check(ctx) if f.line not in skip)
     return findings
 
 
@@ -200,57 +200,15 @@ def _lint_items(
     return sorted(findings, key=lambda f: (f.path, f.line, f.code))
 
 
-def run_lint(
-    targets: Sequence[LintTarget],
-    jobs: int = 1,
-    baseline: Optional[Baseline] = None,
-) -> LintResult:
-    """Execute a profile and triage against the baseline.
-
-    A finding fails the run unless its rule is warn-first *and* the
-    baseline records its fingerprint.  Syntax errors always fail.
-    """
-    baseline = baseline or Baseline()
-    blocking_codes = {r.code for r in all_rules() if r.blocking}
-    blocking_codes.add(SYNTAX_ERROR_CODE)
-
-    ran_codes: Set[str] = set()
-    #: file -> every code some target selects for it (rules run once
-    #: per file, over the union)
+def run_lint(targets: Sequence[LintTarget], jobs: int = 1) -> LintResult:
+    """Execute a profile: each file once, with the union of the codes
+    its targets select."""
     file_codes: Dict[str, Set[str]] = {}
     for target in targets:
-        files = collect_files(target.paths)
         codes = target.codes if target.codes is not None else tuple(
             r.code for r in all_rules()
         )
-        ran_codes.update(codes)
-        for f in files:
+        for f in collect_files(target.paths):
             file_codes.setdefault(str(f), set()).update(codes)
     items = [(path, tuple(sorted(codes))) for path, codes in file_codes.items()]
-    findings = _lint_items(items, jobs)
-    linted_paths = set(file_codes)
-
-    result = LintResult(findings=findings)
-    for finding in findings:
-        if finding.code not in blocking_codes and baseline.covers(finding):
-            result.baselined.append(finding)
-        else:
-            result.blocking.append(finding)
-
-    # Stale baseline entries: this run re-checked them (code ran, file
-    # was linted) and they no longer fire — or their rule id no longer
-    # exists in the registry at all (a retired rule can never fire
-    # again, so its debt is dead weight no matter what was linted).
-    live = {f.fingerprint for f in findings}
-    known_codes = {r.code for r in all_rules()}
-    known_codes.add(SYNTAX_ERROR_CODE)
-    for fingerprint in sorted(baseline.entries):
-        parts = fingerprint.split("::", 2)
-        if len(parts) != 3:
-            continue
-        path, code, _ = parts
-        if code not in known_codes:
-            result.stale.append(fingerprint)
-        elif code in ran_codes and path in linted_paths and fingerprint not in live:
-            result.stale.append(fingerprint)
-    return result
+    return LintResult(findings=_lint_items(items, jobs))

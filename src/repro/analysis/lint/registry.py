@@ -1,9 +1,9 @@
 """Rule registry for the whole-repo lint engine.
 
 A rule is a class with a ``code`` (stable identifier, e.g. ``DET003``),
-a ``summary`` one-liner (surfaced in ``--list-rules`` and as SARIF rule
-metadata) and a ``check`` method that inspects one parsed file.  Rules
-self-register at import time::
+a ``summary`` one-liner (surfaced by ``repro-sim lint --explain`` and as
+SARIF rule metadata) and a ``check`` method that inspects one parsed
+file.  Rules self-register at import time::
 
     @register
     class NoWallClock(Rule):
@@ -13,11 +13,9 @@ self-register at import time::
         def check(self, ctx):
             ...yield Finding(...)
 
-``blocking`` controls failure semantics: a blocking rule's findings
-always fail the run, a warn-first rule (``blocking = False``) only
-fails on findings *not* recorded in the committed baseline file — the
-ratchet pattern for introducing a rule into a codebase that does not
-yet satisfy it.
+Every finding fails the run; rules never handle suppression
+themselves (the engine drops findings on lines carrying their family's
+marker).
 
 The registry is module-global and populated by importing the rule
 modules (``repro.analysis.lint.rules_determinism`` ships the DET set);
@@ -36,7 +34,6 @@ __all__ = [
     "Rule",
     "register",
     "all_rules",
-    "get_rule",
 ]
 
 
@@ -52,43 +49,16 @@ class Finding:
     def render(self) -> str:
         return f"{self.path}:{self.line}: {self.code} {self.message}"
 
-    @property
-    def fingerprint(self) -> str:
-        """Baseline identity: survives line drift, not message changes."""
-        return f"{self.path}::{self.code}::{self.message}"
-
 
 class FileContext:
-    """One file, parsed once and shared by every rule.
+    """One file, parsed once and shared by every rule."""
 
-    ``suppressed`` holds the line numbers carrying a justified
-    ``# det-ok: <reason>`` comment; the engine filters findings on those
-    lines after the rule runs, so rules never handle suppression
-    themselves.
-    """
+    __slots__ = ("path", "source", "tree")
 
-    __slots__ = ("path", "source", "tree", "suppressed", "shr_suppressed")
-
-    def __init__(
-        self,
-        path: str,
-        source: str,
-        tree: ast.AST,
-        suppressed: Set[int],
-        shr_suppressed: Set[int] = frozenset(),
-    ):
+    def __init__(self, path: str, source: str, tree: ast.AST):
         self.path = path
         self.source = source
         self.tree = tree
-        self.suppressed = suppressed
-        #: lines carrying ``# shr-ok: <reason>`` (SHR-family suppression)
-        self.shr_suppressed = shr_suppressed
-
-    def suppressed_for(self, code: str) -> Set[int]:
-        """Lines whose suppression comment covers ``code``'s family."""
-        if code.startswith("SHR"):
-            return self.shr_suppressed
-        return self.suppressed
 
 
 class Rule:
@@ -96,9 +66,6 @@ class Rule:
 
     code: str = ""
     summary: str = ""
-    #: blocking rules always fail the run; warn-first rules defer to the
-    #: baseline ratchet
-    blocking: bool = True
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -129,7 +96,3 @@ def all_rules(codes: Optional[Set[str]] = None) -> List[Rule]:
             raise KeyError(f"unknown rule code(s): {sorted(unknown)}")
         rules = [r for r in rules if r.code in codes]
     return rules
-
-
-def get_rule(code: str) -> Rule:
-    return _REGISTRY[code]

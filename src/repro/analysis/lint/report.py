@@ -3,20 +3,20 @@
 The text format is the historical ``path:line: CODE message`` contract
 (tests and editors parse it).  JSON is the same data machine-readable.
 SARIF is the interchange format GitHub code scanning ingests — one run,
-one driver, rule metadata from the registry, one result per finding
-with ``error`` level for blocking findings and ``warning`` for
-baselined warn-first debt.
+one driver, rule metadata from the registry, one ``error`` result per
+finding.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Dict, List
 
 from .engine import SYNTAX_ERROR_CODE, LintResult
 from .registry import Finding, all_rules
 
-__all__ = ["render_text", "to_json", "to_sarif"]
+__all__ = ["render_text", "to_json", "to_sarif", "write_sarif"]
 
 _SARIF_SCHEMA = (
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
@@ -24,12 +24,9 @@ _SARIF_SCHEMA = (
 )
 
 
-def render_text(result: LintResult, show_baselined: bool = False) -> List[str]:
-    """One line per finding, baselined debt annotated (or hidden)."""
-    lines = [f.render() for f in result.blocking]
-    if show_baselined:
-        lines.extend(f"{f.render()} (baselined)" for f in result.baselined)
-    return sorted(lines)
+def render_text(result: LintResult) -> List[str]:
+    """One line per finding."""
+    return sorted(f.render() for f in result.findings)
 
 
 def to_json(result: LintResult) -> Dict:
@@ -41,35 +38,25 @@ def to_json(result: LintResult) -> Dict:
             "message": finding.message,
         }
 
-    return {
-        "ok": result.ok,
-        "blocking": [row(f) for f in result.blocking],
-        "baselined": [row(f) for f in result.baselined],
-    }
+    return {"ok": result.ok, "findings": [row(f) for f in result.findings]}
 
 
 def to_sarif(result: LintResult, tool_name: str = "repro-lint") -> Dict:
     """SARIF 2.1.0 document for the whole result."""
+    described = [(rule.code, rule.summary) for rule in all_rules()]
+    described.append((SYNTAX_ERROR_CODE, "file does not parse"))
     rules = [
         {
-            "id": rule.code,
-            "shortDescription": {"text": rule.summary},
-            "defaultConfiguration": {
-                "level": "error" if rule.blocking else "warning",
-            },
+            "id": code,
+            "shortDescription": {"text": summary},
+            "defaultConfiguration": {"level": "error"},
         }
-        for rule in all_rules()
+        for code, summary in described
     ]
-    rules.append({
-        "id": SYNTAX_ERROR_CODE,
-        "shortDescription": {"text": "file does not parse"},
-        "defaultConfiguration": {"level": "error"},
-    })
-
-    def sarif_result(finding: Finding, level: str) -> Dict:
-        return {
+    results = [
+        {
             "ruleId": finding.code,
-            "level": level,
+            "level": "error",
             "message": {"text": finding.message},
             "locations": [{
                 "physicalLocation": {
@@ -78,9 +65,8 @@ def to_sarif(result: LintResult, tool_name: str = "repro-lint") -> Dict:
                 },
             }],
         }
-
-    results = [sarif_result(f, "error") for f in result.blocking]
-    results += [sarif_result(f, "warning") for f in result.baselined]
+        for finding in result.findings
+    ]
     return {
         "$schema": _SARIF_SCHEMA,
         "version": "2.1.0",
@@ -92,6 +78,4 @@ def to_sarif(result: LintResult, tool_name: str = "repro-lint") -> Dict:
 
 
 def write_sarif(result: LintResult, path: str) -> None:
-    from pathlib import Path
-
     Path(path).write_text(json.dumps(to_sarif(result), indent=2) + "\n")

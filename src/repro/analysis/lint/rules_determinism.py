@@ -3,9 +3,7 @@
 Simulation results must be bit-identical across runs, Python versions
 and processes — the result cache (the resume record) and every
 regression test depend on it.  These rules statically ban the classic
-ways nondeterminism sneaks in; detection logic for DET001–DET004 is
-ported unchanged from the original ``tools/lint_determinism.py``
-monolith (whose tests still pin the behaviour through the shim).
+ways nondeterminism sneaks in.
 
 ``DET001`` wall-clock reads
     ``time.time`` / ``time.time_ns`` / ``time.perf_counter`` /
@@ -33,12 +31,10 @@ monolith (whose tests still pin the behaviour through the shim).
     method-wrapping breaks silently on rename and made instrumentation
     part of the simulated semantics.
 
-``DET005`` filesystem-order iteration (warn-first)
+``DET005`` filesystem-order iteration
     iterating directly over ``Path.glob`` / ``rglob`` / ``iterdir`` or
     ``os.listdir`` / ``os.scandir`` results: directory enumeration
-    order is filesystem-dependent.  Wrap in ``sorted(...)``.  This rule
-    is warn-first: pre-existing hits live in the committed baseline and
-    only *new* ones fail the run.
+    order is filesystem-dependent.  Wrap in ``sorted(...)``.
 
 A line may be exempted with an inline justification comment::
 
@@ -322,7 +318,7 @@ class CoreMonkeyPatchRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# DET005: filesystem-order iteration (warn-first)
+# DET005: filesystem-order iteration
 # ----------------------------------------------------------------------
 class _FsIterVisitor(_IterOrderVisitor):
     def check_iter(self, node: ast.AST, context: str) -> None:
@@ -339,7 +335,6 @@ class _FsIterVisitor(_IterOrderVisitor):
 class FilesystemOrderRule(Rule):
     code = "DET005"
     summary = "directory enumeration order is filesystem-dependent"
-    blocking = False  # warn-first: ratcheted via the committed baseline
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         return _run_visitor(_FsIterVisitor, self, ctx)

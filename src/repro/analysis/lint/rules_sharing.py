@@ -1,9 +1,11 @@
 """SHR005: process-global mutable state in the simulator.
 
-Every job of a batch slice runs in one process, one after another, so
-anything that lives at process scope carries over from one core to the
-next: a mutable default argument, a class attribute, a module global.  Writing such state at
-run time couples cores that must stay independent.  The rule flags:
+The consecutive points that one pool worker serves, and the tasks of
+one remote lease, run in one process, one after another, so anything
+that lives at process scope carries over from one core to the next: a
+mutable default argument, a class attribute, a module global.  Writing
+such state at run time couples cores that must stay independent.  The
+rule flags:
 
 * a mutable default argument (``def f(acc=[])``, ``dict()``, ...);
 * a write into a class attribute of a class defined in the module
@@ -15,9 +17,8 @@ Writes through ``self``/``cls``, through parameters and through names
 the function binds itself are not process-global and are not flagged.
 The facts are per module: one AST pass, no call graph.
 
-Severity is warn-first (baseline ratchet).  A deliberate exception —
-a monotone test-hook counter, say — carries a ``# shr-ok: <reason>``
-comment on the reported line.
+A deliberate exception — a monotone test-hook counter, say — carries
+a ``# shr-ok: <reason>`` comment on the reported line.
 """
 
 from __future__ import annotations
@@ -141,7 +142,6 @@ class SharedMutableState(Rule):
     code = "SHR005"
     summary = ("mutable default argument, class attribute or module "
                "global mutated — one instance shared across cores")
-    blocking = False
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         tree = ctx.tree

@@ -485,16 +485,9 @@ def _cmd_analyze(args) -> int:
     return 1 if total_violations else 0
 
 
-#: Suppression conventions per rule family (``--explain``).
-_SUPPRESS_BY_FAMILY = {
-    "DET": "# det-ok: <reason>",
-    "SHR": "# shr-ok: <reason>",
-}
-
-
 def _explain_rules(query: str) -> int:
-    """Print one rule (or a family) with severity/suppression."""
-    from .analysis.lint import all_rules
+    """Print one rule (or a family) with its suppression marker."""
+    from .analysis.lint import all_rules, suppression_marker
 
     want = query.upper()
     matched = [
@@ -509,13 +502,9 @@ def _explain_rules(query: str) -> int:
         print(f"lint: unknown rule {query!r}; know {known}", file=sys.stderr)
         return 2
     for rule in matched:
-        family = next(
-            (f for f in _SUPPRESS_BY_FAMILY if rule.code.startswith(f)), None
-        )
-        suppression = _SUPPRESS_BY_FAMILY.get(family or "", "(none)")
-        severity = "blocking" if rule.blocking else "warn-first (baseline ratchet)"
+        marker = suppression_marker(rule.code)
+        suppression = f"# {marker} <reason>" if marker else "(none)"
         print(f"{rule.code}: {rule.summary}")
-        print(f"  severity:    {severity}")
         print(f"  suppression: {suppression}")
     return 0
 
@@ -523,11 +512,8 @@ def _explain_rules(query: str) -> int:
 def _cmd_lint(args) -> int:
     """Whole-repo lint over the pluggable rule engine."""
     from .analysis.lint import (
-        DEFAULT_BASELINE_PATH,
         DEFAULT_PROFILE,
-        Baseline,
         LintTarget,
-        all_rules,
         render_text,
         restrict,
         run_lint,
@@ -535,25 +521,10 @@ def _cmd_lint(args) -> int:
         write_sarif,
     )
 
-    if args.list_rules:
-        for rule in all_rules():
-            kind = "blocking" if rule.blocking else "warn-first"
-            print(f"{rule.code}  [{kind:>10s}]  {rule.summary}")
-        return 0
     if args.explain:
         return _explain_rules(args.explain)
 
-    # ``--rules DET001,DET005`` and ``--rules DET001 DET005`` both work.
-    codes = tuple(
-        code for arg in args.rules or () for code in arg.split(",") if code
-    ) or None
-
-    baseline_path = args.baseline or DEFAULT_BASELINE_PATH
-    try:
-        baseline = Baseline.load(baseline_path)
-    except ValueError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
+    codes = tuple(code for code in (args.rules or "").split(",") if code) or None
     try:
         if args.paths:
             targets = [LintTarget(paths=tuple(args.paths), codes=codes)]
@@ -563,48 +534,20 @@ def _cmd_lint(args) -> int:
             targets = restrict(DEFAULT_PROFILE, codes)
         else:
             targets = list(DEFAULT_PROFILE)
-        result = run_lint(targets, jobs=args.jobs, baseline=baseline)
+        result = run_lint(targets, jobs=args.jobs)
     except (FileNotFoundError, KeyError) as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
-
-    if args.update_baseline:
-        blocking_codes = {r.code for r in all_rules() if r.blocking}
-        warn_first = [
-            f for f in result.findings
-            if f.code not in blocking_codes and f.code != "DET000"
-        ]
-        Baseline.from_findings(warn_first).save(baseline_path)
-        print(f"wrote {baseline_path} ({len(warn_first)} finding(s))")
-        return 0
-
-    if args.prune_baseline:
-        removed = baseline.prune(result.stale)
-        if removed:
-            baseline.save(baseline_path)
-        print(f"pruned {removed} stale entr{'y' if removed == 1 else 'ies'} "
-              f"from {baseline_path} ({len(baseline)} left)")
-        return 0
 
     if args.sarif:
         write_sarif(result, args.sarif)
     if args.json:
         print(json.dumps(to_json(result), indent=2))
     else:
-        for line in render_text(result, show_baselined=args.show_baselined):
+        for line in render_text(result):
             print(line)
         if not result.ok:
-            print(f"{len(result.blocking)} lint violation(s)", file=sys.stderr)
-    if args.fail_stale and result.stale:
-        for fingerprint in result.stale:
-            print(f"stale baseline entry: {fingerprint}", file=sys.stderr)
-        print(
-            f"{len(result.stale)} stale baseline entr"
-            f"{'y' if len(result.stale) == 1 else 'ies'}; run "
-            f"'repro-sim lint --prune-baseline' to remove",
-            file=sys.stderr,
-        )
-        return 1
+            print(f"{len(result.findings)} lint violation(s)", file=sys.stderr)
     return result.exit_code
 
 
@@ -787,13 +730,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--port", type=int, default=8752)
     serve_parser.add_argument("--store", default=".repro-service", metavar="DIR",
                               help="shared artifact-store root")
-    serve_parser.add_argument("--local-workers", type=int, default=None,
-                              help="head-local worker threads (default: CPU count; "
-                                   "0 = rely on remote workers)")
+    serve_parser.add_argument("--local-workers", type=int, default=1,
+                              help="head-local worker threads (default: 1, as "
+                                   "threads share one interpreter lock; 0 = "
+                                   "rely on remote workers)")
     serve_parser.add_argument("--lease-ttl", type=float, default=60.0,
-                              help="seconds before an unacknowledged lease re-queues")
+                              help="seconds before an unacknowledged lease "
+                                   "expires, a failed attempt")
     serve_parser.add_argument("--max-attempts", type=int, default=3,
-                              help="attempts per task before its jobs fail")
+                              help="attempts per task (failed or expired "
+                                   "leases) before its jobs fail")
     serve_parser.add_argument("--no-resume", action="store_true",
                               help="do not re-admit unfinished campaigns on startup")
     serve_parser.add_argument("--verbose", action="store_true",
@@ -913,39 +859,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="whole-repo lint (determinism DET001-DET005, sharing SHR005)",
     )
     lint_parser.add_argument("paths", nargs="*", default=None,
-                             help="files/dirs to lint; default: the "
-                                  "determinism and sharing profile")
-    lint_parser.add_argument("--rules", nargs="*", default=None, metavar="CODE",
-                             help="restrict to specific rule codes (space- "
-                                  "or comma-separated); without paths, "
-                                  "each profile target runs the requested "
-                                  "codes it owns")
+                             help="files/dirs to lint (every rule unless "
+                                  "--rules); default: the determinism and "
+                                  "sharing profile")
+    lint_parser.add_argument("--rules", default=None, metavar="CODE[,CODE...]",
+                             help="restrict to these comma-separated rule "
+                                  "codes; without paths, each profile "
+                                  "target runs the requested codes it owns")
     lint_parser.add_argument("--explain", default=None, metavar="RULE",
-                             help="explain one rule code or family prefix "
-                                  "(summary, severity, suppression "
-                                  "convention) and exit")
+                             help="explain one rule code, a family prefix "
+                                  "or 'all' (summary and suppression "
+                                  "marker) and exit")
     lint_parser.add_argument("--jobs", type=int, default=1,
                              help="parallel per-file analysis processes")
     lint_parser.add_argument("--json", action="store_true",
                              help="machine-readable output")
     lint_parser.add_argument("--sarif", default=None, metavar="PATH",
                              help="also write a SARIF 2.1.0 report")
-    lint_parser.add_argument("--baseline", default=None, metavar="PATH",
-                             help="baseline file for warn-first rules "
-                                  "(default: tools/lint_baseline.json)")
-    lint_parser.add_argument("--update-baseline", action="store_true",
-                             help="rewrite the baseline from this run's "
-                                  "warn-first findings and exit 0")
-    lint_parser.add_argument("--show-baselined", action="store_true",
-                             help="also print baselined warn-first findings")
-    lint_parser.add_argument("--prune-baseline", action="store_true",
-                             help="drop stale entries (rechecked but no "
-                                  "longer firing) from the baseline file")
-    lint_parser.add_argument("--fail-stale", action="store_true",
-                             help="exit 1 when the baseline has stale "
-                                  "entries (CI hygiene)")
-    lint_parser.add_argument("--list-rules", action="store_true",
-                             help="list registered rules and exit")
 
     asm_parser = sub.add_parser("asm", help="assemble (and optionally emulate) a file")
     asm_parser.add_argument("path")

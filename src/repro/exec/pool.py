@@ -95,7 +95,7 @@ def _apply_chaos(chaos: Optional[Chaos], attempt: int, allow_exit: bool) -> None
         raise RuntimeError("chaos: injected failure")
 
 
-def _serve(conn, parent_end, suite_args: Tuple[int, bool], quota: int) -> None:
+def _serve(conn, inherited, suite_args: Tuple[int, bool], quota: int) -> None:
     """Top-level worker target (must be importable under ``spawn``).
 
     Serves up to ``quota`` points, each a ``(payload, chaos, attempt)``
@@ -104,8 +104,14 @@ def _serve(conn, parent_end, suite_args: Tuple[int, bool], quota: int) -> None:
     ``execute_payload`` is looked up per point through this module's
     globals, so a wrapper installed on it before a fork is what the
     worker runs.
+
+    ``inherited`` are the parent's pipe ends that a ``fork`` copied into
+    this worker: its own and those of every live sibling.  Closing them
+    all means that once the parent dies, no process holds the parent end
+    of any worker's pipe, so every worker blocked in ``recv`` reads EOF.
     """
-    parent_end.close()  # a copy inherited under fork: with it closed, a dead parent reads as EOF
+    for end in inherited:
+        end.close()
     gc.disable()  # for good: the worker exits instead of collecting
     try:
         for _ in range(quota):
@@ -319,17 +325,6 @@ class Executor:
                             break
 
     # ------------------------------------------------------------------
-    def _start_worker(self, suite: WorkloadSuite) -> _Worker:
-        parent_end, child_end = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=_serve,
-            args=(child_end, parent_end, (suite.iters, suite.extended), self.batch_size),
-            daemon=True,
-        )
-        process.start()
-        child_end.close()  # the parent keeps only its own end
-        return _Worker(process=process, conn=parent_end)
-
     def _run_parallel(self, jobs, pending, suite, keys, outcomes) -> None:
         """Per-point dispatch over up to ``jobs`` workers.
 
@@ -344,6 +339,23 @@ class Executor:
         todo: Deque[Tuple[int, int]] = deque((index, 1) for index in pending)
         first_dispatched: Dict[int, float] = {}
         workers: List[_Worker] = []
+
+        def start() -> _Worker:
+            """A fresh worker.  Under ``fork`` it inherits the parent's end
+            of its own pipe and of every live sibling's, and closes them
+            all (see ``_serve``); under ``spawn`` it inherits none."""
+            parent_end, child_end = self._ctx.Pipe()
+            forked = self._ctx.get_start_method() == "fork"
+            inherited = [parent_end] + [worker.conn for worker in workers] if forked else []
+            process = self._ctx.Process(
+                target=_serve,
+                args=(child_end, inherited, (suite.iters, suite.extended), self.batch_size),
+                daemon=True,
+            )
+            process.start()
+            child_end.close()  # the parent keeps only its own end
+            workers.append(_Worker(process=process, conn=parent_end))
+            return workers[-1]
 
         def settle(index: int, attempt: int, kind: str, message: str) -> None:
             """One attempt of a point ended without a result."""
@@ -365,11 +377,7 @@ class Executor:
             while True:
                 idle = [worker for worker in workers if worker.index is None]
                 while todo and (idle or len(workers) < self.jobs):
-                    if idle:
-                        worker = idle.pop(0)
-                    else:
-                        worker = self._start_worker(suite)
-                        workers.append(worker)
+                    worker = idle.pop(0) if idle else start()
                     index, attempt = todo.popleft()
                     first_dispatched.setdefault(index, time.monotonic())
                     worker.dispatch(index, attempt, jobs[index])

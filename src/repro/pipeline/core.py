@@ -75,7 +75,8 @@ def gc_epoch() -> Iterator[None]:
     Entered with the collector enabled, the block disables it, then
     re-enables it and collects once on exit.  Entered with it already
     disabled, the block leaves it alone, and the caller that disabled it
-    collects — so a batch slice pays one collection, not one per run.
+    collects — so the consecutive points one pool worker serves, or the
+    tasks of one remote lease, pay at most one collection, not one per run.
     """
     if not gc.isenabled():
         yield

@@ -22,7 +22,7 @@ simulator's speed and the hit/miss counters change.
 
 Ownership: every core builds its own cache, so no cache state is ever
 shared between cores and a point's counters read the same whether it
-ran alone or in a batch slice.
+ran alone or among the consecutive points one pool worker serves.
 """
 
 from __future__ import annotations

@@ -11,8 +11,10 @@ cache key.  Tasks are the unit of execution and of deduplication:
 * otherwise a new task enters the queue (``resolution="run"``).
 
 Tasks are handed out as **leases** (to local worker threads and to
-remote workers over HTTP) with a TTL; a lease that expires — worker
-crashed, host vanished — silently re-queues, so a shard is never lost.
+remote workers over HTTP) with a TTL.  A lease that expires — worker
+crashed, hung, host vanished — counts as a failed attempt: the task
+re-queues until it has been leased ``max_attempts`` times, and then its
+jobs fail with a message naming the expired lease.
 Completions are written to the store's cache *before* scheduler state
 is updated: a server killed between the two resumes the job as a store
 hit instead of re-running it.
@@ -334,17 +336,15 @@ class _State:
             _settle(reply, result)
 
     def tick(self, now: float, closing: bool = False) -> None:
-        """Expire overdue leases, then answer every parked request that
-        is due (all of them when ``closing``)."""
+        """Expire overdue leases (each one a failed attempt), then answer
+        every parked request that is due (all of them when ``closing``)."""
         for key in sorted(self.leased):
             task = self.leased[key]
             if now >= task.lease_deadline:
-                del self.leased[key]
-                task.state = "queued"
-                task.worker = None
-                task.lease_deadline = None
                 self.counters["leases_expired"] += 1
-                self.queue.append(key)
+                self.fail(key, f"lease to {task.worker} expired after "
+                               f"{self.lease_ttl:g}s on attempt "
+                               f"{task.attempts} of {self.max_attempts}")
         waiting = []
         for parked, reply in self.parked:
             answer = parked.probe(now, closing)

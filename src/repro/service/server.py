@@ -276,7 +276,7 @@ class CampaignServer:
         store: Union[ArtifactStore, str, "os.PathLike"],
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
-        local_workers: Optional[int] = None,
+        local_workers: int = 1,
         lease_ttl: float = 60.0,
         max_attempts: int = 3,
         resume: bool = True,
@@ -294,8 +294,6 @@ class CampaignServer:
         self.scheduler = Scheduler(
             store, lease_ttl=lease_ttl, max_attempts=max_attempts
         )
-        if local_workers is None:
-            local_workers = os.cpu_count() or 1
         self.pool = LocalWorkerPool(self.scheduler, workers=local_workers, poll=0.2)
         self._thread: Optional[threading.Thread] = None
         self._resume = resume

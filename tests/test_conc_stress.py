@@ -96,9 +96,10 @@ def test_store_survives_thread_and_process_hammering(tmp_path):
 
 def test_lease_expiry_under_contention(tmp_path):
     """Dropped leases expire, re-queue and are completed by healthier
-    workers; the campaign converges."""
+    workers; the campaign converges.  Each expiry costs its task an
+    attempt, so the droppers get a bound they cannot exhaust."""
     store = ArtifactStore(tmp_path)
-    scheduler = Scheduler(store, lease_ttl=0.05)
+    scheduler = Scheduler(store, lease_ttl=0.05, max_attempts=1_000_000)
     try:
         status = scheduler.submit(
             sweep_spec(

@@ -238,8 +238,10 @@ class TestPerPointDispatch:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
     def test_workers_exit_when_the_parent_is_killed(self):
-        """An idle worker blocked on its pipe, and a busy one, both exit
-        once a SIGKILLed parent is gone."""
+        """Once a SIGKILLed parent is gone, an idle worker blocked on its
+        pipe exits at once, while the sibling started after it (which a
+        fork handed a copy of the parent's end of that pipe) still runs
+        its long point; the busy worker exits when that point ends."""
         script = (
             "import os, sys\n"
             "import repro.exec.pool as pool\n"
@@ -254,12 +256,12 @@ class TestPerPointDispatch:
             "pool.execute_payload = announced\n"
             "Executor(jobs=2, batch_size=4).run([\n"
             "    RunSpec(workload=('compress',), commit_target=100),\n"
-            "    RunSpec(workload=('compress',), commit_target=4000)])\n"
+            "    RunSpec(workload=('compress',), commit_target=24000)])\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         parent = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
                                   text=True, env=env)
-        workers, idle = set(), False
+        workers, idle = set(), None
         # Until both workers are running and the short point's one is idle;
         # on a loaded machine the short point can end before the second
         # worker announces its start.  Each announcement is one write(2),
@@ -267,11 +269,13 @@ class TestPerPointDispatch:
         for line in parent.stdout:
             event, pid = line.split()
             workers.add(int(pid))
-            idle = idle or event == "done"
-            if idle and len(workers) == 2:
+            if event == "done":
+                idle = int(pid)
+            if idle is not None and len(workers) == 2:
                 break
         parent.kill()
         parent.wait(timeout=10)
+        (busy,) = workers - {idle}
 
         def alive(pid):
             try:
@@ -279,13 +283,20 @@ class TestPerPointDispatch:
             except OSError:
                 return False
 
+        deadline = time.monotonic() + 1.0
+        while alive(idle) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        idle_lingered, busy_running = alive(idle), alive(busy)
         deadline = time.monotonic() + 20
         while any(alive(pid) for pid in workers) and time.monotonic() < deadline:
             time.sleep(0.05)
         stuck = [pid for pid in workers if alive(pid)]
         for pid in stuck:
             os.kill(pid, signal.SIGKILL)
+        parent.stdout.close()
         assert len(workers) == 2 and not stuck
+        assert not idle_lingered, "the idle worker outlived its parent by over 1 s"
+        assert busy_running, "the long point ended too soon to tell"
 
 
 class TestJobValidation:

@@ -1,8 +1,8 @@
 """What cores share or observe is immutable by type.
 
-Every job of a batch slice loads the same assembled ``Program``
-objects, and every subscriber of the event bus receives the same event
-objects.  Writing to either raises, in every run.
+The consecutive points one pool worker serves load the same assembled
+``Program`` objects, and every subscriber of the event bus receives the
+same event objects.  Writing to either raises, in every run.
 """
 
 import dataclasses

@@ -1,9 +1,9 @@
 """Golden SARIF 2.1.0 snapshot: the exported document is byte-stable.
 
 GitHub code scanning diffs SARIF uploads, so rule order (registry code
-order with the DET000 pseudo-rule appended last), result order
-(blocking before baselined, each in finding sort order) and the level
-mapping must not drift silently.  The fixture is regenerated with::
+order with the DET000 pseudo-rule appended last), result order (finding
+sort order) and the level (``error`` for every rule and finding) must
+not drift silently.  The fixture is regenerated with::
 
     PYTHONPATH=src python tests/test_lint_sarif.py
 
@@ -20,29 +20,21 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "lint_sarif_seed.json"
 
 
 def synthetic_result() -> LintResult:
-    """One finding per family in each severity bucket, pre-sorted the
-    way ``run_lint`` sorts."""
-    blocking = [
+    """Findings from both families, sorted the way ``run_lint`` sorts."""
+    return LintResult(findings=[
         Finding("src/a.py", 0, SYNTAX_ERROR_CODE, "syntax error: bad token"),
         Finding("src/b.py", 7, "DET004", "core module monkey-patched"),
         Finding("src/c.py", 12, "DET001", "wall-clock read time.time()"),
         Finding("src/c.py", 31, "DET003",
                 "loop iterates over a set (order is salted per process); "
                 "sort or use an ordered container"),
-    ]
-    baselined = [
         Finding("src/d.py", 3, "DET005",
                 "comprehension iterates over directory entries in "
                 "filesystem order; wrap in sorted(...)"),
         Finding("src/e.py", 9, "DET005",
                 "loop iterates over directory entries in filesystem order"),
         Finding("src/e.py", 22, "SHR005", "mutable default argument in f"),
-    ]
-    return LintResult(
-        findings=blocking + baselined,
-        blocking=blocking,
-        baselined=baselined,
-    )
+    ])
 
 
 def test_sarif_document_matches_golden_snapshot():
@@ -65,15 +57,15 @@ def test_rule_order_is_registry_order_plus_syntax_pseudo_rule():
 
 
 def test_levels_follow_blocking_semantics():
+    """Every finding fails the run, so every rule and result is an error."""
     document = to_sarif(synthetic_result())
     run = document["runs"][0]
-    by_id = {rule["id"]: rule for rule in run["tool"]["driver"]["rules"]}
-    assert by_id["DET001"]["defaultConfiguration"]["level"] == "error"
-    assert by_id["DET003"]["defaultConfiguration"]["level"] == "error"
-    for code in ("DET005", "SHR005"):
-        assert by_id[code]["defaultConfiguration"]["level"] == "warning"
-    levels = [result["level"] for result in run["results"]]
-    assert levels == ["error"] * 4 + ["warning"] * 3
+    levels = {rule["defaultConfiguration"]["level"]
+              for rule in run["tool"]["driver"]["rules"]}
+    assert levels == {"error"}
+    assert [result["level"] for result in run["results"]] == ["error"] * 7
+    assert [result["ruleId"] for result in run["results"]] == [
+        f.code for f in synthetic_result().findings]
 
 
 def test_every_registered_family_is_present():

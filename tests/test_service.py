@@ -486,6 +486,44 @@ class TestOwnerThread:
         assert metrics["jobs"]["leases_expired"] == 1
         assert metrics["queue_depth"] == 1
 
+    def test_one_local_worker_thread_by_default(self, tmp_path):
+        """Worker threads share one interpreter lock, so a server built
+        without ``local_workers`` simulates on one thread."""
+        before = set(threading.enumerate())
+        server = CampaignServer(tmp_path / "store", port=0).start()
+        try:
+            started = [thread for thread in threading.enumerate()
+                       if thread not in before and thread.name.startswith("repro-worker-")]
+        finally:
+            server.stop()
+        assert server.pool.workers == 1 and len(started) == 1
+
+    def test_an_expired_lease_counts_against_max_attempts(self, tmp_path):
+        """A worker that dies or hangs on its task gets it back at most
+        ``max_attempts`` times; then the job fails, naming the lease."""
+        now = [0.0]
+        scheduler = Scheduler(ArtifactStore(tmp_path), lease_ttl=1.0,
+                              max_attempts=3, clock=lambda: now[0])
+        try:
+            campaign_id = scheduler.submit(self.SPEC)["id"]
+            attempts = []
+            for _ in range(3):
+                (task,) = scheduler.lease(worker="hung")
+                attempts.append(task["attempt"])
+                now[0] += 2.0
+                scheduler.metrics()  # the owner expires the lease after it
+            assert attempts == [1, 2, 3]
+            assert scheduler.lease() == []
+            status = scheduler.campaign_status(campaign_id)
+            assert status["state"] == "failed"
+            (job,) = status["jobs"]
+            assert job["state"] == "failed"
+            assert job["error"] == "lease to hung expired after 1s on attempt 3 of 3"
+            counters = scheduler.metrics()["jobs"]
+            assert counters["leases_expired"] == 3 and counters["jobs_failed"] == 1
+        finally:
+            scheduler.close()
+
     def test_scheduler_attributes_hold_no_state(self, scheduler):
         campaign_id = scheduler.submit(self.SPEC)["id"]
         scheduler.lease()

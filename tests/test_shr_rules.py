@@ -6,10 +6,12 @@ Each case lints a synthetic file through the real engine path
 suppression family are all exercised.
 """
 
+import json
 import textwrap
 
-from repro.analysis.lint import SHARING_PROFILE, lint_files, run_lint
+from repro.analysis.lint import DEFAULT_PROFILE, lint_files, restrict, run_lint
 from repro.analysis.lint.rules_sharing import SHR_RULE_CODES
+from repro.cli import main
 
 
 def lint(tmp_path, source, name="inj.py"):
@@ -84,9 +86,10 @@ def test_det_ok_does_not_suppress_shr(tmp_path):
 
 
 def test_sharing_profile_clean_on_real_tree():
-    """The committed pipeline/sim/workloads layers pass SHR005 (the one
-    deliberate exception, ``Event.constructed``, carries ``# shr-ok``)."""
-    result = run_lint(SHARING_PROFILE)
+    """The committed pipeline/service/sim/workloads layers pass SHR005
+    (the one deliberate exception, ``Event.constructed``, carries
+    ``# shr-ok``)."""
+    result = run_lint(restrict(DEFAULT_PROFILE, SHR_RULE_CODES))
     assert result.findings == [], [f.render() for f in result.findings]
 
 
@@ -99,8 +102,21 @@ def test_every_shr_rule_has_an_injection_proof():
     assert registered == set(SHR_RULE_CODES) == {"SHR005"}
 
 
-def test_shr_severities_match_the_contract():
-    """SHR005 is a warn-first ratchet."""
-    from repro.analysis.lint import get_rule
-
-    assert not get_rule("SHR005").blocking
+def test_shr005_finding_fails_the_run(tmp_path, capsys):
+    """SHR005 blocks like every other rule: ``repro-sim lint PATH`` on a
+    mutable default argument exits 1 and reports a SARIF error; the
+    fixed and the ``# shr-ok``-suppressed variants exit 0."""
+    broken = "def record(x, acc=[]):\n    acc.append(x)\n"
+    path = tmp_path / "inj.py"
+    path.write_text(broken)
+    sarif = tmp_path / "lint.sarif"
+    assert main(["lint", str(path), "--sarif", str(sarif)]) == 1
+    assert "SHR005" in capsys.readouterr().out
+    results = json.loads(sarif.read_text())["runs"][0]["results"]
+    assert [(r["ruleId"], r["level"]) for r in results] == [("SHR005", "error")]
+    for fixed in (
+        broken.replace("acc=[]):", "acc=None):\n    acc = [] if acc is None else acc"),
+        broken.replace("acc=[]):", "acc=[]):  # shr-ok: a memo shared on purpose"),
+    ):
+        path.write_text(fixed)
+        assert main(["lint", str(path)]) == 0, capsys.readouterr().out
