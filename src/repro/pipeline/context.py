@@ -151,7 +151,7 @@ class HardwareContext:
         return (
             uop is not None
             and uop.pc == mp.pc
-            and uop.cols.state[uop.uid] != ST_SQUASHED
+            and uop.state_code != ST_SQUASHED
         )
 
     def set_back_merge(self, target_pc: int) -> None:
@@ -192,31 +192,34 @@ class HardwareContext:
         self._own_pending = []
         self._live_stores = list(stores)
 
-    def older_store_pending(self, seq: int) -> bool:
-        """Is any visible store older than ``seq`` still un-executed?
+    def older_store_pending(self, seq: int) -> Optional[Uop]:
+        """A visible store older than ``seq`` that is still un-executed,
+        or None when there is none.
 
         Equivalent to the old linear scan for a store with
         ``store.seq < seq and not squashed and not completed`` over
         ``store_buffer + inherited_stores``; here the pending heaps are
-        pruned to their oldest still-pending entry and peeked.
+        pruned to their oldest still-pending entry and peeked.  The
+        store returned is the one a blocked load waits on: the load can
+        pass no earlier than that store executes or is squashed.
         """
         heap = self._own_pending
         while heap:
             top = heap[0]
             store = top[1]
-            if store.cols.state[store.uid] < ST_COMPLETED:  # renamed/issued
+            if store.state_code < ST_COMPLETED:  # renamed/issued
                 if top[0] < seq:
-                    return True
+                    return store
                 break
             heappop(heap)  # completed/committed/squashed: done pending
         heap = self._inh_pending
         while heap:
             top = heap[0]
             store = top[1]
-            code = store.cols.state[store.uid]
+            code = store.state_code
             if code < ST_COMPLETED:  # renamed/issued
                 if top[0] < seq:
-                    return True
+                    return store
                 break
             heappop(heap)
             if code == ST_COMPLETED:
@@ -224,7 +227,7 @@ class HardwareContext:
                 # forwardable here (own stores arrive via the resolve
                 # hook; inherited ones as the load window passes them).
                 self._index_completed_store(store)
-        return False
+        return None
 
     def _index_completed_store(self, store: Uop) -> None:
         lst = self._fwd_index.get(store.eff_addr)
@@ -259,7 +262,7 @@ class HardwareContext:
                 hi = mid
         for i in range(lo - 1, -1, -1):
             store = lst[i]
-            if store.cols.state[store.uid] == ST_COMPLETED:
+            if store.state_code == ST_COMPLETED:
                 return store
         return None
 
@@ -291,7 +294,7 @@ class HardwareContext:
         stack = self._live_stores
         while stack:
             top = stack[-1]
-            if top.cols.state[top.uid] >= ST_COMMITTED:  # committed/squashed
+            if top.state_code >= ST_COMMITTED:  # committed/squashed
                 stack.pop()
             else:
                 return True

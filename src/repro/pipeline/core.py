@@ -66,17 +66,26 @@ __all__ = ["Core", "SimulationError", "gc_epoch"]
 
 @contextlib.contextmanager
 def gc_epoch() -> Iterator[None]:
-    """Hold the cyclic garbage collector off for the block.
+    """Hold the cyclic garbage collector off for the block, then collect
+    the young generation once.
 
     A simulation allocates heavily (uops, fetch records, heap entries)
     but creates no garbage *cycles* worth collecting mid-run, and keeping
-    the generational collector from scanning the growing columns is a
+    the generational collector from scanning the live window is a
     measurable win.  One rule: whoever disables the collector collects.
     Entered with the collector enabled, the block disables it, then
-    re-enables it and collects once on exit.  Entered with it already
+    re-enables it and collects on exit.  Entered with it already
     disabled, the block leaves it alone, and the caller that disabled it
     collects — so the consecutive points one pool worker serves, or the
     tasks of one remote lease, pay at most one collection, not one per run.
+
+    With the collector off, nothing allocated in the block is promoted
+    out of generation 0, so ``gc.collect(0)`` reaches every cycle the
+    block made and none of the process's older objects.  That frees a
+    core only if nothing outside it still references it at the exit: a
+    caller that wants the core gone with its epoch builds, runs and
+    drops it inside the block (as :func:`repro.sim.runner.run_spec`
+    does) and keeps no local bound to it past the block.
     """
     if not gc.isenabled():
         yield
@@ -86,7 +95,7 @@ def gc_epoch() -> Iterator[None]:
         yield
     finally:
         gc.enable()
-        gc.collect()
+        gc.collect(0)
 
 
 class Core:

@@ -76,15 +76,13 @@ class InstructionQueue:
         regfile = self.regfile
         ready_cycles = regfile.ready_cycle
         never = regfile.NEVER
-        cols = uop.cols
-        uid = uop.uid
         pending = 0
         latest = 0
-        # Unrolled over the (at most three) source columns — the hot
-        # path allocates no list and chases no attributes.
-        n = cols.nsrcs[uid]
+        # Unrolled over the (at most three) source slots — the hot path
+        # allocates no list.
+        n = uop.nsrcs
         if n:
-            src = cols.src0[uid]
+            src = uop.src0
             rc = ready_cycles[src]
             if rc == never:
                 regfile.add_waiter(src, self, uop)
@@ -92,7 +90,7 @@ class InstructionQueue:
             elif rc > latest:
                 latest = rc
             if n > 1:
-                src = cols.src1[uid]
+                src = uop.src1
                 rc = ready_cycles[src]
                 if rc == never:
                     regfile.add_waiter(src, self, uop)
@@ -100,14 +98,14 @@ class InstructionQueue:
                 elif rc > latest:
                     latest = rc
                 if n > 2:
-                    src = cols.src2[uid]
+                    src = uop.src2
                     rc = ready_cycles[src]
                     if rc == never:
                         regfile.add_waiter(src, self, uop)
                         pending += 1
                     elif rc > latest:
                         latest = rc
-        cols.wait_count[uid] = pending
+        uop.wait_count = pending
         if not pending:
             heappush(self._due, (latest, uop.seq, uop))
 
@@ -124,7 +122,7 @@ class InstructionQueue:
     def remove_squashed(self) -> int:
         before = len(self._members)
         self._members = {
-            u: None for u in self._members if u.cols.state[u.uid] != ST_SQUASHED
+            u: None for u in self._members if u.state_code != ST_SQUASHED
         }
         return before - len(self._members)
 
@@ -136,26 +134,24 @@ class InstructionQueue:
     # -- event-driven readiness ----------------------------------------
     def _wake(self, uop: Uop) -> None:
         """One pending source of ``uop`` got its ready cycle."""
-        cols = uop.cols
-        uid = uop.uid
-        wc = cols.wait_count[uid] - 1
-        cols.wait_count[uid] = wc
+        wc = uop.wait_count - 1
+        uop.wait_count = wc
         if wc:
             return
-        if uop not in self._members or cols.state[uid] != ST_RENAMED:
+        if uop not in self._members or uop.state_code != ST_RENAMED:
             return  # stale waiter: the uop issued or was squashed/dequeued
         ready_cycles = self.regfile.ready_cycle
         latest = 0
-        n = cols.nsrcs[uid]
-        rc = ready_cycles[cols.src0[uid]]
+        n = uop.nsrcs
+        rc = ready_cycles[uop.src0]
         if rc > latest:
             latest = rc
         if n > 1:
-            rc = ready_cycles[cols.src1[uid]]
+            rc = ready_cycles[uop.src1]
             if rc > latest:
                 latest = rc
             if n > 2:
-                rc = ready_cycles[cols.src2[uid]]
+                rc = ready_cycles[uop.src2]
                 if rc > latest:
                     latest = rc
         self.wakeups += 1
@@ -167,8 +163,12 @@ class InstructionQueue:
         Readiness uses per-register ready cycles, modelling the bypass
         network: a dependent may issue as soon as its producer's result
         is forwardable, not when it reaches the register file.  The
-        caller owns the returned uops: issue them (``remove``) or give
-        back the ones blocked on units/memory order (``requeue``).
+        caller owns the returned uops: it issues them (``remove``),
+        gives back the ones that found no unit (``requeue``), or parks a
+        load behind an older pending store on that store's ``waiters``
+        list, and the store's release calls ``requeue``.  A parked load
+        is therefore returned once per release, not once per stalled
+        cycle.
         """
         due = self._due
         ready = self._ready
@@ -179,14 +179,17 @@ class InstructionQueue:
         members = self._members
         while ready:
             uop = heappop(ready)[1]
-            if uop in members and uop.cols.state[uop.uid] == ST_RENAMED:
+            if uop in members and uop.state_code == ST_RENAMED:
                 out.append(uop)
         self.ready_polls += 1
         self.ready_returned += len(out)
         return out
 
     def requeue(self, uops: List[Uop]) -> None:
-        """Put back ready uops that could not issue this cycle."""
+        """Put ready uops back in the pool for the next ``take_ready``:
+        the ones that found no unit this cycle, and the loads a store
+        releases when it executes or is squashed.  Entries that left the
+        queue meanwhile are dropped when popped."""
         ready = self._ready
         for uop in uops:
             heappush(ready, (uop.seq, uop))

@@ -71,7 +71,7 @@ class CommitStage(Stage):
             if pos >= al.tail_pos:
                 break
             uop = al._ring[pos % al.capacity]
-            if uop is None or uop.cols.state[uop.uid] != ST_COMPLETED:
+            if uop is None or uop.state_code != ST_COMPLETED:
                 break
             self.core._retire(instance, ctx, uop)
             budget -= 1
@@ -84,8 +84,6 @@ class CommitStage(Stage):
         if self.config.golden_check:
             self.golden_check(instance, uop)
         ctx.active_list.advance_commit()
-        cols = uop.cols
-        uid = uop.uid
         dec = uop.dec
         if dec.is_store:
             instance.memory.write64(uop.eff_addr, uop.store_bits)
@@ -97,13 +95,13 @@ class CommitStage(Stage):
             except ValueError:
                 pass
             ctx.fwd_index_discard(uop)
-        prev = cols.prev_map[uid]
-        if prev is not None and cols.phys_dst[uid] is not None:
+        prev = uop.prev_map
+        if prev is not None and uop.phys_dst is not None:
             self.regfile.decref(prev)
-            cols.prev_map[uid] = None
+            uop.prev_map = None
         if uop.reused and uop.reuse_src_ctx is not None:
             self.contexts[uop.reuse_src_ctx].reuse_pins.discard(uop.seq)
-        cols.state[uid] = ST_COMMITTED
+        uop.state_code = ST_COMMITTED
         instance.committed += 1
         self.stats.committed += 1
         state.last_commit_cycle = state.cycle

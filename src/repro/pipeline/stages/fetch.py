@@ -286,7 +286,7 @@ class FetchStage(Stage):
         prev_next: Optional[int] = None
         for pos in range(from_pos, ring.tail_pos):
             uop = cells[pos % capacity] if pos >= start else None
-            if uop is None or uop.cols.state[uop.uid] == ST_SQUASHED:
+            if uop is None or uop.state_code == ST_SQUASHED:
                 break
             if prev_next is not None and uop.pc != prev_next:
                 break

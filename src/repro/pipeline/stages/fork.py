@@ -94,10 +94,10 @@ class ForkUnit(Stage):
         # of accreting the whole run's store history across fork
         # generations.
         parent.inherited_stores = inh = [
-            s for s in parent.inherited_stores if s.cols.state[s.uid] < ST_COMMITTED
+            s for s in parent.inherited_stores if s.state_code < ST_COMMITTED
         ]
         stores = inh + [
-            s for s in parent.store_buffer if s.cols.state[s.uid] < ST_COMMITTED
+            s for s in parent.store_buffer if s.state_code < ST_COMMITTED
         ]
         spare.adopt_inherited_stores(stores)
         self.state.predictor.fork_context(

@@ -8,9 +8,16 @@ unit latency plus memory-hierarchy delays.
 Selection is event-driven: :meth:`InstructionQueue.take_ready` pops the
 incrementally maintained ready pool (oldest first) instead of scanning
 the queue, and the memory-ordering check peeks the per-context
-pending-store heaps instead of scanning the store buffers.  Uops that
-are ready but blocked (no unit, or an older store still pending) are
-given back to the pool for the next cycle.
+pending-store heaps instead of scanning the store buffers.  A ready uop
+that finds no unit goes back to the pool for the next cycle.  A load
+behind an older store that has not executed is parked on that store's
+``waiters`` list; the store's completion or squash (``ResolveStage.run``,
+``ResolveStage.squash_uop``) hands it back through
+:meth:`InstructionQueue.requeue`.  The issue stream is the one a
+per-cycle re-check gives, because the release lands at the first cycle
+such a check could pass: completion runs before issue within a cycle,
+so a load released there is checked again in that cycle's issue, and a
+squash later in the cycle (rename, fetch) releases it for the next.
 """
 
 from __future__ import annotations
@@ -68,13 +75,19 @@ class IssueStage(Stage):
             for uop in ready:
                 # Conservative load ordering: a load waits until every
                 # older store has executed.  The check must run *before*
-                # try_issue so a blocked load never claims a unit slot.
+                # try_issue so a blocked load never claims a unit slot;
+                # it parks on the store that holds it back.
                 dec = uop.dec
-                blocked_mem = (
-                    dec.kind == K_LOAD
-                    and contexts[uop.ctx].older_store_pending(uop.seq)
-                )
-                if blocked_mem or not try_issue_code(dec.fu_code):
+                if dec.kind == K_LOAD:
+                    store = contexts[uop.ctx].older_store_pending(uop.seq)
+                    if store is not None:
+                        waiters = store.waiters
+                        if waiters is None:
+                            store.waiters = [uop]
+                        else:
+                            waiters.append(uop)
+                        continue
+                if not try_issue_code(dec.fu_code):
                     if blocked is None:
                         blocked = [uop]
                     else:
@@ -82,7 +95,7 @@ class IssueStage(Stage):
                     continue
                 queue.remove(uop)
                 cid = uop.ctx
-                uop.cols.in_queue[uop.uid] = False
+                uop.in_queue = False
                 ctx = contexts[cid]
                 ctx.n_queued -= 1
                 touched[cid] = ctx
@@ -100,9 +113,7 @@ class IssueStage(Stage):
     def execute(self, uop: Uop) -> None:
         """Begin execution: compute the result, schedule completion."""
         state = self.state
-        cols = uop.cols
-        uid = uop.uid
-        cols.state[uid] = ST_ISSUED
+        uop.state_code = ST_ISSUED
         cycle = state.cycle
         uop.issue_cycle = cycle
         state.issued_this_cycle += 1
@@ -111,21 +122,17 @@ class IssueStage(Stage):
         dec = uop.dec
         values = self.regfile.values
         # The semantics helpers only index ``srcs``; build the operand
-        # tuple straight from the source columns (no list, no
+        # tuple straight from the source slots (no list, no
         # ``phys_srcs`` reconstruction).
-        n = cols.nsrcs[uid]
+        n = uop.nsrcs
         if n == 0:
             srcs = ()
         elif n == 1:
-            srcs = (values[cols.src0[uid]],)
+            srcs = (values[uop.src0],)
         elif n == 2:
-            srcs = (values[cols.src0[uid]], values[cols.src1[uid]])
+            srcs = (values[uop.src0], values[uop.src1])
         else:
-            srcs = (
-                values[cols.src0[uid]],
-                values[cols.src1[uid]],
-                values[cols.src2[uid]],
-            )
+            srcs = (values[uop.src0], values[uop.src1], values[uop.src2])
         latency = dec.latency
         kind = dec.kind
         if kind == K_ALU:
@@ -157,7 +164,7 @@ class IssueStage(Stage):
             if dec.is_call:
                 uop.value = _compute_value(instr, srcs, uop.pc)
         # K_NONE (halt / nop): nothing to compute.
-        pd = cols.phys_dst[uid]
+        pd = uop.phys_dst
         if pd is not None:
             # Bypass network: the result is forwardable ``latency``
             # cycles after issue; dependents may issue then.

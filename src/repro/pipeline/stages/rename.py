@@ -116,10 +116,8 @@ class RenameStage(Stage):
         :meth:`resources_ok` has already reserved its resources."""
         state = self.state
         cycle = state.cycle
-        cols = state.uop_cols
         pc = dec.pc
-        uop = Uop(dec.instr, pc, ctx.id, ctx.instance, cols, dec)
-        uid = uop.uid
+        uop = Uop(dec.instr, pc, ctx.id, ctx.instance, dec)
         uop.next_pc = next_pc
         uop.pred = pred
         uop.rename_cycle = cycle
@@ -127,16 +125,16 @@ class RenameStage(Stage):
             uop.recycled = True
             uop.back_merge = back_merge
         # RenameMap.define / note_register_write, inlined (hot path);
-        # physical sources go straight into the columns.
+        # physical sources go straight into the source slots.
         table = ctx.map.table
         n = dec.nsrcs
         if n:
-            cols.nsrcs[uid] = n
-            cols.src0[uid] = table[dec.src0]
+            uop.nsrcs = n
+            uop.src0 = table[dec.src0]
             if n > 1:
-                cols.src1[uid] = table[dec.src1]
+                uop.src1 = table[dec.src1]
                 if n > 2:
-                    cols.src2[uid] = table[dec.src2]
+                    uop.src2 = table[dec.src2]
         dst = dec.dst
         if dst is not None:
             # Inline of ``regfile.alloc``: resources_ok already made
@@ -150,8 +148,8 @@ class RenameStage(Stage):
             regfile.ready_cycle[new_reg] = regfile.NEVER
             regfile.values[new_reg] = 0.0 if fp else 0
             regfile.allocations += 1
-            cols.phys_dst[uid] = new_reg
-            cols.prev_map[uid] = table[dst]
+            uop.phys_dst = new_reg
+            uop.prev_map = table[dst]
             table[dst] = new_reg
             ctx.self_written.add(dst)
             if ctx.is_primary:
@@ -163,7 +161,7 @@ class RenameStage(Stage):
             uop.no_execute = True
         else:
             (self.fp_queue if dec.fu_fp else self.int_queue).insert(uop)
-            cols.in_queue[uid] = True
+            uop.in_queue = True
             ctx.n_queued += 1
         pos = ctx.active_list.append(uop)
         uop.al_pos = pos
@@ -375,7 +373,7 @@ class RenameStage(Stage):
         uop = src.active_list.try_entry(entry.src_pos)
         if uop is None or uop.pc != entry.pc:
             return None
-        code = uop.cols.state[uop.uid]
+        code = uop.state_code
         if code == ST_SQUASHED:
             return None
         instr = uop.instr
@@ -428,7 +426,7 @@ class RenameStage(Stage):
             frozenset(stream.consistent_writes) if bus.wants(Reused) else None
         )
         instr = src_uop.instr
-        uop = Uop(instr, entry.pc, dst.id, dst.instance, self.state.uop_cols, entry.dec)
+        uop = Uop(instr, entry.pc, dst.id, dst.instance, entry.dec)
         uop.next_pc = entry.next_pc
         uop.recycled = True
         uop.reused = True

@@ -31,15 +31,15 @@ class ResolveStage(Stage):
         wants_completed = Completed in self.bus_active
         contexts = self.contexts
         for uop in due:
-            cols = uop.cols
-            uid = uop.uid
-            if cols.state[uid] == ST_SQUASHED:
+            if uop.state_code == ST_SQUASHED:
                 continue
-            cols.state[uid] = ST_COMPLETED
+            uop.state_code = ST_COMPLETED
             uop.complete_cycle = cycle
             dec = uop.dec
             if dec.is_store:
                 contexts[uop.ctx].note_store_completed(uop)
+                if uop.waiters is not None:
+                    self.release_waiters(uop)
             if wants_completed:
                 self.bus.publish(Completed(cycle, uop))
             if dec.is_branch:
@@ -225,9 +225,9 @@ class ResolveStage(Stage):
         """
         for pos in ctx.active_list.retained_positions():
             uop = ctx.active_list.try_entry(pos)
-            if uop is not None and uop.cols.in_queue[uop.uid]:
+            if uop is not None and uop.in_queue:
                 (self.fp_queue if uop.instr.info.fu is FuClass.FP else self.int_queue).remove(uop)
-                uop.cols.in_queue[uop.uid] = False
+                uop.in_queue = False
                 uop.no_execute = True
                 ctx.n_queued -= 1
         self.state.icount_order.note(ctx)
@@ -305,9 +305,9 @@ class ResolveStage(Stage):
             return
         for pos in range(from_pos, ctx.active_list.tail_pos):
             uop = ctx.active_list.try_entry(pos)
-            if uop is not None and uop.cols.in_queue[uop.uid]:
+            if uop is not None and uop.in_queue:
                 (self.fp_queue if uop.instr.info.fu is FuClass.FP else self.int_queue).remove(uop)
-                uop.cols.in_queue[uop.uid] = False
+                uop.in_queue = False
                 uop.no_execute = True
                 ctx.n_queued -= 1
         self.state.icount_order.note(ctx)
@@ -323,16 +323,14 @@ class ResolveStage(Stage):
     # ------------------------------------------------------------------
     def squash_uop(self, uop: Uop) -> None:
         ctx = self.contexts[uop.ctx]
-        cols = uop.cols
-        uid = uop.uid
         dec = uop.dec
-        if cols.in_queue[uid]:
+        if uop.in_queue:
             (self.fp_queue if dec.fu_fp else self.int_queue).remove(uop)
-            cols.in_queue[uid] = False
+            uop.in_queue = False
             ctx.n_queued -= 1
             self.state.icount_order.note(ctx)
-        if cols.phys_dst[uid] is not None:
-            ctx.map.restore(dec.dst, cols.prev_map[uid])
+        if uop.phys_dst is not None:
+            ctx.map.restore(dec.dst, uop.prev_map)
         if uop.reused and uop.reuse_src_ctx is not None:
             self.contexts[uop.reuse_src_ctx].reuse_pins.discard(uop.seq)
         if dec.is_store:
@@ -341,14 +339,23 @@ class ResolveStage(Stage):
             except ValueError:
                 pass
             ctx.fwd_index_discard(uop)
+            if uop.waiters is not None:
+                self.release_waiters(uop)
         if uop.forked_ctx is not None:
             child = self.covering_alternate(uop)
             if child is not None:
                 self.squash_context(child)
-        cols.state[uid] = ST_SQUASHED
+        uop.state_code = ST_SQUASHED
         self.stats.squashed += 1  # inline: squashes are a hot path under TME
         if Squashed in self.bus_active:
             self.bus.publish(Squashed(self.state.cycle, uop))
+
+    def release_waiters(self, store: Uop) -> None:
+        """``store`` executed or was squashed: hand the loads parked on
+        it back to the int queue (loads use the LDST units), which
+        re-checks their memory order at its next ``take_ready``."""
+        self.int_queue.requeue(store.waiters)
+        store.waiters = None
 
     def squash_suffix(self, ctx: HardwareContext, branch_pos: int) -> int:
         """Squash everything in ``ctx`` younger than position ``branch_pos``.
@@ -361,7 +368,7 @@ class ResolveStage(Stage):
         count = 0
         squash = self.core._squash_uop
         for uop in dropped:  # youngest first
-            if uop.cols.state[uop.uid] != ST_SQUASHED:
+            if uop.state_code != ST_SQUASHED:
                 squash(uop)
                 count += 1
         ctx.decode_buffer.clear()
@@ -397,7 +404,7 @@ class ResolveStage(Stage):
         for pos in range(ring.tail_pos - 1, ring.commit_pos - 1, -1):
             uop = ring.try_entry(pos)
             if uop is not None:
-                code = uop.cols.state[uop.uid]
+                code = uop.state_code
                 if code != ST_SQUASHED and code != ST_COMMITTED:
                     squash(uop)
         if ctx.map.valid:

@@ -32,7 +32,7 @@ from ..events import EventBus
 from ..instance import ProgramInstance
 from ..queues import FunctionalUnits, InstructionQueue
 from ..regfile import PhysicalRegisterFile
-from ..uop import Uop, UopColumns
+from ..uop import Uop
 from ..uopcache import DecodedUopCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,11 +77,6 @@ class CoreState:
             cfg.fetch_total, cfg.rename_width, cfg.int_units + cfg.fp_units,
             cfg.commit_width,
         )
-        #: Structure-of-arrays backing store for every Uop's hot fields
-        #: (state, operands, destination mapping, scheduler counters) —
-        #: core-owned parallel columns keyed by dense uop id.  The Uop
-        #: objects are thin views over these columns.
-        self.uop_cols = UopColumns()
         #: Decoded-uop cache: (program, pc) -> predigested static record.
         self.uop_cache = DecodedUopCache(cfg.uop_cache_entries)
         self.bus = EventBus()

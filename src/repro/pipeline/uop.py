@@ -1,4 +1,4 @@
-"""In-flight instruction records (micro-ops), structure-of-arrays.
+"""In-flight instruction records (micro-ops).
 
 A :class:`Uop` is one dynamic instance of an instruction travelling
 through the pipeline.  Uops live in the per-context active lists, which
@@ -7,24 +7,15 @@ decoded opcode, logical and physical operands, the path's recorded
 next-PC, and (after execution) the computed value — everything the
 recycle datapath and reuse test need.
 
-The *hot* per-uop fields — pipeline state, physical operands, the
-destination mapping and the scheduler's wakeup counters — do not live
-on the object.  They live in :class:`UopColumns`, parallel arrays
-keyed by a dense per-core uop id and owned by
-:class:`~repro.pipeline.stages.state.CoreState`.  The stage inner
-loops index the columns directly (no attribute chasing, batchable
-later); the :class:`Uop` object is a thin *view* exposing the same
-attribute API as before through properties, so the event bus, tracer,
-CrossChecker and tests are unchanged.
-
-Ids are allocated densely and never recycled within a run: every
-structure that may hold a stale reference (completion lists, store
-heaps, the forwarding index, register-file waiter lists) validates
-entries by reading the uop's state, and a recycled slot would alias a
-live uop's state onto a dead reference.  Column growth is therefore
-O(total renamed uops per run) — bounded by the commit target in
-practice — and a generation-tagged free list can be layered in if a
-core ever needs to outlive one run.
+Every field is a slot on the object, the hot pipeline ones included:
+the state code, the physical sources and destination mapping, and the
+scheduler's wakeup counters.  The stage inner loops read and write
+them directly (``uop.state_code``, ``uop.src0``, ``uop.wait_count``);
+only :attr:`Uop.state` (the :class:`UopState` view over the code) and
+:attr:`Uop.phys_srcs` (the source list rebuilt from ``src0``-``src2``)
+are properties, for the event bus, tracer, CrossChecker and tests.  A
+uop's state goes with the uop: once nothing references it, nothing of
+it stays behind.
 """
 
 from __future__ import annotations
@@ -47,7 +38,7 @@ class UopState(enum.Enum):
     SQUASHED = "squashed"  # cancelled
 
 
-#: Integer state codes stored in ``UopColumns.state`` — the stage hot
+#: Integer state codes stored in ``Uop.state_code`` — the stage hot
 #: loops compare these instead of enum identities.
 ST_RENAMED = 0
 ST_ISSUED = 1
@@ -67,72 +58,11 @@ STATE_OBJS = (
 STATE_CODES = {obj: code for code, obj in enumerate(STATE_OBJS)}
 
 
-class UopColumns:
-    """Parallel columns for every Uop's hot fields, keyed by uop id.
-
-    One instance per :class:`CoreState` (never a module global), so no
-    two cores ever share columns.
-    """
-
-    __slots__ = (
-        "state",  # ST_* codes
-        "phys_dst",  # physical destination register or None
-        "prev_map",  # displaced mapping (released at commit) or None
-        "src0",  # physical source registers, -1 = unused slot
-        "src1",
-        "src2",
-        "nsrcs",
-        "wait_count",  # not-yet-issued source producers (scheduler)
-        "in_queue",
-        "n",
-    )
-
-    def __init__(self) -> None:
-        self.state: List[int] = []
-        self.phys_dst: List[Optional[int]] = []
-        self.prev_map: List[Optional[int]] = []
-        self.src0: List[int] = []
-        self.src1: List[int] = []
-        self.src2: List[int] = []
-        self.nsrcs: List[int] = []
-        self.wait_count: List[int] = []
-        self.in_queue: List[bool] = []
-        self.n = 0
-
-    def alloc(self) -> int:
-        """Append one zeroed row; returns the new dense uop id."""
-        uid = self.n
-        self.n = uid + 1
-        self.state.append(ST_RENAMED)
-        self.phys_dst.append(None)
-        self.prev_map.append(None)
-        self.src0.append(-1)
-        self.src1.append(-1)
-        self.src2.append(-1)
-        self.nsrcs.append(0)
-        self.wait_count.append(0)
-        self.in_queue.append(False)
-        return uid
-
-    def srcs_of(self, uid: int) -> List[int]:
-        """The physical source list for ``uid`` (view reconstruction)."""
-        n = self.nsrcs[uid]
-        if n == 0:
-            return []
-        if n == 1:
-            return [self.src0[uid]]
-        if n == 2:
-            return [self.src0[uid], self.src1[uid]]
-        return [self.src0[uid], self.src1[uid], self.src2[uid]]
-
-
 class Uop:
-    """One dynamic instruction instance — a view over the core's columns."""
+    """One dynamic instruction instance."""
 
     __slots__ = (
         "seq",
-        "uid",  # dense id into ``cols``
-        "cols",  # owning UopColumns (CoreState's, or a private one)
         "ctx",
         "instance",
         "instr",
@@ -156,10 +86,21 @@ class Uop:
         "complete_cycle",
         "back_merge",
         "al_pos",
+        # Hot pipeline fields, read and written by the stages directly.
+        "state_code",  # ST_* code; ``state`` is its UopState view
+        "phys_dst",  # physical destination register or None
+        "prev_map",  # displaced mapping (released at commit) or None
+        "src0",  # physical source registers, -1 = unused slot
+        "src1",
+        "src2",
+        "nsrcs",
+        "wait_count",  # not-yet-issued source producers (scheduler)
+        "in_queue",
+        "waiters",  # loads parked on this pending store (issue), or None
     )
 
     def __init__(
-        self, instr: Instruction, pc: int, ctx: int, instance, cols=None, dec=None
+        self, instr: Instruction, pc: int, ctx: int, instance, dec=None
     ) -> None:
         self.seq: int = next(_seq_counter)
         self.ctx = ctx
@@ -187,92 +128,53 @@ class Uop:
         self.complete_cycle = -1
         self.back_merge = False  # entered via a backward-branch merge
         self.al_pos = -1  # position in the owning context's active list
-        if cols is None:
-            # Standalone construction (tests, tools): a private
-            # single-row column set keeps the view API identical.
-            cols = UopColumns()
-        self.cols = cols
-        # Inline of ``cols.alloc`` — one call per renamed uop.
-        uid = cols.n
-        cols.n = uid + 1
-        self.uid = uid
-        cols.state.append(ST_RENAMED)
-        cols.phys_dst.append(None)
-        cols.prev_map.append(None)
-        cols.src0.append(-1)
-        cols.src1.append(-1)
-        cols.src2.append(-1)
-        cols.nsrcs.append(0)
-        cols.wait_count.append(0)
-        cols.in_queue.append(False)
+        self.state_code = ST_RENAMED
+        self.phys_dst: Optional[int] = None
+        self.prev_map: Optional[int] = None
+        self.src0 = -1
+        self.src1 = -1
+        self.src2 = -1
+        self.nsrcs = 0
+        self.wait_count = 0
+        self.in_queue = False
+        self.waiters: Optional[List["Uop"]] = None
 
-    # ------------------------------------------------------------------
-    # Hot-field views over the columns (the historical attribute API)
-    # ------------------------------------------------------------------
     @property
     def state(self) -> UopState:
-        return STATE_OBJS[self.cols.state[self.uid]]
+        return STATE_OBJS[self.state_code]
 
     @state.setter
     def state(self, value: UopState) -> None:
-        self.cols.state[self.uid] = STATE_CODES[value]
-
-    @property
-    def phys_dst(self) -> Optional[int]:
-        return self.cols.phys_dst[self.uid]
-
-    @phys_dst.setter
-    def phys_dst(self, value: Optional[int]) -> None:
-        self.cols.phys_dst[self.uid] = value
-
-    @property
-    def prev_map(self) -> Optional[int]:
-        return self.cols.prev_map[self.uid]
-
-    @prev_map.setter
-    def prev_map(self, value: Optional[int]) -> None:
-        self.cols.prev_map[self.uid] = value
+        self.state_code = STATE_CODES[value]
 
     @property
     def phys_srcs(self) -> List[int]:
-        return self.cols.srcs_of(self.uid)
+        n = self.nsrcs
+        if n == 0:
+            return []
+        if n == 1:
+            return [self.src0]
+        if n == 2:
+            return [self.src0, self.src1]
+        return [self.src0, self.src1, self.src2]
 
     @phys_srcs.setter
     def phys_srcs(self, srcs) -> None:
         assert len(srcs) <= 3, f"more than 3 physical sources: {srcs!r}"
-        cols = self.cols
-        uid = self.uid
         n = len(srcs)
-        cols.nsrcs[uid] = n
-        cols.src0[uid] = srcs[0] if n > 0 else -1
-        cols.src1[uid] = srcs[1] if n > 1 else -1
-        cols.src2[uid] = srcs[2] if n > 2 else -1
+        self.nsrcs = n
+        self.src0 = srcs[0] if n > 0 else -1
+        self.src1 = srcs[1] if n > 1 else -1
+        self.src2 = srcs[2] if n > 2 else -1
 
-    @property
-    def wait_count(self) -> int:
-        return self.cols.wait_count[self.uid]
-
-    @wait_count.setter
-    def wait_count(self, value: int) -> None:
-        self.cols.wait_count[self.uid] = value
-
-    @property
-    def in_queue(self) -> bool:
-        return self.cols.in_queue[self.uid]
-
-    @in_queue.setter
-    def in_queue(self, value: bool) -> None:
-        self.cols.in_queue[self.uid] = value
-
-    # ------------------------------------------------------------------
     @property
     def completed(self) -> bool:
-        code = self.cols.state[self.uid]
+        code = self.state_code
         return code == ST_COMPLETED or code == ST_COMMITTED
 
     @property
     def squashed(self) -> bool:
-        return self.cols.state[self.uid] == ST_SQUASHED
+        return self.state_code == ST_SQUASHED
 
     @property
     def executed_on_path(self) -> bool:

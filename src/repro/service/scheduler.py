@@ -486,6 +486,10 @@ class _State:
             task.state = "queued"
             task.worker = None
             self.queue.append(key)
+            for job_id in task.job_ids:
+                record = self.jobs.get(job_id)
+                if record is not None and record.state not in SETTLED_JOB_STATES:
+                    record.state = JOB_PENDING  # ``lease`` marks it running again
             return True
         task.state = "failed"
         for job_id in task.job_ids:

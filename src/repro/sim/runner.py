@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..pipeline.config import Features, MachineConfig, RecyclePolicy
-from ..pipeline.core import Core
+from ..pipeline.core import Core, gc_epoch
 from ..stats.counters import SimStats
 from ..workloads.suite import WorkloadSuite
 
@@ -85,16 +85,26 @@ def run_spec(
     ``config`` overrides ``spec.build_config()`` — the orchestration layer
     uses it to apply sweep-style ``MachineConfig`` field overrides that a
     ``RunSpec`` cannot express.
+
+    The core lives and dies inside one :func:`gc_epoch`: it is built,
+    run and dropped in :func:`_simulate`, whose frame is gone by the
+    epoch's exit, so the young collection there frees the whole run.
     """
     suite = suite or WorkloadSuite()
-    core = Core(config if config is not None else spec.build_config())
+    config = config if config is not None else spec.build_config()
     programs = suite.mix(spec.workload)
+    with gc_epoch():
+        stats, per_program_ipc = _simulate(config, programs, spec)
+    return RunResult(spec=spec, stats=stats, per_program_ipc=per_program_ipc)
+
+
+def _simulate(config: MachineConfig, programs, spec: RunSpec):
+    """Run ``programs`` on a fresh core; return its stats and per-program
+    IPC, and no reference into the core."""
+    core = Core(config)
     core.load(programs, commit_target=spec.commit_target)
     stats = core.run(max_cycles=spec.max_cycles)
-    result = RunResult(spec=spec, stats=stats)
-    for instance in core.instances:
-        result.per_program_ipc[instance.name] = stats.instance_ipc(instance.id)
-    return result
+    return stats, {inst.name: stats.instance_ipc(inst.id) for inst in core.instances}
 
 
 def run_matrix(

@@ -11,6 +11,7 @@ size.
 import gc as gc_module
 import importlib.util
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,10 @@ import pytest
 import repro.exec.pool as pool_module
 from repro.exec.jobs import Job, stats_to_payload
 from repro.exec.pool import Executor
+from repro.pipeline import uop as uop_module
+from repro.pipeline.context import HardwareContext
 from repro.pipeline.core import Core
+from repro.pipeline.uop import Uop
 from repro.sim.runner import RunSpec, run_spec
 from repro.workloads.suite import WorkloadSuite
 
@@ -239,3 +243,54 @@ class TestGcDiscipline:
             gc_module.enable()
         run_batch([Job(spec=self.SPEC)], suite)
         assert gc_module.isenabled()
+
+
+class TestASimulationLeavesNothingBehind:
+    """A finished simulation frees itself at once: with the collector
+    enabled and no explicit ``gc.collect()``, none of its uops or
+    hardware contexts outlive the call that ran it."""
+
+    @staticmethod
+    def leftovers(monkeypatch, call):
+        """How many uops and hardware contexts made by ``call()`` are
+        still alive when it returns: ``(uops, contexts)``."""
+        contexts = []
+        real_init = HardwareContext.__init__
+
+        def recording_init(self, *args):
+            real_init(self, *args)
+            contexts.append(weakref.ref(self))
+
+        monkeypatch.setattr(HardwareContext, "__init__", recording_init)
+        first = next(uop_module._seq_counter)
+        call()
+        last = next(uop_module._seq_counter)
+        uops = sum(
+            1
+            for obj in gc_module.get_objects()
+            if isinstance(obj, Uop) and first < obj.seq < last
+        )
+        return uops, sum(ref() is not None for ref in contexts)
+
+    def test_run_spec_frees_its_core(self, suite, monkeypatch):
+        assert gc_module.isenabled()
+        spec = RunSpec(workload=("compress",), commit_target=800)
+        assert self.leftovers(monkeypatch, lambda: run_spec(spec, suite)) == (0, 0)
+
+    def test_back_to_back_runs_hold_the_object_count_flat(self, suite):
+        spec = RunSpec(workload=("li",), commit_target=200)
+        counts = []
+        for _ in range(20):
+            run_spec(spec, suite)
+            counts.append(len(gc_module.get_objects()))
+        assert counts[-1] <= counts[4], counts
+
+    def test_a_serial_batch_frees_its_cores(self, suite, monkeypatch):
+        executor = Executor(jobs=1, batch_size=3, retries=0)
+        jobs = [Job(spec=RunSpec(workload=("compress",), commit_target=400))] * 3
+        counts = []
+        for _ in range(8):
+            executor.run(jobs, suite=suite)
+            counts.append(len(gc_module.get_objects()))
+        assert counts[-1] <= counts[1], counts
+        assert self.leftovers(monkeypatch, lambda: executor.run(jobs, suite=suite)) == (0, 0)

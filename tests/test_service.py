@@ -524,6 +524,36 @@ class TestOwnerThread:
         finally:
             scheduler.close()
 
+    def test_a_requeued_task_reads_pending_again(self, tmp_path):
+        """A failed or expired attempt puts the task back in the queue,
+        and its jobs back to ``pending``; the next lease makes them
+        ``running`` again."""
+        now = [0.0]
+        scheduler = Scheduler(ArtifactStore(tmp_path), lease_ttl=1.0,
+                              max_attempts=3, clock=lambda: now[0])
+        try:
+            campaign_id = scheduler.submit(self.SPEC)["id"]
+
+            def job_state():
+                (job,) = scheduler.campaign_status(campaign_id)["jobs"]
+                return job["state"]
+
+            (task,) = scheduler.lease(worker="hung")
+            assert job_state() == "running"
+            now[0] += 2.0
+            scheduler.metrics()  # the owner expires the lease after it
+            metrics = scheduler.metrics()
+            assert (metrics["queue_depth"], metrics["leased_tasks"]) == (1, 0)
+            assert job_state() == "pending"
+            (task,) = scheduler.lease(worker="flaky")
+            assert job_state() == "running"
+            assert scheduler.fail(task["key"], "boom", worker="flaky")
+            assert job_state() == "pending"
+            (task,) = scheduler.lease(worker="good")
+            assert task["attempt"] == 3 and job_state() == "running"
+        finally:
+            scheduler.close()
+
     def test_scheduler_attributes_hold_no_state(self, scheduler):
         campaign_id = scheduler.submit(self.SPEC)["id"]
         scheduler.lease()
