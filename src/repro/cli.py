@@ -5,9 +5,9 @@ Examples::
     repro-sim list
     repro-sim run --workload compress --features REC/RS/RU
     repro-sim run --workload gcc go li perl --machine big.2.16
-    repro-sim experiment fig3 --commit-target 2000
-    repro-sim experiment table1 --jobs 4 --cache-dir .repro-cache
-    repro-sim campaign paper --jobs 8
+    repro-sim campaign fig3 --commit-target 2000
+    repro-sim campaign table1 --jobs 4 --cache-dir .repro-cache
+    repro-sim campaign paper --jobs 8 > results.md
     repro-sim serve --store .repro-service --port 8752
     repro-sim serve --worker http://head:8752
     repro-sim submit --workload compress go --grid active_list_size=32,64
@@ -21,6 +21,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -35,19 +36,16 @@ from .sim.runner import RunSpec, run_spec
 from .stats import run_result_to_dict
 from .workloads.suite import WorkloadSuite
 
-#: Experiments that take a ``num_mixes`` argument.
-_MIXED_EXPERIMENTS = ("fig4", "fig5", "fig6", "table1")
 
-
-def _make_executor(args, progress: Optional[ProgressReporter] = None) -> Optional[Executor]:
+def _make_executor(args) -> Optional[Executor]:
     """Build an executor from ``--jobs`` / ``--cache-dir`` / ``--no-cache``;
     None when neither parallelism nor caching was requested (pure serial
     path, exactly the historical behaviour)."""
-    jobs = getattr(args, "jobs", 1) or 1
-    cache_dir = None if getattr(args, "no_cache", False) else getattr(args, "cache_dir", None)
-    if jobs <= 1 and cache_dir is None and progress is None:
+    jobs = args.jobs or 1
+    cache_dir = None if args.no_cache else args.cache_dir
+    if jobs <= 1 and cache_dir is None:
         return None
-    return Executor(jobs=jobs, cache=cache_dir, progress=progress)
+    return Executor(jobs=jobs, cache=cache_dir)
 
 
 class _ProgressLine:
@@ -120,31 +118,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
-    try:
-        runner, formatter = EXPERIMENTS[args.name]
-    except KeyError:
-        print(f"unknown experiment {args.name!r}; know {sorted(EXPERIMENTS)}", file=sys.stderr)
-        return 2
-    kwargs = {}
-    if args.commit_target is not None:
-        kwargs["commit_target"] = args.commit_target
-    if args.num_mixes is not None and args.name in _MIXED_EXPERIMENTS:
-        kwargs["num_mixes"] = args.num_mixes
-    executor = _make_executor(args)
-    started = time.time()
-    try:
-        data = runner(executor=executor, **kwargs)
-    except ExecutionError as exc:
-        print(f"experiment failed: {exc}", file=sys.stderr)
-        return 1
-    print(formatter(data))
-    print(f"[{time.time() - started:.1f}s wall]")
-    return 0
-
-
 def _cmd_campaign(args) -> int:
-    """Run a named experiment set through one shared executor."""
+    """Run experiments or named sets through one shared executor, and
+    print each experiment's markdown section to stdout as it finishes;
+    progress and the closing summary go to stderr."""
     names: List[str] = []
     for name in args.names or ["paper"]:
         if name in CAMPAIGNS:
@@ -171,7 +148,7 @@ def _cmd_campaign(args) -> int:
         kwargs = {}
         if args.commit_target is not None:
             kwargs["commit_target"] = args.commit_target
-        if args.num_mixes is not None and name in _MIXED_EXPERIMENTS:
+        if args.num_mixes is not None and "num_mixes" in inspect.signature(runner).parameters:
             kwargs["num_mixes"] = args.num_mixes
         try:
             data = runner(executor=executor, **kwargs)
@@ -180,14 +157,14 @@ def _cmd_campaign(args) -> int:
             print(f"campaign failed in {name}: {exc}", file=sys.stderr)
             return 1
         line.clear()
-        print(f"=== {name} ===")
         print(formatter(data))
         print()
     event = progress.event()
     cache_note = f", {event.cache_hits} cached" if event.cache_hits else ""
     print(
         f"[campaign: {event.done} jobs{cache_note}, "
-        f"{time.time() - started:.1f}s wall, jobs={executor.jobs}]"
+        f"{time.time() - started:.1f}s wall, jobs={executor.jobs}]",
+        file=sys.stderr,
     )
     return 0
 
@@ -581,24 +558,6 @@ def _cmd_profile_branches(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    from .sim.report import ReportConfig, generate_report
-
-    config = ReportConfig(
-        commit_target=args.commit_target,
-        num_mixes=args.num_mixes,
-        sections=tuple(args.sections) if args.sections else ReportConfig().sections,
-    )
-    text = generate_report(config)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.output}")
-    else:
-        print(text)
-    return 0
-
-
 def _cmd_trace(args) -> int:
     from .debug import CoreTracer, pipeview
     from .pipeline.core import Core
@@ -691,12 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="fork-gating confidence threshold override")
     run_parser.add_argument("--json", action="store_true", help="machine-readable output")
     add_exec_flags(run_parser)
-
-    exp_parser = sub.add_parser("experiment", help="reproduce a paper table/figure")
-    exp_parser.add_argument("name", help="fig3 | fig4 | fig5 | fig6 | table1 | ...")
-    exp_parser.add_argument("--commit-target", type=int, default=None)
-    exp_parser.add_argument("--num-mixes", type=int, default=None)
-    add_exec_flags(exp_parser)
 
     campaign_parser = sub.add_parser(
         "campaign",
@@ -838,13 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
     pbranch_parser.add_argument("--iters", type=int, default=5000)
     pbranch_parser.add_argument("--max-instructions", type=int, default=25_000)
 
-    report_parser = sub.add_parser("report", help="generate a markdown results report")
-    report_parser.add_argument("--commit-target", type=int, default=1500)
-    report_parser.add_argument("--num-mixes", type=int, default=3)
-    report_parser.add_argument("--sections", nargs="*", default=None,
-                               help="subset of: fig3 fig4 fig5 fig6 table1")
-    report_parser.add_argument("--output", "-o", default=None)
-
     trace_parser = sub.add_parser("trace", help="trace a run (events + pipeline view)")
     trace_parser.add_argument("--workload", nargs="+", required=True)
     trace_parser.add_argument("--machine", default="big.2.16", choices=MACHINES)
@@ -891,7 +837,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     handlers = {
         "list": _cmd_list,
         "run": _cmd_run,
-        "experiment": _cmd_experiment,
         "campaign": _cmd_campaign,
         "serve": _cmd_serve,
         "submit": _cmd_submit,
@@ -902,7 +847,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "profile": _cmd_profile,
         "profile-branches": _cmd_profile_branches,
         "trace": _cmd_trace,
-        "report": _cmd_report,
         "asm": _cmd_asm,
     }
     return handlers[args.command](args)

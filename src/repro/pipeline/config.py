@@ -160,8 +160,6 @@ class MachineConfig:
     # Variant + policy.
     features: Features = field(default_factory=Features)
     policy: RecyclePolicy = field(default_factory=RecyclePolicy)
-    # Reclaim an inactive context when the free list dips below this.
-    reg_pressure_threshold: int = 16
     # Map-recovery cost per squashed instruction (cycles, may be
     # fractional).  0 = checkpointed mapping tables (the paper's model:
     # "mapping tables ... are shadowed by checkpoints"); >0 approximates

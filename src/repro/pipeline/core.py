@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import threading
 from typing import Iterator, List, Optional
 
 from ..isa.program import Program, STACK_TOP
@@ -64,6 +65,12 @@ from .stages.commit import _values_equal  # noqa: F401  (re-export for tests)
 __all__ = ["Core", "SimulationError", "gc_epoch"]
 
 
+#: Epochs open in this process, and the lock that orders their entry
+#: and exit across threads.
+_epoch_lock = threading.Lock()
+_open_epochs = 0
+
+
 @contextlib.contextmanager
 def gc_epoch() -> Iterator[None]:
     """Hold the cyclic garbage collector off for the block, then collect
@@ -72,12 +79,15 @@ def gc_epoch() -> Iterator[None]:
     A simulation allocates heavily (uops, fetch records, heap entries)
     but creates no garbage *cycles* worth collecting mid-run, and keeping
     the generational collector from scanning the live window is a
-    measurable win.  One rule: whoever disables the collector collects.
-    Entered with the collector enabled, the block disables it, then
-    re-enables it and collects on exit.  Entered with it already
-    disabled, the block leaves it alone, and the caller that disabled it
-    collects — so the consecutive points one pool worker serves, or the
-    tasks of one remote lease, pay at most one collection, not one per run.
+    measurable win.  One rule: the last open epoch collects.  The first
+    epoch to open while the collector is enabled disables it; nested
+    epochs, and epochs on other threads, join the count; the last one to
+    close re-enables the collector and collects.  So the consecutive
+    points one pool worker serves, or the tasks of one remote lease, pay
+    one collection, not one per run, and two simulations on two threads
+    are both collected when the later one ends.  An epoch entered while
+    someone else disabled the collector (a pool worker, for good) leaves
+    it alone, and collection to whoever disabled it.
 
     With the collector off, nothing allocated in the block is promoted
     out of generation 0, so ``gc.collect(0)`` reaches every cycle the
@@ -87,15 +97,24 @@ def gc_epoch() -> Iterator[None]:
     drops it inside the block (as :func:`repro.sim.runner.run_spec`
     does) and keeps no local bound to it past the block.
     """
-    if not gc.isenabled():
+    global _open_epochs
+    with _epoch_lock:
+        counted = _open_epochs > 0 or gc.isenabled()
+        if counted:
+            if _open_epochs == 0:
+                gc.disable()
+            _open_epochs += 1
+    if not counted:
         yield
         return
-    gc.disable()
     try:
         yield
     finally:
-        gc.enable()
-        gc.collect(0)
+        with _epoch_lock:
+            _open_epochs -= 1
+            if _open_epochs == 0:
+                gc.enable()
+                gc.collect(0)
 
 
 class Core:

@@ -24,7 +24,7 @@ from .client import ServiceClient, ServiceError
 from .scheduler import Scheduler
 from .server import DEFAULT_PORT, CampaignServer
 from .spec import CampaignSpec, SpecError, parse_campaign, sweep_spec
-from .store import ArtifactStore, FileLock, LockTimeout
+from .store import ArtifactStore
 from .worker import LocalWorkerPool, run_worker
 
 __all__ = [
@@ -32,9 +32,7 @@ __all__ = [
     "CampaignServer",
     "CampaignSpec",
     "DEFAULT_PORT",
-    "FileLock",
     "LocalWorkerPool",
-    "LockTimeout",
     "Scheduler",
     "ServiceClient",
     "ServiceError",

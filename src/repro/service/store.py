@@ -6,8 +6,6 @@ every remote worker pushing results over HTTP::
     <root>/
       cache/<aa>/<key>.json   content-addressed results (ResultCache layout)
       campaigns/<cid>.json    persisted campaign records (server restart)
-      ids                     next campaign ordinal
-      ids.lock                advisory lock for id allocation
 
 The cache is the only record of a finished task: a restarted server
 resolves every key it finds there as a store hit.
@@ -18,171 +16,20 @@ Concurrency model
   atomic tmp-file + fsync + ``os.replace`` (see
   :func:`repro.exec.cache.write_atomic`), and two writers racing on one
   key carry identical payloads — last replace wins with the same bytes.
-* **Campaign ids** are allocated from a counter file under an advisory
-  :class:`FileLock`, so no two writers (two servers on one store, say)
-  can mint the same id.  Within one server only the scheduler's owner
-  thread writes the store; the file lock orders *processes*.
+* **Campaign ids** need no lock either: an id is minted by creating its
+  record file with ``O_CREAT|O_EXCL``, which one writer wins, so no two
+  writers (two servers on one store, say) can mint the same id.  Within
+  one server only the scheduler's owner thread writes the store.
 """
 
 from __future__ import annotations
 
-import errno
 import json
 import os
-import random
-import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from ..exec.cache import ResultCache, write_atomic
-
-try:  # pragma: no cover - platform probe
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback exercised via flag
-    fcntl = None  # type: ignore[assignment]
-
-#: Wall clock for lock deadlines only — never enters results or cache keys.
-_clock = time.monotonic  # det-ok: lock timeout bookkeeping, not simulation state
-
-
-class LockTimeout(RuntimeError):
-    """Could not acquire an advisory lock within its timeout."""
-
-
-class FileLock:
-    """Advisory inter-process lock around a small critical section.
-
-    Uses ``fcntl.flock`` where available (POSIX); elsewhere falls back to
-    an ``O_CREAT|O_EXCL`` lease file carrying the owner pid, with stale
-    leases (older than ``stale`` seconds) broken on the assumption the
-    owner died.  Both variants are re-entrant-free and cheap: id
-    allocation holds the lock for microseconds.
-
-    A contended acquire retries with exponential backoff plus jitter —
-    starting at ``poll`` and doubling up to ``max_poll`` — so a herd of
-    workers waking on a released lock does not retry in lockstep.  The
-    jitter source is seeded from the pid (deterministic per process,
-    decorrelated across processes).  Whichever variant holds the lock
-    writes its pid into the lock file, so a :class:`LockTimeout` can
-    name the holder and how long it has held on.
-    """
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        timeout: float = 30.0,
-        poll: float = 0.01,
-        stale: float = 120.0,
-        max_poll: float = 0.5,
-    ):
-        self.path = Path(path)
-        self.timeout = timeout
-        self.poll = poll
-        self.stale = stale
-        self.max_poll = max_poll
-        self._fd: Optional[int] = None
-        self._leased = False
-        self._jitter: Optional[random.Random] = None
-
-    # ------------------------------------------------------------------
-    def acquire(self) -> None:
-        deadline = _clock() + self.timeout
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        delay = self.poll
-        while True:
-            if self._try_acquire():
-                return
-            now = _clock()
-            if now >= deadline:
-                raise LockTimeout(
-                    f"could not lock {self.path} within {self.timeout}s"
-                    f"{self._holder_clause()}"
-                )
-            if self._jitter is None:
-                # Lazy and per-instance: a fork after construction still
-                # gets a pid-distinct sequence.
-                self._jitter = random.Random(os.getpid())
-            # Full jitter over [poll, delay], capped by the deadline.
-            sleep_for = min(
-                self._jitter.uniform(self.poll, delay), deadline - now
-            )
-            time.sleep(sleep_for)
-            delay = min(delay * 2, self.max_poll)
-
-    def _holder_clause(self) -> str:
-        """Best-effort `` (held by pid N for X.Ys)`` from the lock file."""
-        try:
-            raw = self.path.read_text().strip()
-            age = time.time() - os.stat(self.path).st_mtime  # det-ok: diagnostic age in an error message
-        except OSError:
-            return ""
-        pid = raw.splitlines()[0].strip() if raw else ""
-        if not pid:
-            return ""
-        return f" (held by pid {pid} for {age:.1f}s)"
-
-    def release(self) -> None:
-        if self._fd is not None:
-            if fcntl is not None:
-                fcntl.flock(self._fd, fcntl.LOCK_UN)
-            os.close(self._fd)
-            self._fd = None
-        if self._leased:
-            try:
-                os.unlink(self.path)
-            except OSError:  # pragma: no cover - lease broken by another process
-                pass
-            self._leased = False
-
-    def __enter__(self) -> "FileLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
-
-    # ------------------------------------------------------------------
-    def _try_acquire(self) -> bool:
-        if fcntl is not None:
-            fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except OSError:
-                os.close(fd)
-                return False
-            try:  # advertise the holder for LockTimeout diagnostics
-                os.ftruncate(fd, 0)
-                os.write(fd, f"{os.getpid()}\n".encode())
-            except OSError:  # pragma: no cover - diagnostics only
-                pass
-            self._fd = fd
-            return True
-        return self._try_lease()
-
-    def _try_lease(self) -> bool:
-        try:
-            fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-        except OSError as exc:
-            if exc.errno != errno.EEXIST:  # pragma: no cover - perms etc.
-                raise
-            self._break_stale_lease()
-            return False
-        with os.fdopen(fd, "w") as handle:
-            handle.write(f"{os.getpid()}\n")
-        self._leased = True
-        return True
-
-    def _break_stale_lease(self) -> None:
-        try:
-            # Lease age is measured against the file's wall-clock mtime.
-            age = time.time() - os.stat(self.path).st_mtime  # det-ok: lock bookkeeping, never simulation state
-        except OSError:
-            return  # released between our open and stat — retry will win
-        if age > self.stale:
-            try:
-                os.unlink(self.path)
-            except OSError:  # pragma: no cover - raced another breaker
-                pass
 
 
 class ArtifactStore(ResultCache):
@@ -197,9 +44,8 @@ class ArtifactStore(ResultCache):
     def __init__(self, root: Union[str, Path], sim_version: Optional[str] = None):
         self.root_dir = Path(root)
         super().__init__(self.root_dir / "cache", sim_version=sim_version)
-        self._ids_path = self.root_dir / "ids"
-        self._ids_lock = FileLock(self.root_dir / "ids.lock")
         self.campaigns_dir = self.root_dir / "campaigns"
+        self._last_ordinal: Optional[int] = None
 
     def record(self, key: str, payload: Dict, job=None) -> None:
         """Persist one completed task: the scheduler's one store write,
@@ -210,14 +56,27 @@ class ArtifactStore(ResultCache):
     # Campaign records
     # ------------------------------------------------------------------
     def next_campaign_id(self) -> str:
-        with self._ids_lock:
+        """Reserve a fresh campaign id by creating its (empty) record file
+        exclusively, counting up past every id another writer holds.
+        :meth:`save_campaign` later replaces the file; until then
+        :meth:`load_campaigns` skips it, and no store mints its id again."""
+        if self._last_ordinal is None:
+            self.campaigns_dir.mkdir(parents=True, exist_ok=True)
+            digits = [path.stem[1:] for path in sorted(self.campaigns_dir.glob("c*.json"))]
+            self._last_ordinal = max((int(d) for d in digits if d.isdigit()), default=0)
+        while True:
+            # Threads sharing this instance may lose an update here; that
+            # costs a retry, not an id, because the exclusive create decides.
+            ordinal = self._last_ordinal + 1
+            self._last_ordinal = ordinal
+            campaign_id = f"c{ordinal:06d}"
             try:
-                ordinal = int(self._ids_path.read_text().strip() or "0")
-            except (OSError, ValueError):
-                ordinal = 0
-            ordinal += 1
-            write_atomic(self._ids_path, f"{ordinal}\n")
-        return f"c{ordinal:06d}"
+                fd = os.open(self.campaign_path(campaign_id),
+                             os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+            except FileExistsError:
+                continue
+            os.close(fd)
+            return campaign_id
 
     def campaign_path(self, campaign_id: str) -> Path:
         return self.campaigns_dir / f"{campaign_id}.json"
@@ -237,6 +96,6 @@ class ArtifactStore(ResultCache):
         for path in sorted(self.campaigns_dir.glob("*.json")):
             try:
                 records.append(json.loads(path.read_text()))
-            except (OSError, ValueError):  # pragma: no cover - torn write
+            except (OSError, ValueError):  # reserved, never saved
                 continue
         return records

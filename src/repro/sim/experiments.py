@@ -1,10 +1,11 @@
 """The paper's experiments, one function per table/figure.
 
 Every function returns plain data structures (dicts keyed by the
-paper's own axis labels) plus has a companion ``format_*`` renderer
-that prints the same rows/series the paper reports.  The benchmark
-harness under ``benchmarks/``, the CLI and the ``campaign`` subcommand
-all call these.
+paper's own axis labels) and has a companion ``format_*`` renderer that
+returns a markdown section: a ``## `` title over one table with the
+rows/series the paper reports.  ``repro-sim campaign`` prints these
+sections, and the benchmark harness under ``benchmarks/`` calls the same
+functions.
 
 Each experiment builds its full batch of :class:`RunSpec` jobs up front
 and hands them to :func:`~repro.sim.runner.run_matrix`: with no
@@ -41,6 +42,15 @@ MACHINES = ["small.1.8", "small.2.8", "big.1.8", "big.2.16"]
 WIDTHS = (1, 2, 4)
 
 
+def _md_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """A ``## title`` markdown section holding one table."""
+    lines = [f"## {title}", "", "| " + " | ".join(headers) + " |"]
+    lines.append("|" + "|".join("---" for _ in headers) + "|")
+    for row in rows:
+        lines.append("| " + " | ".join(row) + " |")
+    return "\n".join(lines)
+
+
 def _mixes_for(suite: WorkloadSuite, width: int, num_mixes: int) -> List[List[str]]:
     """Single-program figures use the first kernels; wider ones rotate."""
     if width == 1:
@@ -74,11 +84,8 @@ def figure3(
 
 def format_figure3(data: Dict[str, Dict[str, float]]) -> str:
     variants = list(next(iter(data.values())))
-    header = f"{'program':<10s}" + "".join(f"{v:>11s}" for v in variants)
-    lines = [header]
-    for kernel, row in data.items():
-        lines.append(f"{kernel:<10s}" + "".join(f"{row[v]:11.3f}" for v in variants))
-    return "\n".join(lines)
+    rows = [[kernel] + [f"{row[v]:.3f}" for v in variants] for kernel, row in data.items()]
+    return _md_table("Figure 3 — per-program IPC (1 program)", ["program"] + variants, rows)
 
 
 # ======================================================================
@@ -113,12 +120,21 @@ def figure4(
 
 
 def format_figure4(data: Dict[int, Dict[str, float]]) -> str:
+    """The table, then REC/RS/RU's gain over TME and SMT for each row
+    that holds all three."""
     variants = list(next(iter(data.values())))
-    header = f"{'programs':<10s}" + "".join(f"{v:>11s}" for v in variants)
-    lines = [header]
-    for width, row in data.items():
-        lines.append(f"{width:<10d}" + "".join(f"{row[v]:11.3f}" for v in variants))
-    return "\n".join(lines)
+    rows = [[str(width)] + [f"{row[v]:.3f}" for v in variants] for width, row in data.items()]
+    section = _md_table("Figure 4 — average IPC vs program count", ["programs"] + variants, rows)
+    gains = [
+        f"* {width} program(s): REC/RS/RU is "
+        f"{100 * (row['REC/RS/RU'] / row['TME'] - 1):+.1f}% vs TME, "
+        f"{100 * (row['REC/RS/RU'] / row['SMT'] - 1):+.1f}% vs SMT"
+        for width, row in data.items()
+        if {"SMT", "TME", "REC/RS/RU"} <= row.keys()
+    ]
+    if gains:
+        section += "\n\n" + "\n".join(gains)
+    return section
 
 
 # ======================================================================
@@ -158,11 +174,9 @@ def figure5(
 
 def format_figure5(data: Dict[str, Dict[int, float]]) -> str:
     widths = list(next(iter(data.values())))
-    header = f"{'policy':<12s}" + "".join(f"{w:>10d}p" for w in widths)
-    lines = [header]
-    for policy, row in data.items():
-        lines.append(f"{policy:<12s}" + "".join(f"{row[w]:11.3f}" for w in widths))
-    return "\n".join(lines)
+    rows = [[policy] + [f"{row[w]:.3f}" for w in widths] for policy, row in data.items()]
+    return _md_table("Figure 5 — recycling fetch limits", ["policy"] + [f"{w}p" for w in widths],
+                     rows)
 
 
 # ======================================================================
@@ -205,14 +219,14 @@ def figure6(
 
 
 def format_figure6(data: Dict[str, Dict[str, Dict[int, float]]]) -> str:
-    lines = []
-    for machine, variants in data.items():
-        for variant, by_width in variants.items():
-            row = "".join(f"{ipc:10.3f}" for ipc in by_width.values())
-            lines.append(f"{machine:<11s} {variant:<10s}{row}")
     widths = list(next(iter(next(iter(data.values())).values())))
-    header = f"{'machine':<11s} {'variant':<10s}" + "".join(f"{w:>9d}p" for w in widths)
-    return "\n".join([header] + lines)
+    rows = [
+        [machine, variant] + [f"{by_width[w]:.3f}" for w in widths]
+        for machine, variants in data.items()
+        for variant, by_width in variants.items()
+    ]
+    return _md_table("Figure 6 — machine configurations",
+                     ["machine", "variant"] + [f"{w}p" for w in widths], rows)
 
 
 # ======================================================================
@@ -271,12 +285,12 @@ def _avg_rows(rows: List[Dict[str, float]]) -> Dict[str, float]:
 
 
 def format_table1(rows: Dict[str, Dict[str, float]]) -> str:
-    header = f"{'Program':<12s}" + "".join(f"{label:>9s}" for _, label in TABLE1_COLUMNS)
-    lines = [header]
-    for name, row in rows.items():
-        cells = "".join(f"{row[key]:9.1f}" for key, _ in TABLE1_COLUMNS)
-        lines.append(f"{name:<12s}{cells}")
-    return "\n".join(lines)
+    body = [
+        [name] + [f"{row[key]:.1f}" for key, _ in TABLE1_COLUMNS]
+        for name, row in rows.items()
+    ]
+    return _md_table("Table 1 — recycling statistics (REC/RS/RU)",
+                     ["Program"] + [label for _, label in TABLE1_COLUMNS], body)
 
 
 # ======================================================================
@@ -343,19 +357,17 @@ def static_ceilings(
 
 
 def format_static_ceilings(data: Dict[str, Dict[str, float]]) -> str:
-    header = f"{'program':<10s}" + "".join(
-        f"{label:>9s}" for _, label in STATIC_COLUMNS
-    )
-    lines = [header]
-    for kernel, row in data.items():
-        cells = "".join(f"{row[key]:9.1f}" for key, _ in STATIC_COLUMNS)
-        lines.append(f"{kernel:<10s}{cells}")
-    lines.append(
-        "(static: MrgCov = cond branches with an ipostdom reconvergence; "
+    rows = [
+        [kernel] + [f"{row[key]:.1f}" for key, _ in STATIC_COLUMNS]
+        for kernel, row in data.items()
+    ]
+    return (
+        _md_table("Static ceilings — analysis bounds vs dynamic REC/RS/RU",
+                  ["program"] + [label for _, label in STATIC_COLUMNS], rows)
+        + "\n\n(static: MrgCov = cond branches with an ipostdom reconvergence; "
         "RuCeil = kill-set reuse upper bound. dynamic: %Recyc/%Reuse as "
         "Table 1; Agree = dyn merge == static reconvergence; Viol must be 0.)"
     )
-    return "\n".join(lines)
 
 
 # ======================================================================
@@ -390,13 +402,12 @@ def ablation_confidence(
 
 
 def format_ablation_confidence(data: Dict[int, float]) -> str:
-    lines = [f"{'threshold':<11s}{'avg IPC':>9s}"]
-    for threshold, ipc in data.items():
-        lines.append(f"{threshold:<11d}{ipc:9.3f}")
-    return "\n".join(lines)
+    rows = [[str(threshold), f"{ipc:.3f}"] for threshold, ipc in data.items()]
+    return _md_table("Ablation — fork-gating confidence threshold (REC/RS/RU)",
+                     ["threshold", "avg IPC"], rows)
 
 
-#: Experiment registry used by the CLI.
+#: Experiment registry: each name's runner and its markdown renderer.
 EXPERIMENTS = {
     "fig3": (figure3, format_figure3),
     "fig4": (figure4, format_figure4),

@@ -11,6 +11,9 @@ size.
 import gc as gc_module
 import importlib.util
 import json
+import sys
+import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -21,7 +24,7 @@ from repro.exec.jobs import Job, stats_to_payload
 from repro.exec.pool import Executor
 from repro.pipeline import uop as uop_module
 from repro.pipeline.context import HardwareContext
-from repro.pipeline.core import Core
+from repro.pipeline.core import Core, gc_epoch
 from repro.pipeline.uop import Uop
 from repro.sim.runner import RunSpec, run_spec
 from repro.workloads.suite import WorkloadSuite
@@ -244,6 +247,32 @@ class TestGcDiscipline:
         run_batch([Job(spec=self.SPEC)], suite)
         assert gc_module.isenabled()
 
+    def test_epochs_on_many_threads_hold_the_collector_off(self):
+        """More threads than cores enter and leave epochs: the collector
+        is off inside every epoch, and on again once the last closes."""
+        seen_enabled = []
+
+        def churn():
+            for _ in range(200):
+                with gc_epoch():
+                    time.sleep(0)  # let the others enter and leave theirs
+                    if gc_module.isenabled():
+                        seen_enabled.append(threading.get_ident())
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen_enabled == []
+        assert gc_module.isenabled()
+
 
 class TestASimulationLeavesNothingBehind:
     """A finished simulation frees itself at once: with the collector
@@ -276,6 +305,33 @@ class TestASimulationLeavesNothingBehind:
         assert gc_module.isenabled()
         spec = RunSpec(workload=("compress",), commit_target=800)
         assert self.leftovers(monkeypatch, lambda: run_spec(spec, suite)) == (0, 0)
+
+    def test_two_simulation_threads_free_both_cores(self, suite, monkeypatch):
+        """Two threads of one process (a server with two local workers)
+        run overlapping simulations: the later run ends the last open
+        epoch, and its collection frees both cores."""
+        assert gc_module.isenabled()
+        short = RunSpec(workload=("compress",), commit_target=800)
+        long = RunSpec(workload=("li",), commit_target=2400)
+
+        def run_long_inside_short():
+            # The long run starts once the short run's epoch is open, so
+            # the short one ends first, in the middle of the long one.
+            deadline = time.monotonic() + 30
+            while gc_module.isenabled() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            run_spec(long, suite)
+
+        def both():
+            threads = [threading.Thread(target=run_spec, args=(short, suite)),
+                       threading.Thread(target=run_long_inside_short)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+
+        assert self.leftovers(monkeypatch, both) == (0, 0)
+        assert gc_module.isenabled()
 
     def test_back_to_back_runs_hold_the_object_count_flat(self, suite):
         spec = RunSpec(workload=("li",), commit_target=200)

@@ -1,155 +1,15 @@
-"""ArtifactStore + FileLock: the concurrency-safe layer under the server."""
+"""ArtifactStore: the concurrency-safe layer under the server."""
 
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
-import pytest
-
-from repro.service.store import ArtifactStore, FileLock, LockTimeout
+from repro.service.store import ArtifactStore
 
 KEY_A = "aa" * 32
 KEY_B = "bb" * 32
-
-
-class TestFileLock:
-    def test_mutual_exclusion_across_threads(self, tmp_path):
-        # Each FileLock instance carries its own fd, so two instances on
-        # one path behave exactly like two processes would.
-        lock_path = tmp_path / "x.lock"
-        counter = {"value": 0}
-
-        def bump():
-            for _ in range(50):
-                with FileLock(lock_path, timeout=10.0):
-                    current = counter["value"]
-                    counter["value"] = current + 1
-
-        threads = [threading.Thread(target=bump) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert counter["value"] == 200
-
-    def test_timeout_raises(self, tmp_path):
-        lock_path = tmp_path / "x.lock"
-        holder = FileLock(lock_path)
-        holder.acquire()
-        try:
-            with pytest.raises(LockTimeout):
-                FileLock(lock_path, timeout=0.05).acquire()
-        finally:
-            holder.release()
-
-    def test_release_lets_next_waiter_in(self, tmp_path):
-        lock_path = tmp_path / "x.lock"
-        first = FileLock(lock_path)
-        first.acquire()
-        first.release()
-        with FileLock(lock_path, timeout=0.5):
-            pass
-
-    def test_lease_fallback_mutual_exclusion(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("repro.service.store.fcntl", None)
-        lock_path = tmp_path / "x.lock"
-        with FileLock(lock_path, timeout=1.0):
-            assert lock_path.exists()
-            assert lock_path.read_text().strip() == str(os.getpid())
-            with pytest.raises(LockTimeout):
-                FileLock(lock_path, timeout=0.05).acquire()
-        assert not lock_path.exists(), "lease file must vanish on release"
-
-    def test_stale_lease_is_broken(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("repro.service.store.fcntl", None)
-        lock_path = tmp_path / "x.lock"
-        lock_path.write_text("99999\n")  # owner long dead
-        os.utime(lock_path, (0, 0))  # epoch mtime: ancient by any clock
-        with FileLock(lock_path, timeout=1.0, stale=60.0):
-            assert lock_path.read_text().strip() == str(os.getpid())
-
-
-class TestFileLockBackoff:
-    def test_timeout_names_holder_pid_and_age(self, tmp_path):
-        lock_path = tmp_path / "x.lock"
-        holder = FileLock(lock_path)
-        holder.acquire()
-        try:
-            with pytest.raises(LockTimeout) as excinfo:
-                FileLock(lock_path, timeout=0.05).acquire()
-        finally:
-            holder.release()
-        message = str(excinfo.value)
-        assert f"held by pid {os.getpid()}" in message
-        assert message.rstrip().endswith("s)")  # ... for X.Ys)
-
-    def test_holder_pid_written_on_fcntl_path(self, tmp_path):
-        lock_path = tmp_path / "x.lock"
-        with FileLock(lock_path):
-            assert lock_path.read_text().strip() == str(os.getpid())
-
-    def test_backoff_grows_and_respects_max_poll(self, tmp_path, monkeypatch):
-        """Under contention the retry delay doubles (with jitter) up to
-        ``max_poll`` — far fewer wakeups than fixed-interval polling."""
-        import repro.service.store as store_mod
-
-        fake_now = [0.0]
-        sleeps = []
-
-        def fake_clock():
-            return fake_now[0]
-
-        def fake_sleep(seconds):
-            sleeps.append(seconds)
-            fake_now[0] += seconds
-
-        monkeypatch.setattr(store_mod, "_clock", fake_clock)
-        monkeypatch.setattr(store_mod.time, "sleep", fake_sleep)
-
-        lock_path = tmp_path / "x.lock"
-        holder = FileLock(lock_path)
-        holder.acquire()
-        try:
-            waiter = FileLock(
-                lock_path, timeout=10.0, poll=0.01, max_poll=0.5
-            )
-            with pytest.raises(LockTimeout):
-                waiter.acquire()
-        finally:
-            holder.release()
-
-        assert sleeps, "a contended acquire must back off, not spin"
-        assert all(s <= 0.5 + 1e-9 for s in sleeps)
-        assert sum(sleeps) <= 10.0 + 1e-9  # never sleeps past the deadline
-        # Exponential backoff: covering 10s takes far fewer than the
-        # 1000 wakeups a fixed 10ms poll would need.
-        assert len(sleeps) < 500
-        assert max(sleeps) > 0.01  # the delay actually grew past `poll`
-
-    def test_jitter_decorrelates_but_stays_in_range(self, tmp_path):
-        lock = FileLock(tmp_path / "x.lock", poll=0.01, max_poll=0.5)
-        import random
-
-        lock._jitter = random.Random(1234)
-        samples = [lock._jitter.uniform(lock.poll, 0.5) for _ in range(100)]
-        assert all(0.01 <= s <= 0.5 for s in samples)
-        assert len(set(samples)) > 1
-
-    def test_contended_acquire_succeeds_after_release(self, tmp_path):
-        lock_path = tmp_path / "x.lock"
-        holder = FileLock(lock_path)
-        holder.acquire()
-        released = threading.Event()
-
-        def let_go():
-            released.wait()
-            holder.release()
-
-        thread = threading.Thread(target=let_go)
-        thread.start()
-        released.set()
-        with FileLock(lock_path, timeout=5.0):
-            pass  # backoff retried until the holder let go
-        thread.join()
 
 
 class TestArtifactStore:
@@ -231,3 +91,34 @@ class TestCampaignPersistence:
 
     def test_load_campaigns_empty_store(self, tmp_path):
         assert ArtifactStore(tmp_path).load_campaigns() == []
+
+    def test_two_processes_mint_distinct_ids(self, tmp_path):
+        # Each process announces itself, then mints once both are told to
+        # go, so the two runs overlap.
+        script = ("import sys\n"
+                  "from repro.service.store import ArtifactStore\n"
+                  "store = ArtifactStore(sys.argv[1])\n"
+                  "print('ready', flush=True)\n"
+                  "sys.stdin.readline()\n"
+                  "print(*(store.next_campaign_id() for _ in range(200)))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        minters = [subprocess.Popen([sys.executable, "-c", script, str(tmp_path)],
+                                    stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                    text=True, env=env)
+                   for _ in range(2)]
+        assert [minter.stdout.readline() for minter in minters] == ["ready\n"] * 2
+        for minter in minters:
+            minter.stdin.write("go\n")
+            minter.stdin.flush()
+        minted = [minter.communicate(timeout=60)[0].split() for minter in minters]
+        assert [minter.returncode for minter in minters] == [0, 0]
+        assert len(minted[0]) == len(minted[1]) == 200
+        assert len(set(minted[0]) | set(minted[1])) == 400
+
+    def test_a_reserved_record_is_skipped_and_its_id_never_reminted(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        saved = store.next_campaign_id()
+        store.save_campaign({"id": saved, "state": "done"})
+        reserved = store.next_campaign_id()  # the server died before saving it
+        assert store.load_campaigns() == [{"id": saved, "state": "done"}]
+        assert ArtifactStore(tmp_path).next_campaign_id() not in (saved, reserved)
