@@ -25,6 +25,7 @@ or declaratively::
 """
 
 from .emulator import Emulator, SparseMemory
+from .exec import Chaos, ExecutionError, Executor, Job, JobOutcome, ResultCache
 from .isa import Instruction, Op, Program, assemble
 from .memory import MemoryHierarchy
 from .pipeline import Core, Features, MachineConfig, RecyclePolicy, SimulationError
@@ -32,11 +33,9 @@ from .sim import RunResult, RunSpec, run_spec
 from .stats import SimStats
 from .workloads import GeneratorConfig, WorkloadSuite, generate_program
 
+#: Release label only (``/healthz``, the HTTP ``Server`` header); cache
+#: keys name the simulator by :func:`repro.exec.cache.sim_fingerprint`.
 __version__ = "1.0.0"
-
-# Imported after ``__version__`` is bound: the cache layer reads it for the
-# simulator-version fingerprint in its content-addressed keys.
-from .exec import Chaos, ExecutionError, Executor, Job, JobOutcome, ResultCache
 
 __all__ = [
     "Chaos",

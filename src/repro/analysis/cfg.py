@@ -205,11 +205,6 @@ class CFG:
             self._preds = preds
         return preds
 
-    def exit_preds(self) -> List[int]:
-        """Blocks with an edge into the virtual EXIT node."""
-        return [b.id for b in self.blocks
-                if any(s == EXIT_BLOCK for s, _ in b.succs)]
-
     def instr_successors(self, index: int) -> List[int]:
         """Intraprocedural successor instruction indices of ``index``."""
         program = self.program

@@ -65,7 +65,6 @@ class ProgramAnalysis:
         self._sites: Optional[Dict[int, BranchSite]] = None
         self._back_targets: Optional[FrozenSet[int]] = None
         self._must_defs: Dict[int, Dict[int, int]] = {}
-        self._reach: Dict[int, FrozenSet[int]] = {}
         self._memdep: Optional[MemoryDependenceAnalysis] = None
 
     # -- dominance ------------------------------------------------------
@@ -129,27 +128,6 @@ class ProgramAnalysis:
         return frozenset(self.cfg.pc_of(i) for i in succs)
 
     # -- checker queries ------------------------------------------------
-    def reachable_pcs_from(self, pc: int) -> FrozenSet[int]:
-        """All PCs reachable from ``pc`` (inclusive) along flow edges."""
-        idx = self.cfg.index_of(pc)
-        if idx is None:
-            return frozenset()
-        cached = self._reach.get(idx)
-        if cached is not None:
-            return cached
-        flow = self.cfg.flow_successors()
-        seen = {idx}
-        queue = [idx]
-        while queue:
-            i = queue.pop(0)
-            for s in flow[i]:
-                if s not in seen:
-                    seen.add(s)
-                    queue.append(s)
-        pcs = frozenset(self.cfg.pc_of(i) for i in seen)
-        self._reach[idx] = pcs
-        return pcs
-
     def must_defs_from(self, fork_pc: int) -> Dict[int, int]:
         """IN must-define masks keyed by *PC*, for paths starting at the
         fork branch's successors (see :func:`killsets.must_def_masks`)."""

@@ -113,10 +113,6 @@ class StridedInterval:
         return self.stride == 0
 
     @property
-    def is_bounded(self) -> bool:
-        return self.lo is not None
-
-    @property
     def value(self) -> int:
         if not self.is_singleton:
             raise ValueError("not a singleton")
@@ -350,9 +346,6 @@ class ValueRangeAnalysis:
             self._run()
 
     # -- public queries --------------------------------------------------
-    def state_at(self, index: int) -> Optional[Dict[int, StridedInterval]]:
-        return self.in_states[index]
-
     def reg_at(self, index: int, reg: int) -> StridedInterval:
         """Abstract value of ``reg`` entering instruction ``index``
         (TOP when unknown or the instruction is unreachable)."""

@@ -29,7 +29,7 @@ import time
 from typing import List, Optional
 
 from .emulator import Emulator
-from .exec import ExecutionError, Executor, ProgressReporter, format_line
+from .exec import ExecutionError, Executor, ProgressReporter, format_line, sim_fingerprint
 from .isa.assembler import assemble
 from .sim.experiments import CAMPAIGNS, EXPERIMENTS, MACHINES, POLICIES, VARIANTS
 from .sim.runner import RunSpec, run_spec
@@ -108,6 +108,7 @@ def _cmd_run(args) -> int:
         payload = run_result_to_dict(result)
         payload["wall_seconds"] = elapsed
         payload["cached"] = cached
+        payload["sim_fingerprint"] = sim_fingerprint()
         print(json.dumps(payload, indent=2))
         return 0
     print(result.summary_line() + ("  [cached]" if cached else ""))

@@ -14,6 +14,15 @@ from ..isa.registers import (
 from .memory import SparseMemory
 
 
+def initial_reg_value(index: int):
+    """Reset value of logical register ``index``, in the golden model and
+    in a fresh hardware context: the stack pointer holds ``STACK_TOP``,
+    every other register zero (an int below ``FP_BASE``, else a float)."""
+    if index == STACK_POINTER_REG:
+        return STACK_TOP
+    return 0.0 if index >= FP_BASE else 0
+
+
 class ArchState:
     """Registers + memory + PC of one running program instance.
 
@@ -26,8 +35,7 @@ class ArchState:
 
     def __init__(self, program: Program, memory: Optional[SparseMemory] = None):
         self.program = program
-        self.regs: List = [0] * FP_BASE + [0.0] * (NUM_LOGICAL_REGS - FP_BASE)
-        self.regs[STACK_POINTER_REG] = STACK_TOP
+        self.regs: List = [initial_reg_value(i) for i in range(NUM_LOGICAL_REGS)]
         self.memory = memory if memory is not None else SparseMemory()
         if memory is None and program.data:
             self.memory.load_image(program.data_base, program.data)
@@ -41,12 +49,3 @@ class ArchState:
         if is_zero(index):
             return
         self.regs[index] = value
-
-    def initial_reg_value(self, index: int):
-        """Reset value of a logical register (what a fresh context holds)."""
-        if index == STACK_POINTER_REG:
-            return STACK_TOP
-        return 0.0 if index >= FP_BASE else 0
-
-    def snapshot_regs(self) -> List:
-        return list(self.regs)

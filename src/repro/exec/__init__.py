@@ -17,7 +17,7 @@ Quick start::
     results = ex.map([RunSpec(("gcc",)), RunSpec(("go",))])
 """
 
-from .cache import CACHE_SCHEMA, ResultCache, cache_key, canonicalize, write_atomic
+from .cache import CACHE_SCHEMA, ResultCache, cache_key, canonicalize, sim_fingerprint, write_atomic
 from .jobs import Chaos, Job, JobFailure, JobOutcome, run_job
 from .pool import ExecutionError, Executor
 from .progress import ProgressEvent, ProgressReporter, format_line
@@ -27,6 +27,7 @@ __all__ = [
     "ResultCache",
     "cache_key",
     "canonicalize",
+    "sim_fingerprint",
     "write_atomic",
     "Chaos",
     "Job",

@@ -10,13 +10,13 @@ from everything that determines a simulation's output:
   (machine + features + policy + any sweep overrides, every field),
 * the workload-suite fingerprint (kernel names and generated sources at
   the suite's iteration count),
-* the simulator version fingerprint (``repro.__version__``) and the cache
-  schema version.
+* the simulator's source fingerprint (:func:`sim_fingerprint`) and the
+  cache schema version.
 
-Because the resolved config is hashed field-by-field, any change to a
-machine parameter, feature set, or policy produces a different key; no
-invalidation logic is needed beyond "bump ``__version__`` when simulator
-behaviour changes".
+Because the resolved config is hashed field-by-field and the source
+fingerprint hashes every module, any change to a machine parameter,
+feature set, policy or simulator source produces a different key: an
+edit gives a cold cache, never a stale one, and nothing is invalidated.
 
 Layout: ``<root>/<key[:2]>/<key>.json`` — one JSON document per result,
 written atomically (tmp + fsync + rename) as each point lands, so a
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
@@ -36,18 +37,25 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from ..workloads.suite import WorkloadSuite
 from .jobs import Job, job_to_payload, spec_to_payload
 
 #: Bump when the cached payload layout changes (invalidates all entries).
 CACHE_SCHEMA = 1
 
 
-def _default_sim_version() -> str:
-    # Imported lazily: ``repro/__init__`` itself imports this package.
-    from .. import __version__
-
-    return __version__
+@functools.lru_cache(maxsize=None)
+def sim_fingerprint() -> str:
+    """A hash of every ``.py`` file under the ``repro`` package (path and
+    bytes), computed once per process, at the first key.  The whole
+    package, not the modules a run imports: such a list would be one more
+    place to update whenever a module is added."""
+    package = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        source = path.read_bytes()
+        digest.update(f"{path.relative_to(package).as_posix()}\0{len(source)}\0".encode())
+        digest.update(source)
+    return digest.hexdigest()[:16]
 
 
 def canonicalize(value):
@@ -94,11 +102,11 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def cache_key(job: Job, suite_fingerprint: str, sim_version: Optional[str] = None) -> str:
+def cache_key(job: Job, suite_fingerprint: str) -> str:
     """Stable content address for one job's result."""
     document = {
         "schema": CACHE_SCHEMA,
-        "sim_version": sim_version or _default_sim_version(),
+        "sim_version": sim_fingerprint(),
         "suite": suite_fingerprint,
         "spec": canonicalize(spec_to_payload(job.spec)),
         "config": canonicalize(job.resolved_config()),
@@ -110,16 +118,12 @@ def cache_key(job: Job, suite_fingerprint: str, sim_version: Optional[str] = Non
 class ResultCache:
     """Content-addressed on-disk store of simulation result payloads."""
 
-    def __init__(self, root: Union[str, Path], sim_version: Optional[str] = None):
+    def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
-        self.sim_version = sim_version or _default_sim_version()
         self.hits = 0
         self.misses = 0
 
     # ------------------------------------------------------------------
-    def key_for(self, job: Job, suite: WorkloadSuite) -> str:
-        return cache_key(job, suite.fingerprint(), self.sim_version)
-
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
@@ -172,7 +176,7 @@ class ResultCache:
         entry = {
             "schema": CACHE_SCHEMA,
             "key": key,
-            "sim_version": self.sim_version,
+            "sim_version": sim_fingerprint(),
             "created": time.time(),  # det-ok: informational metadata; never part of key or payload
             "job": job_to_payload(job) if job is not None else None,
             "payload": payload,

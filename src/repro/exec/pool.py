@@ -267,7 +267,7 @@ class Executor:
         if self.cache is None:
             return [None] * len(jobs)
         fingerprint = suite.fingerprint()
-        return [cache_key(job, fingerprint, self.cache.sim_version) for job in jobs]
+        return [cache_key(job, fingerprint) for job in jobs]
 
     def _record(self, outcome: JobOutcome) -> None:
         if self.progress is not None:

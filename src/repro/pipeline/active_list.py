@@ -101,9 +101,6 @@ class ActiveList:
             self.commit_pos = self.tail_pos
         return dropped
 
-    def uncommitted_positions(self) -> Iterator[int]:
-        return iter(range(self.commit_pos, self.tail_pos))
-
     def retained_positions(self) -> Iterator[int]:
         return iter(range(self.start_pos, self.tail_pos))
 

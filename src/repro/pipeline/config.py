@@ -15,9 +15,14 @@ misprediction penalty (Section 4.1).
 from __future__ import annotations
 
 import enum
+import typing
 from dataclasses import dataclass, field, replace
 
+from ..branch.confidence import CONFIDENCE_KINDS
 from ..memory.config import HierarchyConfig
+
+#: The fetch thread-selection schemes ``MachineConfig.fetch_policy`` names.
+FETCH_POLICIES = ("icount", "round_robin")
 
 
 class PolicyKind(enum.Enum):
@@ -49,6 +54,8 @@ class RecyclePolicy:
 
     @staticmethod
     def parse(text: str) -> "RecyclePolicy":
+        if not isinstance(text, str):
+            raise TypeError(f"policy must be a string like 'stop-8', not {text!r}")
         kind, _, limit = text.partition("-")
         return RecyclePolicy(PolicyKind(kind), int(limit))
 
@@ -181,8 +188,22 @@ class MachineConfig:
     # fraction — keeps speculative wrong-path work from blocking
     # primaries out of the (shared) issue queues.
     alt_queue_pressure: float = 0.75
-    # Safety/validation.
-    golden_check: bool = True
+
+    def __post_init__(self) -> None:
+        # A wrong type, or a scheme no stage knows, would run as another
+        # machine (fetch runs any policy but "icount" as round-robin).
+        for name, expected in _FIELD_TYPES:
+            value = getattr(self, name)
+            if not isinstance(value, expected) or (
+                    isinstance(value, bool) and expected is not bool):
+                annotation = self.__dataclass_fields__[name].type
+                raise TypeError(f"MachineConfig.{name} must be {annotation}, not {value!r}")
+        if self.fetch_policy not in FETCH_POLICIES:
+            raise ValueError(f"unknown fetch_policy {self.fetch_policy!r}; "
+                             f"know {list(FETCH_POLICIES)}")
+        if self.confidence_kind not in CONFIDENCE_KINDS:
+            raise ValueError(f"unknown confidence_kind {self.confidence_kind!r}; "
+                             f"know {sorted(CONFIDENCE_KINDS)}")
 
     def phys_regs_per_file(self) -> int:
         """R10000-style sizing: all contexts' logical regs + rename extra."""
@@ -265,3 +286,10 @@ _MACHINE_BUILDERS = {
     "small.1.8": MachineConfig.small_1_8,
     "small.2.8": MachineConfig.small_2_8,
 }
+
+#: (field, the type it must hold) for every ``MachineConfig`` field; an
+#: int is a valid float.
+_FIELD_TYPES = tuple(
+    (name, (int, float) if hint is float else hint)
+    for name, hint in sorted(typing.get_type_hints(MachineConfig).items())
+)

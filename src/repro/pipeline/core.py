@@ -43,8 +43,8 @@ import gc
 import threading
 from typing import Iterator, List, Optional
 
-from ..isa.program import Program, STACK_TOP
-from ..isa.registers import FP_BASE, STACK_POINTER_REG
+from ..emulator.state import initial_reg_value
+from ..isa.program import Program
 from ..stats.counters import SimStats
 from ..tme.partition import Partition
 from .config import MachineConfig
@@ -219,17 +219,11 @@ class Core:
             primary.state = CtxState.ACTIVE
             primary.is_primary = True
             primary.pc = program.entry
-            primary.map.init_fresh(self._initial_reg_value)
+            primary.map.init_fresh(initial_reg_value)
             instance.primary_ctx = primary.id
             instance.commit_ctx = primary.id
             self.instances.append(instance)
             self.partitions.append(partition)
-
-    @staticmethod
-    def _initial_reg_value(logical: int):
-        if logical == STACK_POINTER_REG:
-            return STACK_TOP
-        return 0.0 if logical >= FP_BASE else 0
 
     # ==================================================================
     # Main loop
@@ -352,8 +346,3 @@ class Core:
     def context(self, ctx_id: int) -> HardwareContext:
         return self.contexts[ctx_id]
 
-    def instance_of(self, name: str) -> ProgramInstance:
-        for inst in self.instances:
-            if inst.name == name:
-                return inst
-        raise KeyError(name)

@@ -4,7 +4,7 @@ Commits rotate across program instances each cycle; within an
 instance, retirement follows the commit chain across contexts (the
 threaded architectural stream left behind by primaryship swaps).
 Every architectural commit is cross-checked against the golden
-functional emulator when ``golden_check`` is enabled.
+functional emulator.
 """
 
 from __future__ import annotations
@@ -81,8 +81,7 @@ class CommitStage(Stage):
 
     def retire(self, instance: ProgramInstance, ctx: HardwareContext, uop: Uop) -> None:
         state = self.state
-        if self.config.golden_check:
-            self.golden_check(instance, uop)
+        self.golden_check(instance, uop)
         ctx.active_list.advance_commit()
         dec = uop.dec
         if dec.is_store:
@@ -119,7 +118,7 @@ class CommitStage(Stage):
         and drains reuse pins, leaving the machine quiescent.
         """
         instance.halted = True
-        if self.config.golden_check and instance.memory != instance.golden.state.memory:
+        if instance.memory != instance.golden.state.memory:
             raise SimulationError(
                 f"[{instance.name}] final memory image differs from the golden model"
             )
@@ -131,8 +130,7 @@ class CommitStage(Stage):
                 ctx.fetch_stopped = True
             else:
                 self.core._squash_context(ctx)
-        if self.config.golden_check:
-            self.check_final_registers(instance, halting_ctx)
+        self.check_final_registers(instance, halting_ctx)
 
     def check_final_registers(
         self, instance: ProgramInstance, ctx: HardwareContext

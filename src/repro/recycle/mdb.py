@@ -34,10 +34,6 @@ class MdbProbe(enum.Enum):
     STALE = "stale"  # present, but a later execution re-recorded it
     ABSENT = "absent"  # the load was never recorded (or cleared)
 
-    @property
-    def is_hit(self) -> bool:
-        return self is MdbProbe.HIT
-
 
 class MemoryDisambiguationBuffer:
     """Entries are (load PC → (address, token)).

@@ -13,6 +13,8 @@ import urllib.error
 import urllib.request
 from typing import Dict, Iterator, List, Optional
 
+from ..exec.cache import sim_fingerprint
+
 #: Client-side wall clock (poll deadlines only).
 _monotonic = time.monotonic  # det-ok: client-side timeouts, not simulation state
 
@@ -119,8 +121,10 @@ class ServiceClient:
     # Worker API
     # ------------------------------------------------------------------
     def lease(self, max_tasks: int = 1, worker: str = "worker") -> List[Dict]:
+        """Up to ``max_tasks`` tasks; 409 unless this process runs the server's source."""
         reply = self._request(
-            "POST", "/lease", {"max_tasks": max_tasks, "worker": worker}
+            "POST", "/lease",
+            {"max_tasks": max_tasks, "worker": worker, "sim_fingerprint": sim_fingerprint()},
         )
         return reply["tasks"]
 

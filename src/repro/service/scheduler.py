@@ -51,7 +51,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from ..exec.cache import cache_key
 from ..exec.jobs import Job, job_to_payload, suite_for_args
 from ..exec.progress import ProgressReporter
-from .spec import CampaignSpec, parse_campaign
+from .spec import CampaignSpec, SpecError, parse_campaign
 from .store import ArtifactStore
 
 #: Service-side wall clock (lease TTLs, campaign wall time, ETA). Never
@@ -119,10 +119,10 @@ class Campaign:
     events: List[Dict] = field(default_factory=list)
 
 
-def _task_keys(spec: CampaignSpec, sim_version: str) -> List[str]:
+def _task_keys(spec: CampaignSpec) -> List[str]:
     """Each job's cache key; pure, so it runs in the calling thread."""
     fingerprint = suite_for_args(*spec.suite_args).fingerprint()
-    return [cache_key(job, fingerprint, sim_version) for job in spec.jobs]
+    return [cache_key(job, fingerprint) for job in spec.jobs]
 
 
 def _settle(reply: Future, result: Any = None,
@@ -165,7 +165,6 @@ class Scheduler:
         self.lease_ttl = lease_ttl
         self.max_attempts = max(1, int(max_attempts))
         self._clock = clock
-        self._sim_version = store.sim_version
         self._requests: "queue.Queue" = queue.Queue()
         self._closed = False  # written by the owner only
         self._owner = threading.Thread(
@@ -183,8 +182,7 @@ class Scheduler:
         server maps it to HTTP 400).
         """
         spec = parse_campaign(payload)
-        return self._call("submit", spec, _task_keys(spec, self._sim_version),
-                          campaign_id)
+        return self._call("submit", spec, _task_keys(spec), campaign_id)
 
     def lease(self, max_tasks: int = 1, worker: str = "local") -> List[Dict]:
         """Hand out up to ``max_tasks`` queued tasks as wire documents."""
@@ -688,7 +686,10 @@ class _State:
             campaign_id = record.get("id")
             if not campaign_id or campaign_id in self.campaigns:
                 continue
-            spec = parse_campaign(record["spec"])
-            self.submit(spec, _task_keys(spec, self.store.sim_version), campaign_id)
+            try:
+                spec = parse_campaign(record["spec"])
+            except SpecError:
+                continue  # stored by other code; refused at submit here
+            self.submit(spec, _task_keys(spec), campaign_id)
             resumed.append(campaign_id)
         return resumed

@@ -15,7 +15,7 @@ API (see ``docs/SERVICE.md`` for the full reference):
 ``DELETE``   ``/campaigns/{id}``            cancel
 ``GET``      ``/campaigns/{id}/events``     NDJSON progress stream
 ``GET``      ``/jobs/{id}/result``          one job's result document
-``GET``      ``/healthz``                   liveness + version
+``GET``      ``/healthz``                   liveness, version, source fingerprint
 ``GET``      ``/metrics``                   JSON counters
 ``POST``     ``/lease`` ``/complete`` ``/fail``  worker protocol
 ===========  =============================  =====================================
@@ -32,6 +32,7 @@ from typing import Dict, Optional, Union
 
 from .. import __version__
 from ..stats.export import stats_to_dict
+from ..exec.cache import sim_fingerprint
 from ..exec.jobs import result_from_payload, spec_from_payload
 from .scheduler import JOB_FAILED, Scheduler
 from .spec import SpecError
@@ -145,7 +146,8 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         try:
             if self.path == "/healthz":
-                self._send_json(200, {"ok": True, "version": __version__})
+                self._send_json(200, {"ok": True, "version": __version__,
+                                      "sim_fingerprint": sim_fingerprint()})
             elif self.path == "/metrics":
                 self._send_json(200, self.scheduler.metrics())
             elif match := _CAMPAIGN_RE.match(self.path):
@@ -236,9 +238,15 @@ class _Handler(BaseHTTPRequestHandler):
                 return
 
     def _lease(self, body: Dict) -> None:
+        max_tasks = _convert(body, "max_tasks", int, 1)
+        # A worker on other code would store its results under this code's keys.
+        theirs, ours = body.get("sim_fingerprint"), sim_fingerprint()
+        if theirs != ours:
+            self._error(409, f"worker runs simulator {theirs!r}, this server runs "
+                             f"{ours!r}; a remote worker must run the server's tree")
+            return
         tasks = self.scheduler.lease(
-            max_tasks=_convert(body, "max_tasks", int, 1),
-            worker=str(body.get("worker", "remote")),
+            max_tasks=max_tasks, worker=str(body.get("worker", "remote")),
         )
         self._send_json(200, {"tasks": tasks})
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from ..exec.jobs import Job
+from ..exec.jobs import Job, suite_for_args
 from ..sim.runner import DEFAULT_COMMIT_TARGET, DEFAULT_MAX_CYCLES, RunSpec
 from ..sim.sweep import Sweep
 
@@ -167,11 +167,29 @@ def _job_entry(entry: Dict, index: int) -> Job:
         confidence_threshold=entry.get("confidence_threshold"),
     )
     try:
-        job = Job(spec=spec, overrides=tuple(sorted(overrides.items())))
-        job.resolved_config()  # validates machine/features/policy/override values
-    except (TypeError, ValueError) as exc:
+        return Job(spec=spec, overrides=tuple(sorted(overrides.items())))
+    except ValueError as exc:
         raise SpecError(f"jobs[{index}]: {exc}") from exc
-    return job
+
+
+def _check_jobs(jobs: List[Job], kernels: List[str]) -> None:
+    """Refuse at submit what could not run, or would run as something
+    else: bad windows, unknown kernels, more programs than contexts, and
+    every value :class:`~repro.pipeline.config.MachineConfig` refuses."""
+    for index, job in enumerate(jobs):
+        try:
+            for name in ("commit_target", "max_cycles"):
+                value = getattr(job.spec, name)
+                _require(isinstance(value, int) and not isinstance(value, bool) and value > 0,
+                         f'"{name}" must be a positive integer, not {value!r}')
+            unknown = sorted(set(job.spec.workload) - set(kernels))
+            _require(not unknown, f"unknown kernel(s) {unknown}; know {sorted(kernels)}")
+            contexts = job.resolved_config().num_contexts
+            _require(len(job.spec.workload) <= contexts,
+                     f"{len(job.spec.workload)} programs do not fit "
+                     f"num_contexts={contexts}")
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"jobs[{index}]: {exc}") from exc
 
 
 def parse_campaign(payload: Dict) -> CampaignSpec:
@@ -183,13 +201,6 @@ def parse_campaign(payload: Dict) -> CampaignSpec:
     suite_iters, suite_extended = _parse_suite(payload)
     if kind == "sweep":
         jobs = _sweep_jobs(payload)
-        # A grid-less sweep is one job per workload; validate eagerly so a
-        # bad machine/policy 400s at submit, not at execution.
-        for index, job in enumerate(jobs):
-            try:
-                job.resolved_config()
-            except ValueError as exc:
-                raise SpecError(f"jobs[{index}]: {exc}") from exc
     elif kind == "jobs":
         _reject_unknown(payload, _JOBS_KEYS, "jobs campaign")
         entries = payload.get("jobs")
@@ -197,6 +208,7 @@ def parse_campaign(payload: Dict) -> CampaignSpec:
         jobs = [_job_entry(entry, i) for i, entry in enumerate(entries)]
     else:
         raise SpecError(f'unknown campaign kind {kind!r}; know ["sweep", "jobs"]')
+    _check_jobs(jobs, suite_for_args(suite_iters, suite_extended).names)
     return CampaignSpec(
         jobs=tuple(jobs),
         suite_iters=suite_iters,

@@ -41,9 +41,9 @@ class ArtifactStore(ResultCache):
     persisted campaign records and campaign-id allocation.
     """
 
-    def __init__(self, root: Union[str, Path], sim_version: Optional[str] = None):
+    def __init__(self, root: Union[str, Path]):
         self.root_dir = Path(root)
-        super().__init__(self.root_dir / "cache", sim_version=sim_version)
+        super().__init__(self.root_dir / "cache")
         self.campaigns_dir = self.root_dir / "campaigns"
         self._last_ordinal: Optional[int] = None
 

@@ -61,9 +61,6 @@ class Partition:
             return None
         return min(candidates, key=lambda c: c.inactive_since)
 
-    def active_alternates(self) -> List[HardwareContext]:
-        return [c for c in self.spares() if c.is_alternate]
-
     def find_path_with_start(self, pc: int) -> Optional[HardwareContext]:
         """An alternate/inactive context whose path starts at ``pc``.
 

@@ -18,13 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..isa.assembler import Assembler
 from ..isa.program import Program
-from .kernels import (
-    DEFAULT_ITERS,
-    EXTENDED_KERNELS,
-    FP_KERNELS,
-    INTEGER_KERNELS,
-    KERNELS,
-)
+from .kernels import DEFAULT_ITERS, EXTENDED_KERNELS, KERNELS
 
 #: Distance between consecutive program images.  0x21040 = 132KB + 64B:
 #: not a multiple of the 64KB direct-mapped L1 period nor of the BTB/PHT
@@ -97,9 +91,3 @@ class WorkloadSuite:
                 digest.update(self._kernels[name](self.iters).encode())
             self._fingerprint = digest.hexdigest()[:16]
         return self._fingerprint
-
-    def integer_names(self) -> List[str]:
-        return list(INTEGER_KERNELS)
-
-    def fp_names(self) -> List[str]:
-        return list(FP_KERNELS)

@@ -3,13 +3,16 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.exec import Executor, Job, ResultCache, cache_key
+import repro
+from repro.exec import cache as cache_module
+from repro.exec import Executor, Job, ResultCache, cache_key, sim_fingerprint
 from repro.exec.jobs import result_to_payload, spec_to_payload, stats_to_payload
 from repro.pipeline.core import Core
 from repro.sim.runner import RunSpec, run_spec
@@ -27,8 +30,8 @@ def tiny_spec(**kwargs):
 
 class TestCacheKey:
     def test_stable_for_identical_specs(self):
-        a = cache_key(Job(spec=tiny_spec()), FP, "1.0.0")
-        b = cache_key(Job(spec=tiny_spec()), FP, "1.0.0")
+        a = cache_key(Job(spec=tiny_spec()), FP)
+        b = cache_key(Job(spec=tiny_spec()), FP)
         assert a == b
 
     @pytest.mark.parametrize(
@@ -45,34 +48,51 @@ class TestCacheKey:
         ],
     )
     def test_any_spec_field_changes_key(self, change):
-        base = cache_key(Job(spec=tiny_spec()), FP, "1.0.0")
-        other = cache_key(Job(spec=tiny_spec(**change)), FP, "1.0.0")
+        base = cache_key(Job(spec=tiny_spec()), FP)
+        other = cache_key(Job(spec=tiny_spec(**change)), FP)
         assert base != other, change
 
     def test_overrides_change_key(self):
-        base = cache_key(Job(spec=tiny_spec()), FP, "1.0.0")
-        sized = cache_key(
-            Job(spec=tiny_spec(), overrides=(("active_list_size", 32),)), FP, "1.0.0"
-        )
+        base = cache_key(Job(spec=tiny_spec()), FP)
+        sized = cache_key(Job(spec=tiny_spec(), overrides=(("active_list_size", 32),)), FP)
         assert base != sized
 
     def test_suite_fingerprint_changes_key(self):
-        base = cache_key(Job(spec=tiny_spec()), FP, "1.0.0")
-        other = cache_key(Job(spec=tiny_spec()), "other-suite", "1.0.0")
+        base = cache_key(Job(spec=tiny_spec()), FP)
+        other = cache_key(Job(spec=tiny_spec()), "other-suite")
         assert base != other
 
-    def test_sim_version_changes_key(self):
-        base = cache_key(Job(spec=tiny_spec()), FP, "1.0.0")
-        bumped = cache_key(Job(spec=tiny_spec()), FP, "1.0.1")
+    def test_sim_version_changes_key(self, monkeypatch):
+        base = cache_key(Job(spec=tiny_spec()), FP)
+        monkeypatch.setattr(cache_module, "sim_fingerprint", lambda: "0" * 16)
+        bumped = cache_key(Job(spec=tiny_spec()), FP)
         assert base != bumped
+
+    def test_sim_fingerprint_tracks_the_source(self, tmp_path):
+        """The fingerprint is the package's source: a copy of the tree
+        computes this process's value, and a comment appended to one
+        pipeline module changes it, so every cache key changes too."""
+        copy = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+        def fingerprint_of_copy():
+            return subprocess.run(
+                [sys.executable, "-c",
+                 "from repro.exec import sim_fingerprint; print(sim_fingerprint())"],
+                env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+                capture_output=True, text=True, check=True).stdout.strip()
+
+        assert fingerprint_of_copy() == sim_fingerprint()
+        with open(copy / "pipeline" / "stages" / "fetch.py", "a") as handle:
+            handle.write("# an edit\n")
+        assert fingerprint_of_copy() != sim_fingerprint()
 
     def test_chaos_never_in_key(self):
         from repro.exec import Chaos
 
-        plain = cache_key(Job(spec=tiny_spec()), FP, "1.0.0")
-        chaotic = cache_key(
-            Job(spec=tiny_spec(), chaos=Chaos(fail_first_attempts=9)), FP, "1.0.0"
-        )
+        plain = cache_key(Job(spec=tiny_spec()), FP)
+        chaotic = cache_key(Job(spec=tiny_spec(), chaos=Chaos(fail_first_attempts=9)), FP)
         assert plain == chaotic
 
     def test_suite_fingerprint_tracks_iters(self):
@@ -125,15 +145,12 @@ class TestExecutorCaching:
         outcome = Executor(cache=tmp_path).run([tiny_spec(**change)], suite=SUITE)[0]
         assert not outcome.cached
 
-    def test_invalidated_by_sim_version_bump(self, tmp_path):
+    def test_invalidated_by_sim_version_bump(self, tmp_path, monkeypatch):
         spec = tiny_spec()
-        Executor(cache=ResultCache(tmp_path, sim_version="1.0.0")).run([spec], suite=SUITE)
-        warm = Executor(cache=ResultCache(tmp_path, sim_version="1.0.0")).run(
-            [spec], suite=SUITE
-        )[0]
-        bumped = Executor(cache=ResultCache(tmp_path, sim_version="2.0.0")).run(
-            [spec], suite=SUITE
-        )[0]
+        Executor(cache=tmp_path).run([spec], suite=SUITE)
+        warm = Executor(cache=tmp_path).run([spec], suite=SUITE)[0]
+        monkeypatch.setattr(cache_module, "sim_fingerprint", lambda: "0" * 16)
+        bumped = Executor(cache=tmp_path).run([spec], suite=SUITE)[0]
         assert warm.cached and not bumped.cached
 
     def test_cached_result_matches_fresh_numerically(self, tmp_path):
@@ -187,7 +204,7 @@ class TestCorruptEntryRecovery:
         cache = ResultCache(tmp_path)
         executor = Executor(cache=cache)
         first = executor.run([spec], suite=SUITE)[0]
-        key = cache.key_for(Job(spec=spec), SUITE)
+        key = cache_key(Job(spec=spec), FP)
         cache.path_for(key).write_text("garbage")
         again = Executor(cache=ResultCache(tmp_path)).run([spec], suite=SUITE)[0]
         assert not again.cached  # corrupt entry -> a real re-run, not a crash
@@ -237,7 +254,7 @@ class TestKillResume:
         campaign.stdout.close()
 
         cache = ResultCache(tmp_path)
-        stored = [cache.path_for(cache.key_for(Job(spec=spec), SUITE)).exists()
+        stored = [cache.path_for(cache_key(Job(spec=spec), FP)).exists()
                   for spec in KILL_SPECS]
         assert 2 <= sum(stored) < len(KILL_SPECS), "the kill must land mid-campaign"
 

@@ -85,3 +85,19 @@ class TestMachineConfigs:
     def test_with_policy(self):
         cfg = MachineConfig().with_policy(RecyclePolicy(PolicyKind.STOP, 8))
         assert cfg.policy.limit == 8
+
+    def test_an_int_is_a_valid_float(self):
+        assert MachineConfig(squash_penalty_per_uop=1).squash_penalty_per_uop == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("active_list_size", True),
+        ("active_list_size", 32.0),
+        ("recycle_repredict", 1),
+        ("alt_queue_pressure", "0.5"),
+        ("hierarchy", None),
+        ("fetch_policy", "ICOUNT"),
+        ("confidence_kind", "bogus"),
+    ])
+    def test_refuses_what_would_run_as_another_machine(self, field, value):
+        with pytest.raises((TypeError, ValueError), match=field):
+            MachineConfig(**{field: value})

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.exec import sim_fingerprint
 from repro.exec.jobs import (
     Job,
     execute_payload,
@@ -36,6 +37,7 @@ from repro.service import (
     sweep_spec,
 )
 from repro.pipeline.core import Core
+from repro.service import worker as worker_module
 from repro.service.scheduler import Campaign, JobRecord, SchedulerClosed, Task
 from repro.sim.sweep import Sweep
 from repro.workloads.suite import WorkloadSuite
@@ -51,6 +53,15 @@ def grid_spec(alist_values, label=""):
         commit_target=CT,
         label=label,
     )
+
+
+#: One job, for the tests that make its task fail.
+ONE_JOB = {"kind": "jobs", "jobs": [{"workload": ["compress"], "commit_target": CT}]}
+
+
+def _broken_execute(task):
+    """Stands in for ``execute_task``: every attempt fails."""
+    raise RuntimeError("injected failure")
 
 
 def raw_post(server, path, body=b"", content_length=None):
@@ -201,6 +212,20 @@ class TestKillResume:
     """Acceptance: SIGKILL the server mid-campaign; a restart resumes from
     the store's cache without re-running completed jobs."""
 
+    def test_a_stored_spec_this_code_refuses_is_not_resumed(self, tmp_path):
+        """A running campaign that other code stored, whose spec this code
+        refuses at submit, is skipped: the server still starts."""
+        store = ArtifactStore(tmp_path / "store")
+        campaign_id = store.next_campaign_id()
+        store.save_campaign({"id": campaign_id, "state": "running", "spec": {
+            "kind": "jobs", "jobs": [{"workload": ["no_such_kernel"]}]}})
+        server = CampaignServer(store, port=0, local_workers=0).start()
+        try:
+            assert server.resumed == []
+            assert ServiceClient(server.url).healthz()["ok"] is True
+        finally:
+            server.stop()
+
     def test_restart_resumes_without_rerunning(self, tmp_path):
         root = tmp_path / "store"
         url_file = tmp_path / "url"
@@ -330,12 +355,10 @@ class TestRemoteWorker:
         assert len(set(elapsed)) == 3 and sum(elapsed) < wall
         assert client.wait(campaign_id, timeout=30.0)["state"] == "done"
 
-    def test_worker_failure_reports_and_retries_exhaust(self, idle_server):
+    def test_worker_failure_reports_and_retries_exhaust(self, idle_server, monkeypatch):
+        monkeypatch.setattr(worker_module, "execute_task", _broken_execute)
         client = ServiceClient(idle_server.url, timeout=30.0)
-        campaign_id = client.submit({
-            "kind": "jobs",
-            "jobs": [{"workload": ["no_such_kernel"]}],
-        })["id"]
+        campaign_id = client.submit(ONE_JOB)["id"]
         stop = threading.Event()
         thread = threading.Thread(
             target=run_worker,
@@ -351,7 +374,7 @@ class TestRemoteWorker:
         assert status["state"] == "failed"
         job = status["jobs"][0]
         assert job["state"] == "failed"
-        assert "no_such_kernel" in job["error"]
+        assert "RuntimeError: injected failure" in job["error"]
         metrics = client.metrics()["jobs"]
         assert metrics["jobs_failed"] == 1
         assert metrics["task_attempts"] == 3  # default max_attempts
@@ -361,7 +384,8 @@ class TestHttpApi:
     def test_healthz(self, client):
         from repro import __version__
 
-        assert client.healthz() == {"ok": True, "version": __version__}
+        assert client.healthz() == {"ok": True, "version": __version__,
+                                    "sim_fingerprint": sim_fingerprint()}
 
     def test_bad_spec_is_400_with_message(self, client):
         with pytest.raises(ServiceError) as excinfo:
@@ -392,16 +416,14 @@ class TestHttpApi:
             client.result(submitted["jobs"][0]["id"])
         assert excinfo.value.status == 409
 
-    def test_failed_result_is_410(self, client):
-        submitted = client.submit({
-            "kind": "jobs",
-            "jobs": [{"workload": ["no_such_kernel"]}],
-        })
+    def test_failed_result_is_410(self, client, monkeypatch):
+        monkeypatch.setattr(worker_module, "execute_task", _broken_execute)
+        submitted = client.submit(ONE_JOB)
         client.wait(submitted["id"], timeout=60.0)
         with pytest.raises(ServiceError) as excinfo:
             client.result(submitted["jobs"][0]["id"])
         assert excinfo.value.status == 410
-        assert "no_such_kernel" in str(excinfo.value)
+        assert "injected failure" in str(excinfo.value)
 
     def test_cancel_drains_the_queue(self, idle_server):
         client = ServiceClient(idle_server.url)
@@ -433,6 +455,24 @@ class TestHttpApi:
         assert document["error"]
         # The server kept serving.
         assert ServiceClient(idle_server.url).healthz()["ok"] is True
+
+    @pytest.mark.parametrize("fingerprint", ["0123456789abcdef", None],
+                             ids=["foreign", "missing"])
+    def test_lease_from_other_code_is_409(self, idle_server, fingerprint):
+        """A worker that does not run the server's source leases nothing:
+        it would store its results under this code's keys."""
+        client = ServiceClient(idle_server.url)
+        client.submit(grid_spec([32]))
+        body = {"max_tasks": 4, "worker": "stranger"}
+        if fingerprint is not None:
+            body["sim_fingerprint"] = fingerprint
+        status, document = raw_post(idle_server, "/lease", json.dumps(body).encode())
+        assert status == 409
+        assert repr(fingerprint) in document["error"]
+        assert sim_fingerprint() in document["error"]
+        metrics = client.metrics()
+        assert metrics["jobs"]["leases_granted"] == 0
+        assert metrics["queue_depth"] == 2
 
     def test_complete_writes_nothing_outside_the_store(self, idle_server):
         store = idle_server.store

@@ -128,6 +128,33 @@ class TestRejection:
         with pytest.raises(SpecError):
             parse_campaign({"kind": "jobs", "jobs": jobs})
 
+    @pytest.mark.parametrize("change, named", [
+        (dict(workloads=[["no_such_kernel"]]), "no_such_kernel"),
+        (dict(workloads=[["compress"] * 9]), "num_contexts"),
+        (dict(commit_target=-5), "commit_target"),
+        (dict(commit_target=0), "commit_target"),
+        (dict(commit_target="many"), "commit_target"),
+        (dict(policy=5), "policy"),
+        (dict(grid={"policy": ["stop-8"]}), "policy"),
+        (dict(grid={"features": ["TME"]}), "features"),
+        (dict(grid={"active_list_size": ["big"]}), "active_list_size"),
+        (dict(grid={"confidence_kind": ["bogus"]}), "confidence_kind"),
+        (dict(grid={"fetch_policy": ["ICOUNT"]}), "fetch_policy"),
+    ], ids=["unknown-kernel", "nine-programs", "commit-target-negative",
+            "commit-target-zero", "commit-target-string", "policy-int",
+            "grid-policy", "grid-features", "grid-active-list", "grid-confidence-kind",
+            "grid-fetch-policy"])
+    def test_a_spec_that_cannot_run_is_refused_at_submit(self, change, named):
+        """Each of these once ran: to a failure after every attempt, or
+        to a wrong result (0 cycles; round-robin fetch for "ICOUNT")."""
+        with pytest.raises(SpecError, match=named):
+            parse_campaign(sweep_payload(**change))
+
+    def test_jobs_are_checked_like_sweeps(self):
+        with pytest.raises(SpecError, match=r"jobs\[1\]: unknown kernel"):
+            parse_campaign({"kind": "jobs", "jobs": [{"workload": ["compress"]},
+                                                     {"workload": ["no_such_kernel"]}]})
+
     def test_non_object_spec_raises(self):
         with pytest.raises(SpecError):
             parse_campaign(["not", "an", "object"])

@@ -14,7 +14,11 @@ the full client path and asserts the service's core guarantees:
 5. measure warm submit→result latency for a single-job campaign and,
    with ``--bench-json``, record it as the ``service_warm_submit_seconds``
    field of the benchmark payload (a warn-only metric for
-   ``tools/bench_compare.py``).
+   ``tools/bench_compare.py``);
+6. boot a head with no local workers on a fresh store: a ``/lease`` from
+   a worker on other simulator code gets 409 and leases nothing, and a
+   remote worker (``run_worker`` over HTTP) drains the campaign to the
+   same ``stats``, label for label, as the cold phase.
 
 Usage::
 
@@ -28,8 +32,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import tempfile
+import threading
 import time
 
 
@@ -54,6 +60,47 @@ def check_all_stored(client, spec: dict, executed: int, when: str) -> None:
     check(still_executed == executed,
           f"{when} resubmit re-ran {still_executed - executed} task(s)")
     print(f"{when} resubmit: all store hits, zero re-runs")
+
+
+def remote_worker_phase(store_root: str, spec: dict, cold_stats: dict) -> None:
+    """Drain ``spec`` on a head with no local workers through a remote
+    worker; its results must equal ``cold_stats`` (label → stats)."""
+    from repro.service import CampaignServer, ServiceClient, ServiceError, run_worker
+
+    server = CampaignServer(store_root, port=0, local_workers=0).start()
+    try:
+        client = ServiceClient(server.url, timeout=60.0)
+        campaign_id = client.submit(spec)["id"]
+        try:
+            client._request("POST", "/lease", {"max_tasks": 1, "worker": "stranger",
+                                               "sim_fingerprint": "0" * 16})
+            check(False, "a worker on other simulator code was leased work")
+        except ServiceError as exc:
+            check(exc.status == 409, f"a foreign-fingerprint lease got {exc}")
+        check(client.metrics()["jobs"]["leases_granted"] == 0,
+              "a refused lease granted tasks")
+        print("foreign-fingerprint lease: 409, nothing leased")
+
+        stop = threading.Event()
+        worker = threading.Thread(target=run_worker, args=(server.url, "smoke-remote"),
+                                  kwargs={"poll": 0.05, "stop": stop})
+        worker.start()
+        try:
+            status = client.wait(campaign_id, timeout=300.0)
+        finally:
+            stop.set()
+            worker.join(timeout=60.0)
+        check(not worker.is_alive(), "the remote worker did not stop")
+        check(status["state"] == "done",
+              f"remote-worker campaign finished {status['state']!r}")
+        remote_stats = {doc["label"]: doc["stats"] for doc in client.fetch_results(campaign_id)}
+        differing = sorted(label for label in cold_stats
+                           if remote_stats.get(label) != cold_stats[label])
+        check(remote_stats == cold_stats,
+              f"remote-worker results differ from the cold phase's: {differing}")
+        print(f"remote worker: {len(remote_stats)} result(s), identical to the cold phase")
+    finally:
+        server.stop()
 
 
 def warm_latency(client, spec: dict, rounds: int) -> float:
@@ -108,6 +155,7 @@ def main(argv=None) -> int:
                   f"fetched {len(documents)}/{len(cold['jobs'])} results")
             check(all(doc["ipc"] > 0 for doc in documents),
                   "a result document has no IPC")
+            cold_stats = {doc["label"]: doc["stats"] for doc in documents}
             executed = client.metrics()["jobs"]["tasks_executed"]
             print(f"cold campaign done: {executed} simulation(s) executed")
 
@@ -134,6 +182,8 @@ def main(argv=None) -> int:
                   f"(best of {args.latency_rounds})")
         finally:
             server.stop()
+
+        remote_worker_phase(os.path.join(root, "remote"), spec, cold_stats)
 
     if args.bench_json:
         try:
