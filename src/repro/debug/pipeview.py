@@ -9,41 +9,16 @@ stage letters placed in cycle columns::
 
 Letters: ``R`` rename, ``I`` issue, ``=`` executing, ``C`` commit,
 ``U`` a reused instruction's rename (it never issues).  Recycled
-instructions have no fetch column — that is the whole point.
+instructions have no fetch column — that is the whole point.  The input
+is :attr:`~repro.debug.tracer.CoreTracer.committed_uops`, as
+``repro-sim trace --pipeview`` passes it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..pipeline.events import Retired
 from ..pipeline.uop import Uop
-
-
-class UopCollector:
-    """Minimal event-bus subscriber: committed uops in commit order.
-
-    The smallest useful bus consumer — feed ``collector.uops`` straight
-    to :func:`pipeview` without paying for a full
-    :class:`~repro.debug.tracer.CoreTracer`::
-
-        core = Core(config)
-        collector = UopCollector(core, max_uops=500)
-        core.load(programs); core.run()
-        print(pipeview(collector.uops))
-    """
-
-    def __init__(self, core, max_uops: int = 200_000):
-        self.max_uops = max_uops
-        self.uops: List[Uop] = []
-        self._unsubscribe = core.bus.subscribe(Retired, self._on_retired)
-
-    def _on_retired(self, event: Retired) -> None:
-        if len(self.uops) < self.max_uops:
-            self.uops.append(event.uop)
-
-    def detach(self) -> None:
-        self._unsubscribe()
 
 
 def render_uop_row(uop: Uop, origin: int, width: int) -> str:

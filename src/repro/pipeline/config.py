@@ -125,6 +125,15 @@ class Features:
         ]
         return {f.label: f for f in variants}
 
+    @staticmethod
+    def from_label(label) -> "Features":
+        """The variant named ``label``; ``ValueError`` for anything that
+        is not one of the known labels, non-strings included."""
+        variants = Features.all_variants()
+        if isinstance(label, str) and label in variants:
+            return variants[label]
+        raise ValueError(f"unknown features {label!r}; know {sorted(variants)}")
+
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -148,10 +157,6 @@ class MachineConfig:
     extra_phys_regs: int = 100  # beyond the contexts' logical registers
     regread_stages: int = 2  # issue → execute latency (9-stage pipe)
     decode_latency: int = 1
-    # Decoded-uop cache entries shared by all programs (the simulator's
-    # own recycling: fetch/rename never re-decode a hot PC).  0 disables
-    # caching; modelled behaviour is identical either way.
-    uop_cache_entries: int = 4096
     spawn_latency: int = 1  # cycles before a spawned alternate may fetch
     btb_miss_redirect_penalty: int = 2
     decode_buffer_size: int = 32  # per context

@@ -15,7 +15,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..branch.predictor import Prediction
 from ..compat import slots_dataclass
-from ..isa.instruction import Instruction
 from .active_list import ActiveList
 from .rename import RenameMap
 from .uop import ST_COMMITTED, ST_COMPLETED, ST_SQUASHED, Uop
@@ -35,8 +34,6 @@ class FetchedInstr:
     hot path.
     """
 
-    instr: Instruction
-    pc: int
     next_pc: int  # predicted successor (the recorded path geometry)
     pred: Optional[Prediction]
     ready_cycle: int  # earliest cycle rename may consume it
@@ -132,16 +129,6 @@ class HardwareContext:
     def icount(self) -> int:
         """Pre-issue instruction count (ICOUNT fetch priority)."""
         return len(self.decode_buffer) + self.n_queued
-
-    def can_fetch(self, cycle: int, decode_cap: int) -> bool:
-        # INACTIVE contexts may keep fetching under the FETCH/NOSTOP
-        # policies (Section 5.2); ``fetch_stopped`` gates them.
-        return (
-            self.state in (CtxState.ACTIVE, CtxState.INACTIVE)
-            and not self.fetch_stopped
-            and cycle >= self.fetch_stall_until
-            and len(self.decode_buffer) < decode_cap
-        )
 
     # ------------------------------------------------------------------
     def merge_point_valid(self, mp: Optional[MergePoint]) -> bool:

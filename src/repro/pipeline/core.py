@@ -11,12 +11,12 @@ The stage logic lives in :mod:`repro.pipeline.stages` (one module per
 stage, sharing an explicit :class:`~repro.pipeline.stages.CoreState`),
 and observers subscribe to the typed event bus in
 :mod:`repro.pipeline.events` instead of monkey-patching methods.
-:class:`Core` remains the public API: it owns the state, steps the
-stages, and keeps the historical ``_method`` names as thin delegators.
-Those delegators are deliberate — they are the single
-patch/observation point for tests (fault injection replaces
-``core._execute`` et al.), and routing every cross-stage call through
-them keeps instance-level patching effective after the split.
+:class:`Core` remains the public API: it owns the state and the six
+stage objects (``fetch``, ``rename``, ``forker``, ``issue``,
+``resolve``, ``commit``) and steps them.  Stages call each other
+directly through the core (``self.core.resolve.squash_suffix(...)``),
+so a test replaces one behaviour by assigning the stage attribute
+(``core.issue.execute = fake``) before the run starts.
 
 The TME and recycling behaviour (Sections 2-3):
 
@@ -48,7 +48,7 @@ from ..isa.program import Program
 from ..stats.counters import SimStats
 from ..tme.partition import Partition
 from .config import MachineConfig
-from .context import CtxState, HardwareContext
+from .context import CtxState
 from .instance import ProgramInstance
 from .stages import (
     CommitStage,
@@ -60,7 +60,6 @@ from .stages import (
     ResolveStage,
     SimulationError,
 )
-from .stages.commit import _values_equal  # noqa: F401  (re-export for tests)
 
 __all__ = ["Core", "SimulationError", "gc_epoch"]
 
@@ -126,7 +125,6 @@ class Core:
         self.issue = IssueStage(self)
         self.resolve = ResolveStage(self)
         self.commit = CommitStage(self)
-        self._bind_delegators()
         self._profiler = None
         # Imported lazily: stats.recorder subscribes to pipeline.events,
         # and importing it at module scope would cycle back into here.
@@ -135,12 +133,8 @@ class Core:
         self.stats_recorder = StatsRecorder(self.state.stats, self.state.bus)
 
     # ------------------------------------------------------------------
-    # Shared state, exposed under the historical attribute names
+    # Shared state that callers read (tests, runner, tracer, checker)
     # ------------------------------------------------------------------
-    @property
-    def config(self):
-        return self.state.config
-
     @property
     def regfile(self):
         return self.state.regfile
@@ -154,28 +148,8 @@ class Core:
         return self.state.int_queue
 
     @property
-    def fp_queue(self):
-        return self.state.fp_queue
-
-    @property
-    def fus(self):
-        return self.state.fus
-
-    @property
-    def hierarchy(self):
-        return self.state.hierarchy
-
-    @property
-    def predictor(self):
-        return self.state.predictor
-
-    @property
     def instances(self):
         return self.state.instances
-
-    @property
-    def partitions(self):
-        return self.state.partitions
 
     @property
     def stats(self):
@@ -186,16 +160,8 @@ class Core:
         return self.state.util
 
     @property
-    def streams(self):
-        return self.state.streams
-
-    @property
     def bus(self):
         return self.state.bus
-
-    @property
-    def cycle(self):
-        return self.state.cycle
 
     # ==================================================================
     # Workload loading
@@ -204,9 +170,10 @@ class Core:
         """Start ``programs`` on evenly partitioned hardware contexts."""
         if not programs:
             raise ValueError("need at least one program")
-        if len(programs) > self.config.num_contexts:
+        num_contexts = self.state.config.num_contexts
+        if len(programs) > num_contexts:
             raise ValueError("more programs than hardware contexts")
-        per = self.config.num_contexts // len(programs)
+        per = num_contexts // len(programs)
         for i, program in enumerate(programs):
             instance = ProgramInstance(i, program)
             instance.commit_target = commit_target
@@ -223,7 +190,7 @@ class Core:
             instance.primary_ctx = primary.id
             instance.commit_ctx = primary.id
             self.instances.append(instance)
-            self.partitions.append(partition)
+            self.state.partitions.append(partition)
 
     # ==================================================================
     # Main loop
@@ -246,7 +213,7 @@ class Core:
                         f"no commits for {deadlock_limit} cycles at cycle "
                         f"{state.cycle}; contexts: {self.contexts}"
                     )
-        self._finalize_stats()
+        self.commit.finalize_stats()
         return self.stats
 
     def step(self) -> None:
@@ -260,17 +227,17 @@ class Core:
         state.issued_this_cycle = 0
         profiler = self._profiler
         if profiler is None:
-            self._commit_stage()
-            self._complete_stage()
-            self._issue_stage()
-            self._rename_stage()
-            self._fetch_stage()
+            self.commit.run()
+            self.resolve.run()
+            self.issue.run()
+            self.rename.run()
+            self.fetch.run()
         else:
-            profiler.timed("commit", self._commit_stage)
-            profiler.timed("complete", self._complete_stage)
-            profiler.timed("issue", self._issue_stage)
-            profiler.timed("rename", self._rename_stage)
-            profiler.timed("fetch", self._fetch_stage)
+            profiler.timed("commit", self.commit.run)
+            profiler.timed("complete", self.resolve.run)
+            profiler.timed("issue", self.issue.run)
+            profiler.timed("rename", self.rename.run)
+            profiler.timed("fetch", self.fetch.run)
         state.util.record_cycle(
             stats.fetched - fetched0,
             stats.renamed - renamed0,
@@ -285,64 +252,3 @@ class Core:
         """Attach (or clear) a per-stage profiler with a ``timed(name, fn)``
         method; ``None`` restores the unprofiled fast path."""
         self._profiler = profiler
-
-    def _finalize_stats(self) -> None:
-        self.commit.finalize_stats()
-
-    # ==================================================================
-    # Stage delegators (the historical private API)
-    # ==================================================================
-    def _bind_delegators(self) -> None:
-        """Bind the stage entry points under the historical ``_method`` names.
-
-        Stages route cross-stage and observable calls through these so
-        that instance-attribute patching (tests, fault injection) still
-        intercepts exactly one well-known name per behaviour.  They are
-        instance attributes rather than ``def`` wrappers: several run
-        tens of thousands of times per simulated run, and the extra
-        delegator frame was measurable in the hot loop.  Patching
-        semantics are unchanged — ``core._execute = fake`` replaces the
-        attribute, and restoring the saved original rebinds the stage
-        method.
-        """
-        # -- fetch -----------------------------------------------------
-        self._fetch_stage = self.fetch.run
-        self._fetch_block = self.fetch.fetch_block
-        self._alt_fetch_allowed = self.fetch.alt_fetch_allowed
-        self._open_stream = self.fetch.open_stream
-        self._snapshot_trace = self.fetch.snapshot_trace
-        # -- rename / recycle -----------------------------------------
-        self._rename_stage = self.rename.run
-        self._rename_one = self.rename.rename_one
-        self._rename_reused = self.rename.rename_reused
-        self._reuse_candidate = self.rename.reuse_candidate
-        self._end_stream = self.rename.end_stream
-        self._kill_stream = self.rename.kill_stream
-        # -- TME fork / re-spawn --------------------------------------
-        self._consider_fork = self.forker.consider_fork
-        self._spawn = self.forker.spawn
-        self._respawn = self.forker.respawn
-        # -- issue / execute ------------------------------------------
-        self._issue_stage = self.issue.run
-        self._execute = self.issue.execute
-        # -- completion / recovery / squash ---------------------------
-        self._complete_stage = self.resolve.run
-        self._swap_primaryship = self.resolve.swap_primaryship
-        self._squash_uop = self.resolve.squash_uop
-        self._squash_suffix = self.resolve.squash_suffix
-        self._squash_context = self.resolve.squash_context
-        self._reclaimable = self.resolve.reclaimable
-        self._lru_reclaimable = self.resolve.lru_reclaimable
-        self._reclaim_context = self.resolve.reclaim_context
-        self._reclaim_for_pressure = self.resolve.reclaim_for_pressure
-        self._account_deleted_path = self.resolve.account_deleted_path
-        # -- commit ----------------------------------------------------
-        self._commit_stage = self.commit.run
-        self._retire = self.commit.retire
-
-    # ==================================================================
-    # Introspection helpers (tests, debugging)
-    # ==================================================================
-    def context(self, ctx_id: int) -> HardwareContext:
-        return self.contexts[ctx_id]
-

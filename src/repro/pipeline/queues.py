@@ -36,7 +36,7 @@ from typing import Dict, List
 
 from ..isa.opcodes import FuClass
 from .regfile import PhysicalRegisterFile
-from .uop import ST_RENAMED, ST_SQUASHED, Uop
+from .uop import ST_RENAMED, Uop
 
 
 class InstructionQueue:
@@ -62,9 +62,6 @@ class InstructionQueue:
     # -- capacity ------------------------------------------------------
     def has_room(self) -> bool:
         return len(self._members) < self.size
-
-    def occupancy(self) -> int:
-        return len(self._members)
 
     def __contains__(self, uop: Uop) -> bool:
         return uop in self._members
@@ -118,13 +115,6 @@ class InstructionQueue:
             raise AssertionError(
                 f"{self.name} queue: removing non-resident uop {uop!r}"
             ) from None
-
-    def remove_squashed(self) -> int:
-        before = len(self._members)
-        self._members = {
-            u: None for u in self._members if u.state_code != ST_SQUASHED
-        }
-        return before - len(self._members)
 
     def clear(self) -> None:
         self._members.clear()

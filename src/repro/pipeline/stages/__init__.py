@@ -5,8 +5,9 @@ order each cycle: :mod:`commit`, :mod:`resolve` (completion + branch
 resolution + recovery), :mod:`issue`, :mod:`rename` (with the recycle
 datapath) plus :mod:`fork` (TME forking, fired from rename), and
 :mod:`fetch` (with merge detection).  The
-:class:`~repro.pipeline.core.Core` facade wires them together and
-remains the public API.
+:class:`~repro.pipeline.core.Core` facade owns one of each, steps them,
+and is the public API; stages reach each other through it
+(``self.core.rename.kill_stream(...)``).
 """
 
 from .commit import CommitStage

@@ -14,7 +14,7 @@ from ...isa.registers import NUM_LOGICAL_REGS
 from ..context import CtxState, HardwareContext
 from ..events import Retired
 from ..instance import ProgramInstance
-from ..uop import ST_COMMITTED, ST_COMPLETED, Uop, UopState
+from ..uop import ST_COMMITTED, ST_COMPLETED, Uop
 from .state import Stage, SimulationError
 
 
@@ -61,7 +61,7 @@ class CommitStage(Stage):
                 ctx.commit_successor = None  # chain moved past: unpin
                 if not self.config.features.recycle:
                     # Plain TME: the handed-over context is dead weight.
-                    self.core._squash_context(ctx)
+                    self.core.resolve.squash_context(ctx)
                 continue
             # Inline active_list.oldest_uncommitted.  The oldest
             # uncommitted entry is never COMMITTED, so "completed and
@@ -73,7 +73,7 @@ class CommitStage(Stage):
             uop = al._ring[pos % al.capacity]
             if uop is None or uop.state_code != ST_COMPLETED:
                 break
-            self.core._retire(instance, ctx, uop)
+            self.retire(instance, ctx, uop)
             budget -= 1
             if instance.reached_target() and instance.id not in self.stats.per_instance_cycles:
                 self.stats.per_instance_cycles[instance.id] = self.state.cycle + 1
@@ -126,10 +126,10 @@ class CommitStage(Stage):
             if ctx.state is CtxState.IDLE:
                 continue
             if ctx is halting_ctx:
-                self.core._squash_suffix(ctx, ctx.active_list.commit_pos - 1)
+                self.core.resolve.squash_suffix(ctx, ctx.active_list.commit_pos - 1)
                 ctx.fetch_stopped = True
             else:
-                self.core._squash_context(ctx)
+                self.core.resolve.squash_context(ctx)
         self.check_final_registers(instance, halting_ctx)
 
     def check_final_registers(
@@ -176,7 +176,7 @@ class CommitStage(Stage):
         state = self.state
         for ctx in self.contexts:
             if ctx.state is CtxState.INACTIVE and ctx.fork_uop is not None:
-                self.core._account_deleted_path(ctx)
+                self.core.resolve.account_deleted_path(ctx)
         for inst in state.instances:
             self.stats.per_instance_committed[inst.id] = inst.committed
             self.stats.per_instance_cycles.setdefault(inst.id, state.cycle)
@@ -186,6 +186,5 @@ class CommitStage(Stage):
         stats = self.stats
         stats.uop_cache_hits = ucache.hits
         stats.uop_cache_misses = ucache.misses
-        stats.uop_cache_evictions = ucache.evictions
         stats.decode_counts = dict(sorted(ucache.decode_counts.items()))
         stats.uop_cache_hits_by_class = dict(sorted(ucache.hits_by_class.items()))

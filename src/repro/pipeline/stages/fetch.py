@@ -34,9 +34,11 @@ class FetchStage(Stage):
         decode_cap = cfg.decode_buffer_size
         n_candidates = 0
         for ctx in self.contexts:
-            # Inline of ``ctx.can_fetch`` (the readable spec); the
-            # side-effectful ``try_merge`` stays last so streams only
-            # open for contexts that could actually fetch.
+            # Fetch eligibility.  INACTIVE contexts may keep fetching
+            # under the FETCH/NOSTOP policies (Section 5.2);
+            # ``fetch_stopped`` gates them.  The side-effectful
+            # ``try_merge`` stays last so streams only open for contexts
+            # that could actually fetch.
             cstate = ctx.state
             if (
                 (cstate is CtxState.ACTIVE or cstate is CtxState.INACTIVE)
@@ -73,7 +75,7 @@ class FetchStage(Stage):
             if threads >= cfg.fetch_threads or total_budget <= 0:
                 break
             threads += 1
-            fetched = self.core._fetch_block(ctx, min(cfg.fetch_block, total_budget))
+            fetched = self.fetch_block(ctx, min(cfg.fetch_block, total_budget))
             total_budget -= fetched
 
     def fetch_block(self, ctx: HardwareContext, budget: int) -> int:
@@ -103,8 +105,7 @@ class FetchStage(Stage):
         # primaryship cannot change mid-block.
         check_limit = not ctx.is_primary and cfg.features.tme
         ucache = state.uop_cache
-        view = ucache.program_view(program)
-        view_get = view.get
+        view_get = ucache.program_view(program).get
         hits_by_class = ucache.hits_by_class
         append = ctx.decode_buffer.append
         predict = state.predictor.predict
@@ -118,23 +119,22 @@ class FetchStage(Stage):
                 key = dec.decant_key
                 hits_by_class[key] = hits_by_class.get(key, 0) + 1
             else:
-                dec = ucache.decode(program, pc, view)
+                dec = ucache.decode(program, pc)
                 if not dec:
                     ctx.fetch_stopped = True  # ran off the text (wrong path)
                     break
-            instr = dec.instr
             count += 1
-            if check_limit and not self.core._alt_fetch_allowed(ctx):
+            if check_limit and not self.alt_fetch_allowed(ctx):
                 ctx.fetch_stopped = True
             if dec.is_branch:
-                pred = predict(ctx_id, pc, instr)
+                pred = predict(ctx_id, pc, dec.instr)
                 if pred.taken and pred.target is None:
                     # Unresolvable indirect: stall fetch until resolution.
-                    append(FetchedInstr(instr, pc, dec.seq_next, pred, ready, dec))
+                    append(FetchedInstr(dec.seq_next, pred, ready, dec))
                     ctx.fetch_stopped = True
                     break
                 next_pc = pred.target if pred.taken else dec.seq_next
-                append(FetchedInstr(instr, pc, next_pc, pred, ready, dec))
+                append(FetchedInstr(next_pc, pred, ready, dec))
                 pc = next_pc
                 ctx.pc = pc
                 if pred.taken:
@@ -144,11 +144,11 @@ class FetchStage(Stage):
                         )
                     break  # fetch blocks end at a predicted-taken branch
             elif dec.is_halt:
-                append(FetchedInstr(instr, pc, pc, None, ready, dec))
+                append(FetchedInstr(pc, None, ready, dec))
                 ctx.fetch_stopped = True
                 break
             else:
-                append(FetchedInstr(instr, pc, dec.seq_next, None, ready, dec))
+                append(FetchedInstr(dec.seq_next, None, ready, dec))
                 pc = dec.seq_next
                 ctx.pc = pc
         return self._published(ctx, count)
@@ -173,37 +173,22 @@ class FetchStage(Stage):
     # ------------------------------------------------------------------
     # Merge detection (Section 3.2)
     # ------------------------------------------------------------------
-    def merge_sources(self, ctx: HardwareContext, pc: int):
-        """Yield (source ctx, merge point, kind) candidates for ``pc``."""
-        if ctx.is_primary:
-            partition = ctx.instance.partition
-            for src in partition.spares():
-                if src.state not in (CtxState.ACTIVE, CtxState.INACTIVE):
-                    continue
-                if src.is_primary:
-                    continue
-                mp = src.first_merge
-                if src.merge_point_valid(mp) and mp.pc == pc:
-                    yield src, mp, StreamKind.ALTERNATE
-            mp = ctx.first_merge
-            if ctx.merge_point_valid(mp) and mp.pc == pc:
-                yield ctx, mp, StreamKind.SELF_FIRST
-        mp = ctx.back_merge
-        if ctx.merge_point_valid(mp) and mp.pc == pc:
-            yield ctx, mp, StreamKind.BACK
-
     def try_merge(self, ctx: HardwareContext) -> bool:
         """Open a recycle stream if ``ctx``'s fetch PC hits a merge point."""
         return self.check_merge_at(ctx, ctx.pc)
 
     def check_merge_at(self, ctx: HardwareContext, pc: int) -> bool:
-        # Inline of ``merge_sources`` (kept above as the readable
-        # spec): the PC comparison is hoisted in front of the validity
-        # walk — both are pure predicates — so the common no-match case
-        # costs one attribute load per candidate and no generator.
+        """Open a recycle stream into ``ctx`` if ``pc`` matches a merge
+        point: a spare's first PC (primaries only), the context's own
+        first PC (primaries only), or its last backward-branch target.
+
+        The PC comparison runs before the validity walk — both are pure
+        predicates — so the common no-match case costs one attribute
+        load per candidate.
+        """
         if ctx.id in self.streams:
             return False
-        open_stream = self.core._open_stream
+        open_stream = self.open_stream
         if ctx.is_primary:
             partition = ctx.instance.partition
             for src in partition.spares():
@@ -232,7 +217,7 @@ class FetchStage(Stage):
         mp: MergePoint,
         kind: StreamKind,
     ) -> Optional[RecycleStream]:
-        entries = self.core._snapshot_trace(src, mp.pos)
+        entries = self.snapshot_trace(src, mp.pos)
         if not entries:
             return None
         reuse_ok = (

@@ -36,10 +36,10 @@ class ForkUnit(Stage):
                     # older dynamic instance), fork normally so this
                     # instance stays covered — the paper's Table 1 keeps
                     # ~70% miss coverage *with* recycling.
-                    if existing.state is CtxState.INACTIVE and self.core._reclaimable(
+                    if existing.state is CtxState.INACTIVE and self.core.resolve.reclaimable(
                         existing
                     ):
-                        self.core._respawn(ctx, branch, existing, alt_pc)
+                        self.respawn(ctx, branch, existing, alt_pc)
                         return
                 else:
                     # Plain REC keeps the strict no-duplicate-start rule,
@@ -48,14 +48,14 @@ class ForkUnit(Stage):
                     return
         spare = partition.idle_context()
         if spare is None and self.config.features.recycle:
-            victim = self.core._lru_reclaimable(partition)
+            victim = self.core.resolve.lru_reclaimable(partition)
             if victim is not None:
                 self.stats.reclaim_for_spawn += 1
-                self.core._reclaim_context(victim)
+                self.core.resolve.reclaim_context(victim)
                 spare = victim
         if spare is None:
             return
-        self.core._spawn(ctx, branch, spare, alt_pc)
+        self.spawn(ctx, branch, spare, alt_pc)
 
     def spawn(
         self,
@@ -117,13 +117,13 @@ class ForkUnit(Stage):
         alt_pc: int,
     ) -> None:
         """Re-activate an inactive trace through the recycle path (RS)."""
-        trace = self.core._snapshot_trace(existing, existing.path_start_pos)
+        trace = self.core.fetch.snapshot_trace(existing, existing.path_start_pos)
         if not trace or trace[0].pc != alt_pc:
             self.stats.fork_suppressed_duplicate += 1
             return
         existing.was_respawned = True
-        self.core._reclaim_context(existing)
-        self.core._spawn(parent, branch, existing, alt_pc)
+        self.core.resolve.reclaim_context(existing)
+        self.spawn(parent, branch, existing, alt_pc)
         detached = [
             TraceEntry(e.instr, e.pc, e.next_pc, src_pos=None, dec=e.dec)
             for e in trace

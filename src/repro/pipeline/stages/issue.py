@@ -47,7 +47,7 @@ class IssueStage(Stage):
         cycle = state.cycle
         contexts = self.contexts
         try_issue_code = fus.try_issue_code
-        execute = self.core._execute
+        execute = self.execute
         # Contexts whose pre-issue count changed; re-slotted once at the
         # end — the maintained (icount, id) order is a strict total
         # order, so the final arrangement is independent of when each

@@ -37,7 +37,7 @@ class RenameStage(Stage):
         state = self.state
         cycle = state.cycle
         resources_ok = self.resources_ok
-        rename_one = self.core._rename_one
+        rename_one = self.rename_one
         # Fetched instructions, lowest-ICOUNT thread first.  The
         # maintained (icount, id) order replaces the per-cycle sort;
         # snapshot it, since renaming re-slots contexts as it goes.
@@ -90,7 +90,7 @@ class RenameStage(Stage):
             regfile = self.regfile
             pool = regfile._free_fp if dec.dst_fp else regfile._free_int
             if not pool:
-                self.core._reclaim_for_pressure(ctx)
+                self.core.resolve.reclaim_for_pressure(ctx)
                 if not pool:
                     return False
         if dec.fu_fp:
@@ -188,7 +188,7 @@ class RenameStage(Stage):
             and pred.low_confidence
             and ctx.is_primary
         ):
-            self.core._consider_fork(ctx, uop)
+            self.core.forker.consider_fork(ctx, uop)
         if Renamed in self.bus_active:
             self.bus.publish(Renamed(cycle, uop))
         return uop
@@ -207,22 +207,22 @@ class RenameStage(Stage):
         if dst.decode_buffer:
             return budget  # older fetched instructions must clear rename first
         src = self.contexts[stream.src_ctx] if stream.src_ctx is not None else None
-        core = self.core
+        alt_fetch_allowed = self.core.fetch.alt_fetch_allowed
         predictor = self.state.predictor
         repredict = self.config.recycle_repredict
         # The alternate-length cap only ever limits TME alternates;
-        # primaries take the no-op fast path without the facade call.
+        # primaries take the no-op fast path without the fetch call.
         check_limit = not dst.is_primary and self._tme
         while budget > 0 and not stream.ended:
             if stream.exhausted():
-                core._end_stream(stream, dst, "exhausted")
+                self.end_stream(stream, dst, "exhausted")
                 break
             entry = stream.peek()
             # Guard against the source trace having been overwritten.
             if src is not None and entry.src_pos is not None:
                 live = src.active_list.try_entry(entry.src_pos)
                 if live is None or live.pc != entry.pc:
-                    self.core._end_stream(stream, dst, "squashed")
+                    self.end_stream(stream, dst, "squashed")
                     break
             instr = entry.instr
             dec = entry.dec
@@ -254,7 +254,7 @@ class RenameStage(Stage):
                 break
             stream.advance()
             # Alternate-path length cap applies to recycled paths too.
-            limit_hit = check_limit and not core._alt_fetch_allowed(dst)
+            limit_hit = check_limit and not alt_fetch_allowed(dst)
             uop = self.recycle_rename(dst, src, entry, instr, next_pc, pred, stream)
             budget -= 1
             if mismatch_target is not None:
@@ -275,7 +275,7 @@ class RenameStage(Stage):
                         )
                     )
             elif limit_hit or dec.is_halt:
-                core._end_stream(stream, dst, "exhausted")
+                self.end_stream(stream, dst, "exhausted")
             if limit_hit or dec.is_halt:
                 dst.fetch_stopped = True
         return budget
@@ -326,10 +326,10 @@ class RenameStage(Stage):
     ) -> Uop:
         # Attempt reuse before the normal rename allocates a register.
         if stream.reuse_allowed and src is not None:
-            reuse_uop = self.core._reuse_candidate(dst, src, entry, stream)
+            reuse_uop = self.reuse_candidate(dst, src, entry, stream)
             if reuse_uop is not None:
-                return self.core._rename_reused(dst, src, reuse_uop, entry, stream)
-        uop = self.core._rename_one(
+                return self.rename_reused(dst, src, reuse_uop, entry, stream)
+        uop = self.rename_one(
             dst,
             entry.dec,
             next_pc,

@@ -88,7 +88,7 @@ class ResolveStage(Stage):
                 self.local_mispredict(ctx, uop, actual_next, alt)
             return
         if alt is not None:
-            self.core._swap_primaryship(ctx, uop, alt)
+            self.swap_primaryship(ctx, uop, alt)
         else:
             self.local_mispredict(ctx, uop, actual_next, None)
 
@@ -154,7 +154,7 @@ class ResolveStage(Stage):
             # (non-architectural fork): discard it.
             self.squash_context(alt)
         uop.next_pc = actual_next
-        self.core._squash_suffix(ctx, uop.al_pos)
+        self.squash_suffix(ctx, uop.al_pos)
         if uop.pred is not None:
             self.state.predictor.recover(ctx.id, uop.pred, uop.instr, uop.taken, uop.pc)
         if ctx.state is CtxState.INACTIVE:
@@ -206,7 +206,7 @@ class ResolveStage(Stage):
         alt.state = CtxState.INACTIVE
         alt.inactive_since = self.state.cycle
         policy = self.config.policy
-        self.core._kill_stream(alt)  # e.g. a re-spawn stream still feeding it
+        self.core.rename.kill_stream(alt)  # e.g. a re-spawn stream still feeding it
         if policy.kind is PolicyKind.STOP:
             alt.fetch_stopped = True
             alt.decode_buffer.clear()
@@ -261,7 +261,7 @@ class ResolveStage(Stage):
                 if old.fetch_stopped:
                     old.decode_buffer.clear()
         else:
-            self.core._squash_suffix(old, branch.al_pos)
+            self.squash_suffix(old, branch.al_pos)
             old.state = CtxState.INACTIVE  # reclaimed once its prefix commits
             old.inactive_since = self.state.cycle
             old.fetch_stopped = True
@@ -270,7 +270,7 @@ class ResolveStage(Stage):
         old.is_primary = False
         old.commit_limit_pos = branch.al_pos + 1
         old.commit_successor = alt.id
-        self.core._kill_stream(old)
+        self.core.rename.kill_stream(old)
         # Promote the alternate.
         alt.is_primary = True
         alt.fork_uop = None
@@ -366,14 +366,14 @@ class ResolveStage(Stage):
         """
         dropped = ctx.active_list.truncate(branch_pos + 1)
         count = 0
-        squash = self.core._squash_uop
+        squash = self.squash_uop
         for uop in dropped:  # youngest first
             if uop.state_code != ST_SQUASHED:
                 squash(uop)
                 count += 1
         ctx.decode_buffer.clear()
         self.state.icount_order.note(ctx)
-        self.core._kill_stream(ctx)  # callers redirect the PC afterwards
+        self.core.rename.kill_stream(ctx)  # callers redirect the PC afterwards
         penalty = self.config.squash_penalty_per_uop
         if penalty and count:
             ctx.fetch_stall_until = max(
@@ -400,7 +400,7 @@ class ResolveStage(Stage):
                     )
                 )
         ring = ctx.active_list
-        squash = self.core._squash_uop
+        squash = self.squash_uop
         for pos in range(ring.tail_pos - 1, ring.commit_pos - 1, -1):
             uop = ring.try_entry(pos)
             if uop is not None:

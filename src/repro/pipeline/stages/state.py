@@ -10,10 +10,12 @@ instead of implicit in a monolithic class.
 :class:`Stage` is the tiny common base: it binds the stable state
 references once at construction so stage hot loops don't re-resolve
 them, and keeps a back-reference to the owning
-:class:`~repro.pipeline.core.Core` facade.  Cross-stage calls go
-through that facade (``self.core._execute(...)``), which is what keeps
-the facade's methods the single patch/observation point they have
-always been.
+:class:`~repro.pipeline.core.Core` facade.  A stage calls its own
+methods as ``self.x(...)`` and another stage's through the core
+(``self.core.resolve.squash_suffix(...)``), so replacing a stage's
+attribute (``core.resolve.squash_uop = f``) takes effect for every
+caller.  Hot loops bind their callee when their ``run`` starts, so a
+replacement must be in place before the run.
 """
 
 from __future__ import annotations
@@ -77,8 +79,8 @@ class CoreState:
             cfg.fetch_total, cfg.rename_width, cfg.int_units + cfg.fp_units,
             cfg.commit_width,
         )
-        #: Decoded-uop cache: (program, pc) -> predigested static record.
-        self.uop_cache = DecodedUopCache(cfg.uop_cache_entries)
+        #: Decoded-uop memo: (program, pc) -> predigested static record.
+        self.uop_cache = DecodedUopCache()
         self.bus = EventBus()
         self.cycle = 0
         self.issued_this_cycle = 0

@@ -15,20 +15,20 @@ whether its PC sits inside a backward-branch loop body, so uop-cache
 and reuse hits can be attributed by instruction type and loop
 membership (``decant_key``).
 
-Capacity semantics: bounded FIFO over all programs.  ``capacity == 0``
-disables caching entirely (every lookup decodes, nothing is stored) —
-the simulated machine's behaviour is identical either way; only the
-simulator's speed and the hit/miss counters change.
+The cache is a memo with no bound: a :class:`~repro.isa.program.Program`
+is frozen, so a record never goes stale, and the memo holds at most one
+record per static instruction of the programs its core runs.  Nothing
+is evicted or invalidated.  The simulated machine never sees it; only
+the simulator's speed and the hit/miss counters do.
 
-Ownership: every core builds its own cache, so no cache state is ever
+Ownership: every core builds its own memo, so no cache state is ever
 shared between cores and a point's counters read the same whether it
 ran alone or among the consecutive points one pool worker serves.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..isa.instruction import INSTRUCTION_BYTES, Instruction
 from ..isa.opcodes import FuClass, Op
@@ -166,33 +166,27 @@ def loop_pcs_of(program: Program) -> "set[int]":
 
 
 class DecodedUopCache:
-    """Bounded FIFO cache of :class:`DecodedUop` records per program.
+    """Per-core memo of :class:`DecodedUop` records per program.
 
     Owned by :class:`~repro.pipeline.stages.state.CoreState` (one per
     core, like every other column structure — never a module global).
     The fetch hot loop holds the per-program view dict from
     :meth:`program_view` and probes it directly; the miss path funnels
-    through :meth:`decode`, which is also where capacity eviction and
-    the per-program decode counters live.
+    through :meth:`decode`, which is also where the per-program decode
+    counters live.
     """
 
     __slots__ = (
-        "capacity",
         "hits",
         "misses",
-        "evictions",
         "decode_counts",
         "hits_by_class",
         "_programs",
-        "_fifo",
-        "_size",
     )
 
-    def __init__(self, capacity: int = 4096):
-        self.capacity = capacity
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         #: Decodes per program name (cache misses that found text).
         self.decode_counts: Dict[str, int] = {}
         #: Cache hits per ``decant_key`` (FuClass × loop membership).
@@ -200,10 +194,6 @@ class DecodedUopCache:
         #: id(program) -> (program, {pc: DecodedUop}, loop_pcs).  The
         #: program reference pins the id against reuse.
         self._programs: Dict[int, Tuple[Program, Dict[int, DecodedUop], set]] = {}
-        #: FIFO of (view, pc) in insertion order; stale entries (already
-        #: invalidated) are skipped at eviction time.
-        self._fifo: Deque[Tuple[Dict[int, DecodedUop], int]] = deque()
-        self._size = 0
 
     def _record(self, program: Program) -> Tuple[Program, Dict[int, DecodedUop], set]:
         rec = self._programs.get(id(program))
@@ -217,94 +207,39 @@ class DecodedUopCache:
         """The per-program ``{pc: DecodedUop}`` dict, for direct probing."""
         return self._record(program)[1]
 
-    def decode(
-        self,
-        program: Program,
-        pc: int,
-        view: Optional[Dict[int, DecodedUop]] = None,
-    ) -> Optional[DecodedUop]:
-        """Miss path: decode ``pc``, insert (evicting FIFO-oldest when
-        full), return the record — or None when ``pc`` is off-text."""
+    def decode(self, program: Program, pc: int) -> Optional[DecodedUop]:
+        """Miss path: decode ``pc``, memoise and return the record — or
+        None when ``pc`` is off-text."""
         self.misses += 1
         instr = program.instr_at(pc)
         if instr is None:
             return None
-        rec = self._record(program)
-        dec = DecodedUop(instr, pc, loop_member=pc in rec[2])
+        _, view, loop_pcs = self._record(program)
+        dec = DecodedUop(instr, pc, loop_member=pc in loop_pcs)
         name = program.name
         self.decode_counts[name] = self.decode_counts.get(name, 0) + 1
-        if not self.capacity:
-            return dec
-        if view is None:
-            view = rec[1]
-        if pc not in view:
-            fifo = self._fifo
-            while self._size >= self.capacity:
-                old_view, old_pc = fifo.popleft()
-                if old_view.pop(old_pc, None) is not None:
-                    self._size -= 1
-                    self.evictions += 1
-            fifo.append((view, pc))
-            self._size += 1
         view[pc] = dec
         return dec
 
     def lookup(self, program: Program, pc: int) -> Optional[DecodedUop]:
         """Convenience probe (cold paths, tests): hit or decode."""
-        view = self.program_view(program)
-        dec = view.get(pc)
+        dec = self.program_view(program).get(pc)
         if dec is not None:
             self.hits += 1
             key = dec.decant_key
             self.hits_by_class[key] = self.hits_by_class.get(key, 0) + 1
             return dec
-        return self.decode(program, pc, view)
-
-    # -- invalidation --------------------------------------------------
-    def invalidate(self, program: Program, pc: int) -> bool:
-        """Drop one entry (e.g. self-modifying text in a future ISA);
-        returns whether anything was cached there."""
-        rec = self._programs.get(id(program))
-        if rec is None:
-            return False
-        if rec[1].pop(pc, None) is None:
-            return False
-        self._size -= 1
-        return True
-
-    def invalidate_program(self, program: Program) -> int:
-        """Drop every entry (and the loop map) for ``program``.
-
-        A fetch loop still holding the view dict sees it emptied in
-        place and falls back to the decode path, which re-registers the
-        program.
-        """
-        rec = self._programs.pop(id(program), None)
-        if rec is None:
-            return 0
-        dropped = len(rec[1])
-        self._size -= dropped
-        rec[1].clear()  # the fetch hot loop may still hold this view
-        return dropped
-
-    def clear(self) -> None:
-        self._programs.clear()
-        self._fifo.clear()
-        self._size = 0
+        return self.decode(program, pc)
 
     # -- reporting -----------------------------------------------------
-    def __len__(self) -> int:
-        return self._size
-
     def snapshot(self) -> Dict:
         """JSON-ready counter payload (profiler / stats export)."""
         lookups = self.hits + self.misses
         return {
-            "capacity": self.capacity,
-            "entries": self._size,
+            # Every decode is memoised and none is dropped: one entry each.
+            "entries": sum(self.decode_counts.values()),
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "hit_rate": round(self.hits / lookups, 4) if lookups else 0.0,
             "decode_counts": dict(sorted(self.decode_counts.items())),
             "hits_by_class": dict(sorted(self.hits_by_class.items())),

@@ -158,8 +158,7 @@ def format_profile(payload: Dict) -> str:
             "  uop cache: "
             f"{ucache['hits']:,} hits / {ucache['misses']:,} misses "
             f"({ucache['hit_rate']:.1%}), "
-            f"{ucache['evictions']:,} evictions, "
-            f"{ucache['entries']:,}/{ucache['capacity']:,} entries"
+            f"{ucache['entries']:,} entries"
         )
         decodes = ucache.get("decode_counts") or {}
         if decodes:

@@ -40,14 +40,7 @@ class RunSpec:
         return f"{self.machine}/{self.features}/{wl}"
 
     def build_config(self) -> MachineConfig:
-        variants = Features.all_variants()
-        try:
-            features = variants[self.features]
-        except KeyError as exc:
-            raise ValueError(
-                f"unknown features {self.features!r}; know {sorted(variants)}"
-            ) from exc
-        overrides = {"features": features}
+        overrides = {"features": Features.from_label(self.features)}
         if self.policy is not None:
             overrides["policy"] = RecyclePolicy.parse(self.policy)
         if self.confidence_threshold is not None:

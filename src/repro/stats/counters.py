@@ -57,7 +57,6 @@ class SimStats:
     # copied from the cache at finalisation).
     uop_cache_hits: int = 0
     uop_cache_misses: int = 0
-    uop_cache_evictions: int = 0
     #: Decodes per program name (cache misses that found text).
     decode_counts: Dict[str, int] = field(default_factory=dict)
     # Decanting breakdowns (Coppieters et al., arXiv:1711.06672):

@@ -67,7 +67,6 @@ def stats_to_dict(stats: SimStats) -> Dict:
         "uop_cache": {
             "hits": stats.uop_cache_hits,
             "misses": stats.uop_cache_misses,
-            "evictions": stats.uop_cache_evictions,
             "hit_rate": stats.uop_cache_hit_rate,
             "decode_counts": dict(stats.decode_counts),
         },

@@ -149,7 +149,7 @@ class TestSquashedStoreReleasesItsLoads:
         core = build(WRONG_PATH_STORE)
         issued = issue_stream(core)
         released, requeued = [], []
-        squash_uop = core._squash_uop
+        squash_uop = core.resolve.squash_uop
         requeue = core.int_queue.requeue
 
         def watching(uop):
@@ -162,7 +162,7 @@ class TestSquashedStoreReleasesItsLoads:
             requeued.extend(uops)
             requeue(uops)
 
-        core._squash_uop = watching
+        core.resolve.squash_uop = watching
         core.int_queue.requeue = recording
         core.run(max_cycles=10_000)
         ((store, parked, after),) = released

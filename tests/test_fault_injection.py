@@ -39,7 +39,7 @@ def fresh_core(features=Features.rec_rs_ru()):
 class TestValueCorruption:
     def test_wrong_alu_value_detected(self):
         core = fresh_core()
-        original = core._execute
+        original = core.issue.execute
 
         state = {"armed": 200}
 
@@ -50,33 +50,33 @@ class TestValueCorruption:
                 uop.value = (uop.value or 0) + 1
                 core.regfile.values[uop.phys_dst] = uop.value
 
-        core._execute = corrupt
+        core.issue.execute = corrupt
         with pytest.raises(SimulationError, match="mismatch"):
             core.run(max_cycles=300_000)
 
     def test_wrong_store_value_detected(self):
         core = fresh_core()
-        original = core._execute
+        original = core.issue.execute
 
         def corrupt(uop):
             original(uop)
             if uop.instr.is_store and uop.store_bits is not None:
                 uop.store_bits ^= 0xFF
 
-        core._execute = corrupt
+        core.issue.execute = corrupt
         with pytest.raises(SimulationError, match="store mismatch|mismatch"):
             core.run(max_cycles=300_000)
 
     def test_wrong_store_address_detected(self):
         core = fresh_core()
-        original = core._execute
+        original = core.issue.execute
 
         def corrupt(uop):
             original(uop)
             if uop.instr.is_store and uop.eff_addr is not None:
                 uop.eff_addr += 8
 
-        core._execute = corrupt
+        core.issue.execute = corrupt
         with pytest.raises(SimulationError):
             core.run(max_cycles=300_000)
 
@@ -86,7 +86,7 @@ class TestControlFlowCorruption:
         """Dropping an instruction from the committed stream is caught
         immediately by the PC cross-check."""
         core = fresh_core(Features.smt())
-        original = core._retire
+        original = core.commit.retire
         state = {"skip": 150}
 
         def skipping(instance, ctx, uop):
@@ -98,13 +98,13 @@ class TestControlFlowCorruption:
                 return
             original(instance, ctx, uop)
 
-        core._retire = skipping
+        core.commit.retire = skipping
         with pytest.raises(SimulationError, match="commit PC"):
             core.run(max_cycles=300_000)
 
     def test_bogus_branch_outcome_detected(self):
         core = fresh_core(Features.smt())
-        original = core._execute
+        original = core.issue.execute
         state = {"armed": 120}
 
         def corrupt(uop):
@@ -117,7 +117,7 @@ class TestControlFlowCorruption:
                         uop.instr.target if uop.taken else uop.pc + 4
                     )
 
-        core._execute = corrupt
+        core.issue.execute = corrupt
         with pytest.raises(SimulationError):
             core.run(max_cycles=300_000)
 
@@ -127,7 +127,7 @@ class TestReuseCorruption:
         """Force reuse decisions to ignore the written-bit test; the
         golden check must flag the first stale value that commits."""
         core = fresh_core()
-        original = core._reuse_candidate
+        original = core.rename.reuse_candidate
 
         def always(dst, src, entry, stream):
             result = original(dst, src, entry, stream)
@@ -149,7 +149,7 @@ class TestReuseCorruption:
                 return uop
             return None
 
-        core._reuse_candidate = always
+        core.rename.reuse_candidate = always
         with pytest.raises(SimulationError):
             core.run(max_cycles=300_000)
 
@@ -167,7 +167,7 @@ class TestRegfileInvariants:
     def test_deadlock_detector_fires(self):
         core = fresh_core(Features.smt())
         # Stop the commit stage entirely: the watchdog must trip.
-        core._commit_stage = lambda: None
+        core.commit.run = lambda: None
         with pytest.raises(SimulationError, match="no commits"):
             core.run(max_cycles=100_000, deadlock_limit=2_000)
 
@@ -178,14 +178,14 @@ class TestSquashCorruption:
         uop must be caught (a single skipped squash can be masked by an
         older branch's own recovery, so the fault is persistent)."""
         core = fresh_core(Features.smt())
-        original = core._squash_suffix
+        original = core.resolve.squash_suffix
 
         def off_by_one(ctx, branch_pos):
             if ctx.active_list.tail_pos > branch_pos + 1:
                 return original(ctx, branch_pos + 1)
             return original(ctx, branch_pos)
 
-        core._squash_suffix = off_by_one
+        core.resolve.squash_suffix = off_by_one
         with pytest.raises(SimulationError):
             core.run(max_cycles=300_000)
 
@@ -194,7 +194,7 @@ class TestSquashCorruption:
         reclaim exhausted the machine deadlocks and the watchdog fires,
         or an assertion trips — either way the run cannot pass."""
         core = fresh_core(Features.smt())
-        original = core._retire
+        original = core.commit.retire
 
         def leaky(instance, ctx, uop):
             saved = uop.prev_map
@@ -208,6 +208,6 @@ class TestSquashCorruption:
             else:
                 original(instance, ctx, uop)
 
-        core._retire = leaky
+        core.commit.retire = leaky
         with pytest.raises((SimulationError, AssertionError)):
             core.run(max_cycles=300_000, deadlock_limit=3_000)

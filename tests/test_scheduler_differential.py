@@ -22,7 +22,7 @@ import pytest
 import repro.pipeline.stages.state as stage_state
 from repro.pipeline import Core
 from repro.pipeline.events import Issued
-from repro.pipeline.uop import Uop, UopState
+from repro.pipeline.uop import UopState
 from repro.sim.runner import RunSpec
 from repro.workloads.suite import WorkloadSuite
 
@@ -43,9 +43,6 @@ class ReferenceQueue:
     def has_room(self):
         return len(self._members) < self.size
 
-    def occupancy(self):
-        return len(self._members)
-
     def __contains__(self, uop):
         return uop in self._members
 
@@ -56,11 +53,6 @@ class ReferenceQueue:
     def remove(self, uop):
         assert uop in self._members, f"removing non-resident uop {uop!r}"
         del self._members[uop]
-
-    def remove_squashed(self):
-        before = len(self._members)
-        self._members = {u: None for u in self._members if not u.squashed}
-        return before - len(self._members)
 
     def clear(self):
         self._members.clear()

@@ -394,6 +394,13 @@ class TestHttpApi:
         assert excinfo.value.status == 400
         assert "no_such_knob" in str(excinfo.value)
 
+    def test_unhashable_features_is_400_naming_the_field(self, idle_server):
+        client = ServiceClient(idle_server.url)
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"workloads": [["compress"]], "features": ["REC"]})
+        assert excinfo.value.status == 400
+        assert "features" in str(excinfo.value)
+
     def test_unknown_ids_are_404(self, client):
         for call in (
             lambda: client.status("c999999"),

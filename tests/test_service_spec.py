@@ -1,8 +1,11 @@
 """Campaign spec parsing: validation, deterministic expansion, errors."""
 
+import json
+
 import pytest
 
 from repro.service import SpecError, parse_campaign, sweep_spec
+from repro.service.spec import _JOB_ENTRY_KEYS, _JOBS_KEYS, _SWEEP_KEYS
 from repro.sim.sweep import Sweep
 
 
@@ -140,13 +143,16 @@ class TestRejection:
         (dict(grid={"active_list_size": ["big"]}), "active_list_size"),
         (dict(grid={"confidence_kind": ["bogus"]}), "confidence_kind"),
         (dict(grid={"fetch_policy": ["ICOUNT"]}), "fetch_policy"),
+        (dict(features=["REC"]), "features"),
+        (dict(features={"a": 1}), "features"),
     ], ids=["unknown-kernel", "nine-programs", "commit-target-negative",
             "commit-target-zero", "commit-target-string", "policy-int",
             "grid-policy", "grid-features", "grid-active-list", "grid-confidence-kind",
-            "grid-fetch-policy"])
+            "grid-fetch-policy", "features-list", "features-object"])
     def test_a_spec_that_cannot_run_is_refused_at_submit(self, change, named):
         """Each of these once ran: to a failure after every attempt, or
-        to a wrong result (0 cycles; round-robin fetch for "ICOUNT")."""
+        to a wrong result (0 cycles; round-robin fetch for "ICOUNT").  A
+        ``features`` list or object once dropped the connection."""
         with pytest.raises(SpecError, match=named):
             parse_campaign(sweep_payload(**change))
 
@@ -166,6 +172,41 @@ class TestRejection:
                 "jobs": [{"workload": ["compress"]},
                          {"workload": ["compress"], "machine": "imaginary.9.9"}],
             })
+
+
+#: One value of every JSON type, the unhashable containers included.
+JSON_VALUES = [None, True, 1, 1.5, "x", [], ["x"], {}, {"a": 1}]
+
+
+def _every_field_with_every_value():
+    for field in sorted(_SWEEP_KEYS):
+        for value in JSON_VALUES:
+            payload = {"kind": "sweep", "workloads": [["compress"]], "commit_target": 250}
+            payload[field] = value
+            yield pytest.param(payload, id=f"sweep.{field}={json.dumps(value)}")
+    for field in sorted(_JOBS_KEYS):
+        for value in JSON_VALUES:
+            payload = {"kind": "jobs", "jobs": [{"workload": ["compress"]}]}
+            payload[field] = value
+            yield pytest.param(payload, id=f"jobs.{field}={json.dumps(value)}")
+    for field in sorted(_JOB_ENTRY_KEYS):
+        for value in JSON_VALUES:
+            entry = {"workload": ["compress"], "commit_target": 250}
+            entry[field] = value
+            yield pytest.param({"kind": "jobs", "jobs": [entry]},
+                               id=f"jobs[0].{field}={json.dumps(value)}")
+
+
+class TestAnyJsonValue:
+    @pytest.mark.parametrize("payload", list(_every_field_with_every_value()))
+    def test_parses_or_raises_spec_error(self, payload):
+        """A client may send any JSON value in any field: the parser
+        either accepts it or refuses it with a SpecError (a 400), never
+        with another exception (a dropped connection)."""
+        try:
+            parse_campaign(payload)
+        except SpecError:
+            pass
 
 
 class TestSweepSpecBuilder:

@@ -52,7 +52,7 @@ class TestSlotsDataclasses:
         assert not hasattr(stream, "__dict__")
 
     def test_fetched_instr_and_merge_point_have_no_dict(self):
-        fi = FetchedInstr(_nop(), 0x1000, 0x1004, None, 0)
+        fi = FetchedInstr(0x1004, None, 0)
         mp = MergePoint(0x1000, 0)
         assert not hasattr(fi, "__dict__")
         assert not hasattr(mp, "__dict__")
@@ -100,5 +100,5 @@ class TestConstructionCounterSurvivesSlots:
     def test_non_events_do_not_touch_the_counter(self):
         before = Event.constructed
         TraceEntry(_nop(), 0x1000, 0x1004, src_pos=0)
-        FetchedInstr(_nop(), 0x1000, 0x1004, None, 0)
+        FetchedInstr(0x1004, None, 0)
         assert Event.constructed == before

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -34,11 +33,10 @@ COMMIT_TARGET = 800
 FIXTURE = Path(__file__).resolve().parent.parent / "tests" / "golden" / "core_stats_seed.json"
 
 
-def snapshot_one(suite: WorkloadSuite, kernel: str, features: str, **overrides) -> dict:
-    """The pinned numbers of one run; ``overrides`` replace
-    ``MachineConfig`` fields that must not change them."""
+def snapshot_one(suite: WorkloadSuite, kernel: str, features: str) -> dict:
+    """The pinned numbers of one run."""
     spec = RunSpec(workload=(kernel,), features=features, commit_target=COMMIT_TARGET)
-    core = Core(replace(spec.build_config(), **overrides))
+    core = Core(spec.build_config())
     core.load(suite.mix(spec.workload), commit_target=spec.commit_target)
     stats = core.run(max_cycles=spec.max_cycles)
     return {
