@@ -11,7 +11,6 @@ Three paper-adjacent design decisions, each swept on the same kernels:
 """
 
 from repro.pipeline import Core, Features, MachineConfig
-from repro.workloads import WorkloadSuite
 
 from .conftest import run_once, scaled
 

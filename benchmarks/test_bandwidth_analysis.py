@@ -8,7 +8,6 @@ REC/RS/RU across the suite and asserts the directional claims.
 """
 
 from repro.pipeline import Core, Features, MachineConfig
-from repro.workloads import WorkloadSuite
 
 from .conftest import run_once, scaled
 

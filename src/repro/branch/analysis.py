@@ -11,7 +11,7 @@ benchmark selection ("programs with low branch prediction accuracy").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from ..analysis.branches import BranchClass, classify_transfer
 from ..analysis.cfg import CFG

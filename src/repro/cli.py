@@ -14,7 +14,6 @@ Examples::
     repro-sim status c000001 --follow
     repro-sim fetch c000001
     repro-sim analyze --workload compress --check
-    repro-sim profile --workload compress -o BENCH_core.json
     repro-sim asm path/to/program.s --run
 """
 
@@ -67,6 +66,16 @@ class _ProgressLine:
             self._dirty = False
 
 
+def _known_kernels(names) -> bool:
+    """True when every name is a kernel of the suite; otherwise print the
+    known kernels to stderr, and the caller exits 2."""
+    known = WorkloadSuite().names
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        print(f"unknown workload(s) {unknown}; know {known}", file=sys.stderr)
+    return not unknown
+
+
 def _cmd_list(_args) -> int:
     suite = WorkloadSuite()
     print("kernels:   ", ", ".join(suite.names))
@@ -79,6 +88,8 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if not _known_kernels(args.workload):
+        return 2
     spec = RunSpec(
         workload=tuple(args.workload),
         machine=args.machine,
@@ -345,9 +356,7 @@ def _cmd_analyze(args) -> int:
 
     suite = WorkloadSuite()
     names = args.workload or list(suite.names)
-    unknown = [n for n in names if n not in suite.names]
-    if unknown:
-        print(f"unknown workload(s) {unknown}; know {list(suite.names)}", file=sys.stderr)
+    if not _known_kernels(names):
         return 2
 
     analyses = {
@@ -529,30 +538,13 @@ def _cmd_lint(args) -> int:
     return result.exit_code
 
 
-def _cmd_profile(args) -> int:
-    """Per-stage simulator wall-time profile → BENCH_core.json."""
-    from .sim.profiler import format_profile, profile_spec, write_bench
-
-    spec = RunSpec(
-        workload=tuple(args.workload),
-        machine=args.machine,
-        features=args.features,
-        commit_target=args.commit_target,
-        max_cycles=args.max_cycles,
-    )
-    payload = profile_spec(spec)
-    print(format_profile(payload))
-    if args.output:
-        path = write_bench(payload, args.output)
-        print(f"wrote {path}")
-    return 0
-
-
 def _cmd_profile_branches(args) -> int:
     from .branch.analysis import profile_branches
 
     suite = WorkloadSuite(iters=args.iters)
     names = args.workload or suite.names
+    if not _known_kernels(names):
+        return 2
     for name in names:
         profile = profile_branches(suite.program(name), args.max_instructions)
         print(profile.summary())
@@ -563,6 +555,8 @@ def _cmd_trace(args) -> int:
     from .debug import CoreTracer, pipeview
     from .pipeline.core import Core
 
+    if not _known_kernels(args.workload):
+        return 2
     spec = RunSpec(
         workload=tuple(args.workload),
         machine=args.machine,
@@ -613,15 +607,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="show kernels, variants, machines, experiments")
 
-    def batch_size_arg(value: str) -> int:
-        # Eager validation: a bad batch size should die at parse time,
-        # not after the first simulations have already run.
-        size = int(value)
-        if size < 1:
-            raise argparse.ArgumentTypeError(
-                f"batch size must be >= 1, got {size}"
-            )
-        return size
+    def positive_int(value: str) -> int:
+        # A window, cycle budget, mix count or batch size below 1 dies at
+        # parse time, before anything simulates (as the service refuses
+        # such windows at submit).
+        number = int(value)
+        if number < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+        return number
 
     def add_exec_flags(p, jobs_default: int = 1, cache_default: Optional[str] = None):
         p.add_argument(
@@ -644,8 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--machine", default="big.2.16", choices=MACHINES)
     run_parser.add_argument("--features", default="REC/RS/RU", choices=VARIANTS)
     run_parser.add_argument("--policy", default=None, help="e.g. stop-8 / fetch-16 / nostop-32")
-    run_parser.add_argument("--commit-target", type=int, default=3000)
-    run_parser.add_argument("--max-cycles", type=int, default=2_000_000,
+    run_parser.add_argument("--commit-target", type=positive_int, default=3000)
+    run_parser.add_argument("--max-cycles", type=positive_int, default=2_000_000,
                             help="simulation cycle budget")
     run_parser.add_argument("--confidence-threshold", type=int, default=None,
                             help="fork-gating confidence threshold override")
@@ -660,12 +653,12 @@ def build_parser() -> argparse.ArgumentParser:
         "names", nargs="*",
         help=f"experiment names or sets {sorted(CAMPAIGNS)}; default: paper",
     )
-    campaign_parser.add_argument("--commit-target", type=int, default=None)
-    campaign_parser.add_argument("--num-mixes", type=int, default=None)
+    campaign_parser.add_argument("--commit-target", type=positive_int, default=None)
+    campaign_parser.add_argument("--num-mixes", type=positive_int, default=None)
     campaign_parser.add_argument("--timeout", type=float, default=None,
                                  help="wall-clock budget in seconds for one "
                                       "attempt of one job, from its dispatch")
-    campaign_parser.add_argument("--batch-size", type=batch_size_arg, default=1,
+    campaign_parser.add_argument("--batch-size", type=positive_int, default=1,
                                  metavar="N",
                                  help="jobs one worker process serves, one at "
                                       "a time, before it exits (and per gc "
@@ -724,8 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
                                help="sweep grid axis (repeatable)")
     submit_parser.add_argument("--machine", default="big.2.16", choices=MACHINES)
     submit_parser.add_argument("--features", default="REC/RS/RU", choices=VARIANTS)
-    submit_parser.add_argument("--commit-target", type=int, default=3000)
-    submit_parser.add_argument("--max-cycles", type=int, default=2_000_000)
+    submit_parser.add_argument("--commit-target", type=positive_int, default=3000)
+    submit_parser.add_argument("--max-cycles", type=positive_int, default=2_000_000)
     submit_parser.add_argument("--label", default="")
     submit_parser.add_argument("--follow", action="store_true",
                                help="stream progress events until done")
@@ -767,23 +760,10 @@ def build_parser() -> argparse.ArgumentParser:
                                      "(and the R2/M6 rules under --check)")
     analyze_parser.add_argument("--features", default="REC/RS/RU", choices=VARIANTS,
                                 help="feature set for --check runs")
-    analyze_parser.add_argument("--commit-target", type=int, default=1500,
+    analyze_parser.add_argument("--commit-target", type=positive_int, default=1500,
                                 help="measurement window for --check runs")
     analyze_parser.add_argument("--json", action="store_true",
                                 help="machine-readable output")
-
-    profile_parser = sub.add_parser(
-        "profile",
-        help="profile the simulator: per-stage wall time and cycles/sec",
-    )
-    profile_parser.add_argument("--workload", nargs="+", required=True,
-                                help="kernel name(s) to simulate under the profiler")
-    profile_parser.add_argument("--machine", default="big.2.16", choices=MACHINES)
-    profile_parser.add_argument("--features", default="REC/RS/RU", choices=VARIANTS)
-    profile_parser.add_argument("--commit-target", type=int, default=3000)
-    profile_parser.add_argument("--max-cycles", type=int, default=2_000_000)
-    profile_parser.add_argument("--output", "-o", default="BENCH_core.json",
-                                help="benchmark JSON path ('' to skip writing)")
 
     pbranch_parser = sub.add_parser(
         "profile-branches", help="offline branch-behaviour profile"
@@ -796,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument("--workload", nargs="+", required=True)
     trace_parser.add_argument("--machine", default="big.2.16", choices=MACHINES)
     trace_parser.add_argument("--features", default="REC/RS/RU", choices=VARIANTS)
-    trace_parser.add_argument("--commit-target", type=int, default=600)
+    trace_parser.add_argument("--commit-target", type=positive_int, default=600)
     trace_parser.add_argument("--events", type=int, default=40)
     trace_parser.add_argument("--kinds", nargs="*", default=["fork", "swap", "respawn", "stream_open", "stream_end"])
     trace_parser.add_argument("--pipeview", type=int, default=0, help="render N committed uops")
@@ -845,7 +825,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "fetch": _cmd_fetch,
         "analyze": _cmd_analyze,
         "lint": _cmd_lint,
-        "profile": _cmd_profile,
         "profile-branches": _cmd_profile_branches,
         "trace": _cmd_trace,
         "asm": _cmd_asm,

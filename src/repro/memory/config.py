@@ -9,7 +9,7 @@ another 12 to L3 and another 62 to memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

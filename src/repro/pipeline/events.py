@@ -30,7 +30,7 @@ handler (the tracer stringifies; the cross-checker snapshots).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple, Type
 
 from ..compat import frozen_slots_dataclass as _event_dataclass
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Dict, List
 
-from ..isa.opcodes import FuClass
 from .regfile import PhysicalRegisterFile
 from .uop import ST_RENAMED, Uop
 
@@ -54,10 +53,6 @@ class InstructionQueue:
         self._due: List = []
         #: (seq, uop) — uops whose sources are all ready now.
         self._ready: List = []
-        # Scheduler counters (reported by the profiler).
-        self.wakeups = 0  # register writes that re-keyed a waiting uop
-        self.ready_polls = 0
-        self.ready_returned = 0
 
     # -- capacity ------------------------------------------------------
     def has_room(self) -> bool:
@@ -144,7 +139,6 @@ class InstructionQueue:
                 rc = ready_cycles[uop.src2]
                 if rc > latest:
                     latest = rc
-        self.wakeups += 1
         heappush(self._due, (latest, uop.seq, uop))
 
     def take_ready(self, cycle: int) -> List[Uop]:
@@ -171,8 +165,6 @@ class InstructionQueue:
             uop = heappop(ready)[1]
             if uop in members and uop.state_code == ST_RENAMED:
                 out.append(uop)
-        self.ready_polls += 1
-        self.ready_returned += len(out)
         return out
 
     def requeue(self, uops: List[Uop]) -> None:
@@ -201,29 +193,10 @@ class FunctionalUnits:
         self._fp_used = 0
         self._ldst_used = 0
 
-    def try_issue(self, fu: FuClass) -> bool:
-        """Claim a unit of class ``fu``; False when none left this cycle."""
-        if fu is FuClass.FP:
-            if self._fp_used < self.fp_units:
-                self._fp_used += 1
-                return True
-            return False
-        if fu is FuClass.LDST:
-            # Load/store ops need an integer unit that has a memory port.
-            if self._ldst_used < self.ldst_ports and self._int_used < self.int_units:
-                self._ldst_used += 1
-                self._int_used += 1
-                return True
-            return False
-        if self._int_used < self.int_units:
-            self._int_used += 1
-            return True
-        return False
-
     def try_issue_code(self, code: int) -> bool:
-        """:meth:`try_issue` keyed by the decoded-uop ``fu_code`` int
-        (see :mod:`repro.pipeline.uopcache`) — the issue hot loop's
-        variant; checks ordered by dynamic frequency."""
+        """Claim a unit for the decoded-uop ``fu_code`` (``FU_*`` in
+        :mod:`repro.pipeline.uopcache`); False when none is left this
+        cycle.  Checks are ordered by dynamic frequency."""
         if code == 0:  # FU_INT (and FU_NONE falls through to int below)
             if self._int_used < self.int_units:
                 self._int_used += 1
@@ -240,8 +213,7 @@ class FunctionalUnits:
                 self._fp_used += 1
                 return True
             return False
-        # FU_NONE (halt/nop shapes) claims an integer slot, matching
-        # ``try_issue``'s final branch.
+        # FU_NONE (halt/nop shapes) claims an integer slot.
         if self._int_used < self.int_units:
             self._int_used += 1
             return True

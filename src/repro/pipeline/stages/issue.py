@@ -75,7 +75,7 @@ class IssueStage(Stage):
             for uop in ready:
                 # Conservative load ordering: a load waits until every
                 # older store has executed.  The check must run *before*
-                # try_issue so a blocked load never claims a unit slot;
+                # try_issue_code so a blocked load never claims a unit slot;
                 # it parks on the store that holds it back.
                 dec = uop.dec
                 if dec.kind == K_LOAD:

@@ -88,7 +88,7 @@ class CoreState:
         #: One active recycle stream per destination context.
         self.streams: Dict[int, RecycleStream] = {}
         self.last_commit_cycle = 0
-        # Store-forwarding index counters (profiler: hit rate).
+        # forward_store lookups that found / missed an older store.
         self.store_fwd_hits = 0
         self.store_fwd_misses = 0
 

@@ -230,17 +230,3 @@ class DecodedUopCache:
             self.hits_by_class[key] = self.hits_by_class.get(key, 0) + 1
             return dec
         return self.decode(program, pc)
-
-    # -- reporting -----------------------------------------------------
-    def snapshot(self) -> Dict:
-        """JSON-ready counter payload (profiler / stats export)."""
-        lookups = self.hits + self.misses
-        return {
-            # Every decode is memoised and none is dropped: one entry each.
-            "entries": sum(self.decode_counts.values()),
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hits / lookups, 4) if lookups else 0.0,
-            "decode_counts": dict(sorted(self.decode_counts.items())),
-            "hits_by_class": dict(sorted(self.hits_by_class.items())),
-        }

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..compat import slots_dataclass as _slots_dataclass
 from ..isa.instruction import Instruction

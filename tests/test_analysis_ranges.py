@@ -7,7 +7,7 @@ cases and with hypothesis over random inputs, alongside the fixpoint
 engine's exactness on straight-line constant code.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.analysis.ranges import TOP, StridedInterval, ValueRangeAnalysis
 from repro.isa.assembler import assemble

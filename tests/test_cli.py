@@ -93,32 +93,6 @@ class TestTraceAndProfile:
         assert rc == 0
         assert "accuracy" in capsys.readouterr().out
 
-    def test_profile_command_writes_bench_json(self, tmp_path, capsys):
-        import json
-        out_path = tmp_path / "BENCH_core.json"
-        rc = main([
-            "profile", "--workload", "compress", "--commit-target", "400",
-            "--output", str(out_path),
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "per-stage wall time:" in out
-        payload = json.loads(out_path.read_text())
-        assert payload["committed"] >= 400
-        assert payload["cycles_per_second"] > 0
-        assert set(payload["stages"]) == {
-            "commit", "complete", "issue", "rename", "fetch"
-        }
-
-    def test_profile_command_can_skip_output(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        rc = main([
-            "profile", "--workload", "compress", "--commit-target", "300",
-            "--output", "",
-        ])
-        assert rc == 0
-        assert not (tmp_path / "BENCH_core.json").exists()
-
     def test_run_json(self, capsys):
         import json
         rc = main(["run", "--workload", "vortex", "--commit-target", "250", "--json"])
@@ -207,6 +181,41 @@ class TestOrchestrationCli:
 
     def test_campaign_unknown_name(self, capsys):
         assert main(["campaign", "fig99"]) == 2
+
+
+class TestRefusals:
+    """A window, cycle budget, mix count or batch size below 1 (argparse's
+    exit 2), or a kernel the suite does not have, exits 2 before anything
+    simulates, as the service refuses such a spec at submit."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--workload", "compress", "--commit-target", "0"],
+        ["run", "--workload", "compress", "--commit-target", "-5"],
+        ["run", "--workload", "compress", "--max-cycles", "0"],
+        ["campaign", "fig3", "--commit-target", "0"],
+        ["campaign", "fig4", "--num-mixes", "0"],
+        ["campaign", "fig3", "--batch-size", "0"],
+        ["analyze", "--workload", "compress", "--check", "--commit-target", "0"],
+        ["trace", "--workload", "compress", "--commit-target", "0"],
+        ["submit", "--workload", "compress", "--commit-target", "0"],
+        ["submit", "--workload", "compress", "--max-cycles", "0"],
+        ["run", "--workload", "nosuch"],
+        ["trace", "--workload", "nosuch"],
+        ["profile-branches", "--workload", "nosuch"],
+    ], ids="_".join)
+    def test_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # the default --cache-dir stays empty
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        if "nosuch" in argv:
+            assert "unknown workload(s) ['nosuch']" in err and "compress" in err
+        else:
+            assert "must be >= 1" in err
+        assert not any(tmp_path.iterdir())
 
 
 class TestServiceCli:
@@ -367,7 +376,7 @@ class TestLintCli:
     def test_rules_keeps_each_profile_targets_paths(self, at_repo_root, capsys):
         """``--rules DET001`` lints DET001 where the default profile does,
         not over every path any profile names (which would flag the
-        CLI's and profiler's legitimate wall-clock reads)."""
+        CLI's legitimate wall-clock reads)."""
         import json
 
         assert main(["lint", "--rules", "DET001", "--json"]) == 0

@@ -11,7 +11,6 @@ import pytest
 
 from repro.isa import Assembler, assemble
 from repro.pipeline import Core, Features, MachineConfig
-from repro.pipeline.config import RecyclePolicy
 
 
 def run_program(src, name="prog", config=None, max_cycles=300_000):

@@ -5,12 +5,9 @@ assert both that the mechanisms *fire* (stats) and that they never
 corrupt architectural state (the run finishing is the proof).
 """
 
-import pytest
-
 from repro.isa import Assembler, assemble
 from repro.pipeline import Core, Features, MachineConfig
 from repro.pipeline.config import PolicyKind, RecyclePolicy
-from repro.pipeline.context import CtxState
 
 # Hard-to-predict data-dependent branches (xorshift PRNG).
 RNG_KERNEL = """

@@ -2,7 +2,6 @@
 
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.emulator import Emulator

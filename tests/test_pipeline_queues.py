@@ -3,9 +3,10 @@
 import pytest
 
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import FuClass, Op
+from repro.isa.opcodes import Op
 from repro.pipeline.queues import FunctionalUnits, InstructionQueue
 from repro.pipeline.regfile import PhysicalRegisterFile
+from repro.pipeline.uopcache import FU_FP, FU_INT, FU_LDST, FU_NONE
 from repro.pipeline.uop import Uop, UopState
 
 
@@ -98,41 +99,51 @@ class TestQueue:
 
 
 class TestFunctionalUnits:
+    """``try_issue_code``, the claim the issue stage makes, keyed by the
+    decoded uop's ``fu_code``."""
+
     def test_int_units_limit(self):
         fus = FunctionalUnits(2, 1, 1)
-        assert fus.try_issue(FuClass.INT)
-        assert fus.try_issue(FuClass.INT)
-        assert not fus.try_issue(FuClass.INT)
+        assert fus.try_issue_code(FU_INT)
+        assert fus.try_issue_code(FU_INT)
+        assert not fus.try_issue_code(FU_INT)
 
     def test_fp_units_independent(self):
         fus = FunctionalUnits(1, 1, 1)
-        assert fus.try_issue(FuClass.INT)
-        assert fus.try_issue(FuClass.FP)
-        assert not fus.try_issue(FuClass.INT)
+        assert fus.try_issue_code(FU_INT)
+        assert fus.try_issue_code(FU_FP)
+        assert not fus.try_issue_code(FU_INT)
 
     def test_ldst_consumes_int_unit(self):
         fus = FunctionalUnits(2, 0, 2)
-        assert fus.try_issue(FuClass.LDST)
-        assert fus.try_issue(FuClass.LDST)
+        assert fus.try_issue_code(FU_LDST)
+        assert fus.try_issue_code(FU_LDST)
         # Both integer units consumed by the two memory ops.
-        assert not fus.try_issue(FuClass.INT)
+        assert not fus.try_issue_code(FU_INT)
 
     def test_ldst_port_limit(self):
         fus = FunctionalUnits(12, 6, 1)
-        assert fus.try_issue(FuClass.LDST)
-        assert not fus.try_issue(FuClass.LDST)
-        assert fus.try_issue(FuClass.INT)
+        assert fus.try_issue_code(FU_LDST)
+        assert not fus.try_issue_code(FU_LDST)
+        assert fus.try_issue_code(FU_INT)
+
+    def test_none_claims_an_int_slot(self):
+        fus = FunctionalUnits(1, 1, 1)
+        assert fus.try_issue_code(FU_NONE)
+        assert not fus.try_issue_code(FU_INT)
+        assert not fus.try_issue_code(FU_NONE)
+        assert fus.try_issue_code(FU_FP)
 
     def test_new_cycle_resets(self):
         fus = FunctionalUnits(1, 1, 1)
-        fus.try_issue(FuClass.INT)
+        fus.try_issue_code(FU_INT)
         fus.new_cycle()
-        assert fus.try_issue(FuClass.INT)
+        assert fus.try_issue_code(FU_INT)
 
     def test_paper_configuration(self):
         """12 int, 6 fp, 8 ld/st → 18 issues max, 8 of them memory."""
         fus = FunctionalUnits(12, 6, 8)
-        mem = sum(fus.try_issue(FuClass.LDST) for _ in range(10))
-        ints = sum(fus.try_issue(FuClass.INT) for _ in range(10))
-        fps = sum(fus.try_issue(FuClass.FP) for _ in range(10))
+        mem = sum(fus.try_issue_code(FU_LDST) for _ in range(10))
+        ints = sum(fus.try_issue_code(FU_INT) for _ in range(10))
+        fps = sum(fus.try_issue_code(FU_FP) for _ in range(10))
         assert mem == 8 and ints == 4 and fps == 6

@@ -1,6 +1,5 @@
 """Tests for the written-bit array, MDB, and recycle streams."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa.instruction import Instruction

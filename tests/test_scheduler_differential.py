@@ -35,10 +35,6 @@ class ReferenceQueue:
         self.size = size
         self.regfile = regfile
         self._members = {}
-        # Counter attributes the profiler reads on the real queue.
-        self.wakeups = 0
-        self.ready_polls = 0
-        self.ready_returned = 0
 
     def has_room(self):
         return len(self._members) < self.size
@@ -69,8 +65,6 @@ class ReferenceQueue:
             and all(ready_cycles[p] <= cycle for p in u.phys_srcs)
         ]
         out.sort(key=lambda u: u.seq)
-        self.ready_polls += 1
-        self.ready_returned += len(out)
         return out
 
     def requeue(self, uops):

@@ -1,9 +1,9 @@
 """The stage profiler hook, ``Core.set_profiler``.
 
-``repro-sim profile`` and perfbench's stage timer attach here: with a
-profiler set, ``Core.step`` hands each stage's ``run`` to
-``profiler.timed(name, fn)``.  Timing a stage must not change what it
-simulates, and clearing the profiler must restore the plain path.
+perfbench's stage timer attaches here: with a profiler set,
+``Core.step`` hands each stage's ``run`` to ``profiler.timed(name, fn)``.
+Timing a stage must not change what it simulates, and clearing the
+profiler must restore the plain path.
 """
 
 from repro.exec.jobs import stats_to_payload

@@ -1,8 +1,7 @@
 """Store-to-load forwarding: the hit path works, and compress's zero.
 
-The profiler's ``store_fwd_hit_rate: 0.0`` on the pinned compress
-benchmark spec prompted an investigation (is the forwarding index
-losing hits?).  Finding: the mechanism is sound — a completed-but-not-
+A store-forwarding hit rate of 0.0 on a 100,000-commit compress run
+prompted an investigation (is the forwarding index losing hits?).  Finding: the mechanism is sound — a completed-but-not-
 yet-retired older store to the same address *does* forward, exploiting
 the commit → complete → issue stage order (a store completing in cycle
 ``c`` cannot retire before cycle ``c+1``, while a load blocked on it

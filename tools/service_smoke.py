@@ -11,11 +11,7 @@ the full client path and asserts the service's core guarantees:
 4. stop the server, boot a fresh one on the same store root and resubmit
    the spec → again every job resolves from the store (the cache is the
    only record a restart has) and the new server simulates nothing;
-5. measure warm submit→result latency for a single-job campaign and,
-   with ``--bench-json``, record it as the ``service_warm_submit_seconds``
-   field of the benchmark payload (a warn-only metric for
-   ``tools/bench_compare.py``);
-6. boot a head with no local workers on a fresh store: a ``/lease`` from
+5. boot a head with no local workers on a fresh store: a ``/lease`` from
    a worker on other simulator code gets 409 and leases nothing, and a
    remote worker (``run_worker`` over HTTP) drains the campaign to the
    same ``stats``, label for label, as the cold phase.
@@ -23,7 +19,6 @@ the full client path and asserts the service's core guarantees:
 Usage::
 
     PYTHONPATH=src python tools/service_smoke.py --commit-target 400
-    PYTHONPATH=src python tools/service_smoke.py --bench-json BENCH_core.json
 
 Exit codes: 0 ok, 1 any guarantee violated.
 """
@@ -31,12 +26,10 @@ Exit codes: 0 ok, 1 any guarantee violated.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
 import threading
-import time
 
 
 def check(condition: bool, message: str) -> None:
@@ -103,28 +96,11 @@ def remote_worker_phase(store_root: str, spec: dict, cold_stats: dict) -> None:
         server.stop()
 
 
-def warm_latency(client, spec: dict, rounds: int) -> float:
-    """Best-of-N submit→result wall time for an all-cached campaign."""
-    best = float("inf")
-    for _ in range(rounds):
-        started = time.perf_counter()
-        submitted = client.submit(spec)
-        for job in submitted["jobs"]:
-            client.result(job["id"])
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--commit-target", type=int, default=400,
                         help="instructions per job (small = fast CI)")
     parser.add_argument("--local-workers", type=int, default=2)
-    parser.add_argument("--latency-rounds", type=int, default=5,
-                        help="warm-latency samples (best-of is recorded)")
-    parser.add_argument("--bench-json", default=None, metavar="PATH",
-                        help="merge service_warm_submit_seconds into this "
-                             "benchmark payload")
     args = parser.parse_args(argv)
 
     from repro.service import CampaignServer, ServiceClient, sweep_spec
@@ -169,33 +145,10 @@ def main(argv=None) -> int:
         try:
             client = ServiceClient(server.url, timeout=60.0)
             check_all_stored(client, spec, 0, "restarted")
-
-            single = sweep_spec(
-                ["compress"],
-                grid={"active_list_size": [32]},
-                commit_target=args.commit_target,
-                label="latency-probe",
-            )
-            client.submit(single)  # ensure the key is cached
-            latency = warm_latency(client, single, args.latency_rounds)
-            print(f"warm submit->result latency: {latency * 1000:.1f} ms "
-                  f"(best of {args.latency_rounds})")
         finally:
             server.stop()
 
         remote_worker_phase(os.path.join(root, "remote"), spec, cold_stats)
-
-    if args.bench_json:
-        try:
-            with open(args.bench_json) as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
-            payload = {}
-        payload["service_warm_submit_seconds"] = latency
-        with open(args.bench_json, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"recorded service_warm_submit_seconds in {args.bench_json}")
 
     print("service_smoke: OK")
     return 0
