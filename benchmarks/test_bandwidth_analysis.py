@@ -21,12 +21,12 @@ def _measure(suite, commit_target):
         for label, features in (("SMT", Features.smt()), ("REC/RS/RU", Features.rec_rs_ru())):
             core = Core(MachineConfig(features=features))
             core.load(suite.single(kernel), commit_target=commit_target)
-            core.run(max_cycles=2_000_000)
+            stats = core.run(max_cycles=2_000_000)
             row[label] = {
-                "rename_avg": core.util.rename.average,
-                "fetch_avg": core.util.fetch.average,
-                "recycle_fill": core.util.rename_fill_from_recycling,
-                "ipc": core.stats.ipc,
+                "rename_avg": stats.renamed / stats.cycles,
+                "fetch_avg": stats.fetched / stats.cycles,
+                "recycle_fill": stats.renamed_recycled / stats.renamed,
+                "ipc": stats.ipc,
             }
         out[kernel] = row
     return out

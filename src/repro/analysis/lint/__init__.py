@@ -1,10 +1,9 @@
 """Pluggable whole-repo lint engine.
 
-A rule registry (:mod:`.registry`), parallel per-file analysis over a
-process pool (:mod:`.engine`) and text/JSON/SARIF output
-(:mod:`.report`).  The determinism rules DET001–DET005 live in
-:mod:`.rules_determinism` and the sharing rule SHR005 in
-:mod:`.rules_sharing`.  ``repro-sim lint`` is the front end; every
+A rule registry (:mod:`.registry`), per-file analysis (:mod:`.engine`)
+and text/JSON/SARIF output (:mod:`.report`).  The determinism rules
+DET001–DET005 live in :mod:`.rules_determinism` and the sharing rule
+SHR005 in :mod:`.rules_sharing`.  ``repro-sim lint`` is the front end; every
 finding fails the run unless its family's same-line marker
 (``# det-ok: <reason>``, ``# shr-ok: <reason>``) suppresses it.
 

@@ -1,13 +1,10 @@
-"""The lint engine: file discovery, per-file analysis, fan-out.
+"""The lint engine: file discovery and per-file analysis.
 
-Pipeline: resolve target paths to ``.py`` files (sorted, so output and
-parallel chunking are deterministic) → parse each file once and run the
-selected rules over the shared AST → drop every finding on a line that
-carries its family's suppression marker (:data:`SUPPRESSION_MARKERS`).
-Every finding left fails the run.  Per-file analysis is pure, so it fans
-out across processes through
-``concurrent.futures.ProcessPoolExecutor.map`` when ``jobs > 1``;
-results are identical to the serial path by construction.
+Pipeline: resolve target paths to ``.py`` files (sorted, so output is
+deterministic) → parse each file once and run the selected rules over
+the shared AST → drop every finding on a line that carries its family's
+suppression marker (:data:`SUPPRESSION_MARKERS`).  Every finding left
+fails the run.
 
 Rule selection is usually a *profile*.  In :data:`DEFAULT_PROFILE` the
 hot-core targets get every determinism rule except DET004, and the
@@ -24,7 +21,6 @@ union of their rule codes.
 from __future__ import annotations
 
 import ast
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -171,36 +167,23 @@ def lint_source(
     return findings
 
 
-def _lint_payload(item: Tuple[str, Optional[Tuple[str, ...]]]) -> List[Finding]:
-    """Fan-out unit: one file with one rule selection (picklable)."""
-    path, codes = item
-    return lint_source(path, Path(path).read_text(), codes)
-
-
 def lint_files(
     files: Sequence[Union[str, Path]],
     codes: Optional[Tuple[str, ...]] = None,
-    jobs: int = 1,
 ) -> List[Finding]:
-    """Lint many files, optionally in parallel; sorted findings."""
-    return _lint_items([(str(f), codes) for f in files], jobs)
+    """Lint many files; sorted findings."""
+    return _lint_items([(str(f), codes) for f in files])
 
 
-def _lint_items(
-    items: Sequence[Tuple[str, Optional[Tuple[str, ...]]]], jobs: int
-) -> List[Finding]:
-    if jobs <= 1 or len(items) < 2:
-        per_file = [_lint_payload(item) for item in items]
-    else:
-        workers = min(jobs, len(items))
-        chunk = (len(items) + workers - 1) // workers  # one chunk per worker
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_file = list(pool.map(_lint_payload, items, chunksize=chunk))
-    findings = [f for found in per_file for f in found]
+def _lint_items(items: Sequence[Tuple[str, Optional[Tuple[str, ...]]]]) -> List[Finding]:
+    findings = [
+        f for path, codes in items
+        for f in lint_source(path, Path(path).read_text(), codes)
+    ]
     return sorted(findings, key=lambda f: (f.path, f.line, f.code))
 
 
-def run_lint(targets: Sequence[LintTarget], jobs: int = 1) -> LintResult:
+def run_lint(targets: Sequence[LintTarget]) -> LintResult:
     """Execute a profile: each file once, with the union of the codes
     its targets select."""
     file_codes: Dict[str, Set[str]] = {}
@@ -211,4 +194,4 @@ def run_lint(targets: Sequence[LintTarget], jobs: int = 1) -> LintResult:
         for f in collect_files(target.paths):
             file_codes.setdefault(str(f), set()).update(codes)
     items = [(path, tuple(sorted(codes))) for path, codes in file_codes.items()]
-    return LintResult(findings=_lint_items(items, jobs))
+    return LintResult(findings=_lint_items(items))

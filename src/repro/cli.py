@@ -521,7 +521,7 @@ def _cmd_lint(args) -> int:
             targets = restrict(DEFAULT_PROFILE, codes)
         else:
             targets = list(DEFAULT_PROFILE)
-        result = run_lint(targets, jobs=args.jobs)
+        result = run_lint(targets)
     except (FileNotFoundError, KeyError) as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
@@ -616,6 +616,14 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
         return number
 
+    def positive_float(value: str) -> float:
+        # A time budget of zero or less fails or expires every attempt
+        # (or, as a poll interval, kills the worker at its first sleep).
+        number = float(value)
+        if not number > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {number}")
+        return number
+
     def add_exec_flags(p, jobs_default: int = 1, cache_default: Optional[str] = None):
         p.add_argument(
             "--jobs", type=int, default=jobs_default,
@@ -655,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_parser.add_argument("--commit-target", type=positive_int, default=None)
     campaign_parser.add_argument("--num-mixes", type=positive_int, default=None)
-    campaign_parser.add_argument("--timeout", type=float, default=None,
+    campaign_parser.add_argument("--timeout", type=positive_float, default=None,
                                  help="wall-clock budget in seconds for one "
                                       "attempt of one job, from its dispatch")
     campaign_parser.add_argument("--batch-size", type=positive_int, default=1,
@@ -681,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="head-local worker threads (default: 1, as "
                                    "threads share one interpreter lock; 0 = "
                                    "rely on remote workers)")
-    serve_parser.add_argument("--lease-ttl", type=float, default=60.0,
+    serve_parser.add_argument("--lease-ttl", type=positive_float, default=60.0,
                               help="seconds before an unacknowledged lease "
                                    "expires, a failed attempt")
     serve_parser.add_argument("--max-attempts", type=int, default=3,
@@ -698,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--lease-size", type=int, default=1,
                               help="tasks leased per request and run back to "
                                    "back (worker mode)")
-    serve_parser.add_argument("--poll", type=float, default=0.5,
+    serve_parser.add_argument("--poll", type=positive_float, default=0.5,
                               help="idle poll interval in seconds (worker mode)")
     serve_parser.add_argument("--max-idle", type=float, default=None,
                               help="exit after this many idle seconds (worker mode)")
@@ -797,8 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="explain one rule code, a family prefix "
                                   "or 'all' (summary and suppression "
                                   "marker) and exit")
-    lint_parser.add_argument("--jobs", type=int, default=1,
-                             help="parallel per-file analysis processes")
     lint_parser.add_argument("--json", action="store_true",
                              help="machine-readable output")
     lint_parser.add_argument("--sarif", default=None, metavar="PATH",

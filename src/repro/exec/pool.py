@@ -199,7 +199,6 @@ class Executor:
         retries: int = 2,
         timeout: Optional[float] = None,
         progress: Optional[ProgressReporter] = None,
-        mp_context: Optional[str] = None,
         batch_size: int = 1,
     ):
         self.jobs = max(1, int(jobs))
@@ -212,10 +211,8 @@ class Executor:
         self.progress = progress
         if progress is not None:
             progress.workers = max(progress.workers, self.jobs)
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(mp_context)
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
     # ------------------------------------------------------------------
     # Public API

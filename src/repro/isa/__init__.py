@@ -5,15 +5,12 @@ Public surface:
 * :mod:`repro.isa.registers` — logical register space
 * :mod:`repro.isa.opcodes` — opcode inventory, formats, latencies
 * :mod:`repro.isa.instruction` — decoded instruction objects
-* :mod:`repro.isa.encoding` — 32-bit binary encode/decode
 * :mod:`repro.isa.assembler` — two-pass assembler
 * :mod:`repro.isa.program` — assembled program images
 """
 
 from .assembler import Assembler, AssemblerError, assemble
-from .encoding import EncodingError, decode, encode
 from .instruction import INSTRUCTION_BYTES, Instruction
-from .loader import LoaderError, load_program, save_program
 from .opcodes import Format, FuClass, Op, OpInfo, info
 from .program import DATA_BASE, Program, STACK_TOP, TEXT_BASE
 from . import registers
@@ -22,14 +19,8 @@ __all__ = [
     "Assembler",
     "AssemblerError",
     "assemble",
-    "EncodingError",
-    "decode",
-    "encode",
     "INSTRUCTION_BYTES",
     "Instruction",
-    "LoaderError",
-    "load_program",
-    "save_program",
     "Format",
     "FuClass",
     "Op",

@@ -9,8 +9,7 @@ already holds "the decoded opcode and physical and logical register
 operands", making recycling cheap.
 
 Direct control transfers carry an absolute byte ``target`` (the
-assembler resolves labels); the binary encoding converts to PC-relative
-form and back.
+assembler resolves labels).
 """
 
 from __future__ import annotations

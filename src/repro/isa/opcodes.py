@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 
 class Format(enum.Enum):
-    """Assembly/encoding format of an opcode."""
+    """Assembly operand format of an opcode."""
 
     R3 = "r3"  # op rd, ra, rb
     R2I = "r2i"  # op rd, ra, imm
@@ -187,7 +187,7 @@ def _build_table() -> "dict[Op, OpInfo]":
 
 
 class Op(enum.IntEnum):
-    """Opcode numbering (stable: used by the binary encoding)."""
+    """The RRISC opcodes."""
 
     ADD = 0
     SUB = 1
@@ -239,7 +239,7 @@ class Op(enum.IntEnum):
     RET = 47
     NOP = 48
     HALT = 49
-    # --- extended compute ops (appended; values are part of the encoding)
+    # --- extended compute ops
     DIV = 50
     REM = 51
     UMULH = 52

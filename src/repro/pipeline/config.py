@@ -16,13 +16,10 @@ from __future__ import annotations
 
 import enum
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..branch.confidence import CONFIDENCE_KINDS
 from ..memory.config import HierarchyConfig
-
-#: The fetch thread-selection schemes ``MachineConfig.fetch_policy`` names.
-FETCH_POLICIES = ("icount", "round_robin")
 
 
 class PolicyKind(enum.Enum):
@@ -177,35 +174,25 @@ class MachineConfig:
     # "mapping tables ... are shadowed by checkpoints"); >0 approximates
     # walk-back recovery that serially unwinds the active list.
     squash_penalty_per_uop: float = 0.0
-    # Fetch thread selection: "icount" (Tullsen et al. [14], the paper's
-    # scheme — fewest pre-issue instructions first) or "round_robin".
-    fetch_policy: str = "icount"
     # Recycled conditional branches: True = re-predict with the current
     # predictor and stop the stream on disagreement (the paper's chosen
     # "latter method", Section 3.4); False = adopt the trace's recorded
     # direction as the prediction (the "former method").
     recycle_repredict: bool = True
-    # Primary-path uops issue ahead of alternate-path uops of equal
-    # readiness ([18]'s resource-priority recommendation); without it
-    # wrong-path work steals functional units under multiprogramming.
-    primary_issue_priority: bool = True
     # Alternate paths may not rename into a queue beyond this fill
     # fraction — keeps speculative wrong-path work from blocking
     # primaries out of the (shared) issue queues.
     alt_queue_pressure: float = 0.75
 
     def __post_init__(self) -> None:
-        # A wrong type, or a scheme no stage knows, would run as another
-        # machine (fetch runs any policy but "icount" as round-robin).
+        # A wrong type, or a confidence scheme the predictor does not
+        # know, would run as another machine.
         for name, expected in _FIELD_TYPES:
             value = getattr(self, name)
             if not isinstance(value, expected) or (
                     isinstance(value, bool) and expected is not bool):
                 annotation = self.__dataclass_fields__[name].type
                 raise TypeError(f"MachineConfig.{name} must be {annotation}, not {value!r}")
-        if self.fetch_policy not in FETCH_POLICIES:
-            raise ValueError(f"unknown fetch_policy {self.fetch_policy!r}; "
-                             f"know {list(FETCH_POLICIES)}")
         if self.confidence_kind not in CONFIDENCE_KINDS:
             raise ValueError(f"unknown confidence_kind {self.confidence_kind!r}; "
                              f"know {sorted(CONFIDENCE_KINDS)}")
@@ -213,12 +200,6 @@ class MachineConfig:
     def phys_regs_per_file(self) -> int:
         """R10000-style sizing: all contexts' logical regs + rename extra."""
         return 32 * self.num_contexts + self.extra_phys_regs
-
-    def with_features(self, features: Features) -> "MachineConfig":
-        return replace(self, features=features)
-
-    def with_policy(self, policy: RecyclePolicy) -> "MachineConfig":
-        return replace(self, policy=policy)
 
     # ------------------------------------------------------------------
     # The four design points of Section 5.3 / Figure 6.

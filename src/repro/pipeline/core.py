@@ -156,10 +156,6 @@ class Core:
         return self.state.stats
 
     @property
-    def util(self):
-        return self.state.util
-
-    @property
     def bus(self):
         return self.state.bus
 
@@ -219,12 +215,6 @@ class Core:
     def step(self) -> None:
         """Advance one cycle (reverse stage order)."""
         state = self.state
-        stats = state.stats
-        fetched0 = stats.fetched
-        renamed0 = stats.renamed
-        recycled0 = stats.renamed_recycled
-        committed0 = stats.committed
-        state.issued_this_cycle = 0
         profiler = self._profiler
         if profiler is None:
             self.commit.run()
@@ -238,15 +228,8 @@ class Core:
             profiler.timed("issue", self.issue.run)
             profiler.timed("rename", self.rename.run)
             profiler.timed("fetch", self.fetch.run)
-        state.util.record_cycle(
-            stats.fetched - fetched0,
-            stats.renamed - renamed0,
-            stats.renamed_recycled - recycled0,
-            state.issued_this_cycle,
-            stats.committed - committed0,
-        )
         state.cycle += 1
-        stats.cycles = state.cycle
+        state.stats.cycles = state.cycle
 
     def set_profiler(self, profiler) -> None:
         """Attach (or clear) a per-stage profiler with a ``timed(name, fn)``

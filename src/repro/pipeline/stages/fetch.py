@@ -1,9 +1,9 @@
 """Fetch stage, including merge-point detection (Sections 3.2-3.3).
 
-Fetches sequential blocks per context under the ICOUNT/round-robin
-policies, and — with recycling enabled — checks every fetch PC against
-the merge-point tables (first PCs of spare traces, own backward-branch
-targets) to open recycle streams instead of re-fetching.
+Fetches sequential blocks per context in ICOUNT order, and — with
+recycling enabled — checks every fetch PC against the merge-point tables
+(first PCs of spare traces, own backward-branch targets) to open recycle
+streams instead of re-fetching.
 """
 
 from __future__ import annotations
@@ -53,22 +53,14 @@ class FetchStage(Stage):
                 n_candidates += 1
         if not n_candidates:
             return
-        if cfg.fetch_policy == "icount":
-            # ICOUNT with [18]'s TME modification: primaries outrank
-            # alternates; among peers, fewest pre-issue instructions
-            # win.  The maintained (icount, id) order supplies the
-            # within-group order; a two-pass split puts primaries first.
-            order = [
-                c for c in state.icount_order.ordered() if c.fetch_mark == cycle
-            ]
-            candidates = [c for c in order if c.is_primary]
-            if len(candidates) != len(order):
-                candidates.extend(c for c in order if not c.is_primary)
-        else:  # round_robin
-            candidates = [c for c in self.contexts if c.fetch_mark == cycle]
-            candidates.sort(
-                key=lambda c: (not c.is_primary, (c.id - cycle) % cfg.num_contexts)
-            )
+        # ICOUNT (Tullsen et al. [14]) with [18]'s TME modification:
+        # primaries outrank alternates; among peers, fewest pre-issue
+        # instructions win.  The maintained (icount, id) order supplies
+        # the within-group order; a two-pass split puts primaries first.
+        order = [c for c in state.icount_order.ordered() if c.fetch_mark == cycle]
+        candidates = [c for c in order if c.is_primary]
+        if len(candidates) != len(order):
+            candidates.extend(c for c in order if not c.is_primary)
         total_budget = cfg.fetch_total
         threads = 0
         for ctx in candidates:

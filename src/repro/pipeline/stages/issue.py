@@ -1,9 +1,10 @@
 """Issue stage: wake-up/select and execute-at-issue value computation.
 
-Ready uops contend for functional units (primary-path work first when
-``primary_issue_priority`` is set); issuing computes the real result on
-the shared physical register file and schedules completion after the
-unit latency plus memory-hierarchy delays.
+Ready uops contend for functional units, primary-path work first ([18]'s
+resource-priority recommendation: without it wrong-path work steals
+functional units under multiprogramming); issuing computes the real
+result on the shared physical register file and schedules completion
+after the unit latency plus memory-hierarchy delays.
 
 Selection is event-driven: :meth:`InstructionQueue.take_ready` pops the
 incrementally maintained ready pool (oldest first) instead of scanning
@@ -43,7 +44,6 @@ class IssueStage(Stage):
         state = self.state
         fus = state.fus
         fus.new_cycle()
-        prio = self.config.primary_issue_priority
         cycle = state.cycle
         contexts = self.contexts
         try_issue_code = fus.try_issue_code
@@ -57,20 +57,19 @@ class IssueStage(Stage):
             ready = queue.take_ready(cycle)
             if not ready:
                 continue
-            if prio:
-                # Primary-path work first; alternates fill leftover
-                # units.  Stable split == the old (not primary, seq) sort.
-                alts = None
-                for u in ready:
-                    if not contexts[u.ctx].is_primary:
-                        if alts is None:
-                            alts = [u]
-                        else:
-                            alts.append(u)
-                if alts is not None and len(alts) != len(ready):
-                    primaries = [u for u in ready if contexts[u.ctx].is_primary]
-                    primaries.extend(alts)
-                    ready = primaries
+            # Primary-path work first; alternates fill leftover units.
+            # Stable split == the old (not primary, seq) sort.
+            alts = None
+            for u in ready:
+                if not contexts[u.ctx].is_primary:
+                    if alts is None:
+                        alts = [u]
+                    else:
+                        alts.append(u)
+            if alts is not None and len(alts) != len(ready):
+                primaries = [u for u in ready if contexts[u.ctx].is_primary]
+                primaries.extend(alts)
+                ready = primaries
             blocked = None
             for uop in ready:
                 # Conservative load ordering: a load waits until every
@@ -116,7 +115,6 @@ class IssueStage(Stage):
         uop.state_code = ST_ISSUED
         cycle = state.cycle
         uop.issue_cycle = cycle
-        state.issued_this_cycle += 1
         ctx = self.contexts[uop.ctx]
         instr = uop.instr
         dec = uop.dec

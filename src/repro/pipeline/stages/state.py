@@ -26,7 +26,6 @@ from ...branch.predictor import BranchPredictor
 from ...memory.hierarchy import MemoryHierarchy
 from ...recycle.stream import RecycleStream
 from ...stats.counters import SimStats
-from ...stats.utilization import UtilizationStats
 from ...tme.partition import Partition
 from ..config import MachineConfig
 from ..context import HardwareContext, IcountOrder
@@ -75,15 +74,10 @@ class CoreState:
         self.instances: List[ProgramInstance] = []
         self.partitions: List[Partition] = []
         self.stats = SimStats()
-        self.util = UtilizationStats.for_machine(
-            cfg.fetch_total, cfg.rename_width, cfg.int_units + cfg.fp_units,
-            cfg.commit_width,
-        )
         #: Decoded-uop memo: (program, pc) -> predigested static record.
         self.uop_cache = DecodedUopCache()
         self.bus = EventBus()
         self.cycle = 0
-        self.issued_this_cycle = 0
         self.completions: Dict[int, List[Uop]] = {}
         #: One active recycle stream per destination context.
         self.streams: Dict[int, RecycleStream] = {}

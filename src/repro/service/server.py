@@ -31,9 +31,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Union
 
 from .. import __version__
-from ..stats.export import stats_to_dict
+from ..stats.export import run_result_to_dict
 from ..exec.cache import sim_fingerprint
-from ..exec.jobs import result_from_payload, spec_from_payload
+from ..exec.jobs import result_from_payload
 from .scheduler import JOB_FAILED, Scheduler
 from .spec import SpecError
 from .store import ArtifactStore
@@ -77,23 +77,19 @@ def _convert(body: Dict, name: str, convert, default):
 
 
 def job_result_document(record, payload: Dict) -> Dict:
-    """The canonical result document for ``GET /jobs/{id}/result`` —
-    the stored payload re-serialised through :func:`stats_to_dict` so it
-    matches ``repro-sim run --json`` field-for-field."""
+    """The result document for ``GET /jobs/{id}/result``: the stored
+    payload's :func:`run_result_to_dict` (the ``repro-sim run --json``
+    document) plus the job's own fields."""
     result = result_from_payload(payload)
-    spec = spec_from_payload(payload["spec"])
     return {
+        **run_result_to_dict(result),
         "job_id": record.job_id,
         "campaign_id": record.campaign_id,
         "key": record.key,
         "label": record.job.label(),
         "resolution": record.resolution,
-        "spec": payload["spec"],
         "overrides": {name: value for name, value in record.job.overrides},
-        "ipc": result.stats.ipc,
-        "stats": stats_to_dict(result.stats),
-        "per_program_ipc": dict(result.per_program_ipc),
-        "machine": spec.machine,
+        "machine": result.spec.machine,
     }
 
 

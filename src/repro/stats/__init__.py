@@ -1,7 +1,8 @@
-"""Simulation statistics (IPC, Table 1 counters, bandwidth utilization)."""
+"""Simulation statistics: IPC, the Table 1 counters and the slot counts
+(fetched, renamed, renamed by recycling, committed) that measure the
+paper's bandwidth argument."""
 
 from .counters import SimStats
 from .export import run_result_to_dict, stats_to_dict
-from .utilization import StageUtilization, UtilizationStats
 
-__all__ = ["SimStats", "run_result_to_dict", "stats_to_dict", "StageUtilization", "UtilizationStats"]
+__all__ = ["SimStats", "run_result_to_dict", "stats_to_dict"]

@@ -94,17 +94,12 @@ def run_result_to_dict(result: "RunResult") -> Dict:
     JSON document shared by ``repro-sim run --json``, ``repro-sim fetch``
     and the campaign service's ``GET /jobs/{id}/result`` endpoint — one
     serialisation, so clients never see two shapes of the same result."""
-    spec = result.spec
+    # Imported here: exec.jobs imports the runner, which imports this
+    # package, so a module-level import would cycle.
+    from ..exec.jobs import spec_to_payload
+
     return {
-        "spec": {
-            "workload": list(spec.workload),
-            "machine": spec.machine,
-            "features": spec.features,
-            "policy": spec.policy,
-            "commit_target": spec.commit_target,
-            "max_cycles": spec.max_cycles,
-            "confidence_threshold": spec.confidence_threshold,
-        },
+        "spec": spec_to_payload(result.spec),
         "ipc": result.ipc,
         "stats": stats_to_dict(result.stats),
         "per_program_ipc": dict(result.per_program_ipc),

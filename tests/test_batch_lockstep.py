@@ -50,9 +50,9 @@ GOLDEN_SPECS = [
     for features in gen_golden_stats.FEATURES
 ]
 
-#: Golden-fixture fields read off ``SimStats``; the utilization fields
-#: are pinned on the same ``Core.run`` by ``tests/test_golden_stats.py``.
-UTILIZATION_FIELDS = (
+#: Golden-fixture fields that are ratios of ``SimStats`` counters, not
+#: ``SimStats`` fields; ``tests/test_golden_stats.py`` pins them.
+RATIO_FIELDS = (
     "fetch_util_average", "fetch_util_utilization", "rename_fill_from_recycling",
 )
 
@@ -88,7 +88,7 @@ class TestGoldenParity:
             key = f"{spec.workload[0]}|{spec.features}"
             expected = {
                 name: value for name, value in GOLDEN["runs"][key].items()
-                if name not in UTILIZATION_FIELDS
+                if name not in RATIO_FIELDS
             }
             got = {name: getattr(result.stats, name) for name in expected}
             assert got == expected, key

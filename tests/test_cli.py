@@ -217,6 +217,30 @@ class TestRefusals:
             assert "must be >= 1" in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "fig3", "--timeout", "0"],
+        ["campaign", "fig3", "--timeout", "-1"],
+        ["serve", "--lease-ttl", "0"],
+        ["serve", "--lease-ttl", "-1"],
+        ["serve", "--worker", "http://head:8752", "--poll", "0"],
+        ["serve", "--worker", "http://head:8752", "--poll", "-1"],
+    ], ids="_".join)
+    def test_time_budget_not_above_zero_exits_2(self, argv, capsys):
+        """A zero or negative timeout fails every attempt, a lease TTL
+        expires every lease and a poll interval kills the worker at its
+        first sleep; only the parse runs here, so nothing is served."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "must be > 0" in capsys.readouterr().err
+
+    def test_positive_time_budgets_parse(self):
+        assert build_parser().parse_args(
+            ["campaign", "fig3", "--timeout", "2.5"]).timeout == 2.5
+        args = build_parser().parse_args(
+            ["serve", "--lease-ttl", "30", "--poll", "0.1"])
+        assert (args.lease_ttl, args.poll) == (30.0, 0.1)
+
 
 class TestServiceCli:
     def test_serve_parses(self):

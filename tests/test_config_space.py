@@ -3,7 +3,9 @@
 Recycling interacts with every width and size in the machine; these
 tests drive a fixed hard-branch kernel through randomly drawn machine
 configurations (and the full machine × variant matrix) to guarantee no
-configuration corner breaks the architectural contract.
+configuration corner breaks the architectural contract.  On the random
+machines a profiler also checks, every cycle, that fetch, rename and
+commit stay within their widths.
 """
 
 import pytest
@@ -13,6 +15,7 @@ from repro.isa import assemble
 from repro.pipeline import Core, Features, MachineConfig
 from repro.sim import MACHINES, VARIANTS
 from repro.workloads import WorkloadSuite
+from tests.test_stats_utilization import WidthBounds
 
 KERNEL = """
 main:  movi r1, 777
@@ -56,8 +59,10 @@ class TestRandomConfigurations:
         cfg = MachineConfig(features=Features.rec_rs_ru(), **overrides)
         core = Core(cfg)
         core.load([assemble(KERNEL, name="k")])
-        core.run(max_cycles=500_000)
+        bounds = WidthBounds(core)
+        stats = core.run(max_cycles=500_000)
         assert core.instances[0].halted
+        assert bounds.cycles == stats.cycles
         core.regfile.check_consistency()
 
     @given(overrides=machine_configs)
@@ -66,8 +71,10 @@ class TestRandomConfigurations:
         cfg = MachineConfig(features=Features.tme_only(), **overrides)
         core = Core(cfg)
         core.load([assemble(KERNEL, name="k")])
-        core.run(max_cycles=500_000)
+        bounds = WidthBounds(core)
+        stats = core.run(max_cycles=500_000)
         assert core.instances[0].halted
+        assert bounds.cycles == stats.cycles
 
 
 class TestFullMatrix:

@@ -1,15 +1,14 @@
 """Exhaustive opcode coverage: every opcode executes through the whole
-stack (assembler → encoding round-trip → emulator → pipeline).
+stack (assembler → emulator → pipeline).
 
 Guards future ISA additions: a new opcode missing semantics, an
-encoding case, or pipeline handling fails here immediately.
+assembler case, or pipeline handling fails here immediately.
 """
 
 import pytest
 
 from repro.emulator import Emulator
 from repro.isa import assemble
-from repro.isa.encoding import decode, encode
 from repro.isa.opcodes import Format, Op, info
 from repro.pipeline import Core, Features, MachineConfig
 
@@ -89,8 +88,6 @@ class TestInventoryCoverage:
         prog = assemble(source)
         ins = prog.instructions[0]
         assert ins.op is op
-        pc = prog.text_base
-        assert decode(encode(ins, pc), pc) == ins
 
     def test_every_opcode_has_positive_latency_and_fu(self):
         for op in Op:

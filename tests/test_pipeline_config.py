@@ -78,14 +78,6 @@ class TestMachineConfigs:
         with pytest.raises(ValueError):
             MachineConfig.by_name("huge.4.32")
 
-    def test_with_features(self):
-        cfg = MachineConfig().with_features(Features.rec())
-        assert cfg.features.recycle
-
-    def test_with_policy(self):
-        cfg = MachineConfig().with_policy(RecyclePolicy(PolicyKind.STOP, 8))
-        assert cfg.policy.limit == 8
-
     def test_an_int_is_a_valid_float(self):
         assert MachineConfig(squash_penalty_per_uop=1).squash_penalty_per_uop == 1
 
@@ -95,7 +87,6 @@ class TestMachineConfigs:
         ("recycle_repredict", 1),
         ("alt_queue_pressure", "0.5"),
         ("hierarchy", None),
-        ("fetch_policy", "ICOUNT"),
         ("confidence_kind", "bogus"),
     ])
     def test_refuses_what_would_run_as_another_machine(self, field, value):

@@ -39,7 +39,9 @@ from repro.service import (
 from repro.pipeline.core import Core
 from repro.service import worker as worker_module
 from repro.service.scheduler import Campaign, JobRecord, SchedulerClosed, Task
+from repro.sim.runner import RunSpec, run_spec
 from repro.sim.sweep import Sweep
+from repro.stats import run_result_to_dict
 from repro.workloads.suite import WorkloadSuite
 
 #: Tiny commit target: each simulation lands in tens of milliseconds.
@@ -153,6 +155,19 @@ class TestEndToEnd:
              "campaign_id": second["id"], "resolution": "store"}
             for doc in client.fetch_results(first["id"])
         ]
+
+    def test_job_document_is_the_run_document_plus_job_fields(self, client):
+        """``GET /jobs/{id}/result`` is ``repro-sim run --json``'s document
+        of the same spec plus the job's own fields."""
+        submitted = client.submit(ONE_JOB)
+        client.wait(submitted["id"], timeout=60.0)
+        [document] = client.fetch_results(submitted["id"])
+        job_fields = {"job_id", "campaign_id", "key", "label", "resolution",
+                      "overrides", "machine"}
+        assert job_fields <= set(document)
+        serial = run_result_to_dict(run_spec(RunSpec(workload=("compress",), commit_target=CT)))
+        assert {name: value for name, value in document.items()
+                if name not in job_fields} == json.loads(json.dumps(serial))
 
 
 class TestConcurrentClientsDedupe:

@@ -142,17 +142,16 @@ class TestRejection:
         (dict(grid={"features": ["TME"]}), "features"),
         (dict(grid={"active_list_size": ["big"]}), "active_list_size"),
         (dict(grid={"confidence_kind": ["bogus"]}), "confidence_kind"),
-        (dict(grid={"fetch_policy": ["ICOUNT"]}), "fetch_policy"),
         (dict(features=["REC"]), "features"),
         (dict(features={"a": 1}), "features"),
     ], ids=["unknown-kernel", "nine-programs", "commit-target-negative",
             "commit-target-zero", "commit-target-string", "policy-int",
             "grid-policy", "grid-features", "grid-active-list", "grid-confidence-kind",
-            "grid-fetch-policy", "features-list", "features-object"])
+            "features-list", "features-object"])
     def test_a_spec_that_cannot_run_is_refused_at_submit(self, change, named):
         """Each of these once ran: to a failure after every attempt, or
-        to a wrong result (0 cycles; round-robin fetch for "ICOUNT").  A
-        ``features`` list or object once dropped the connection."""
+        to a wrong result (0 cycles).  A ``features`` list or object once
+        dropped the connection."""
         with pytest.raises(SpecError, match=named):
             parse_campaign(sweep_payload(**change))
 

@@ -1,4 +1,4 @@
-"""Timing-property tests: latencies and policies observable per-uop.
+"""Timing-property tests: latencies and pipeline order observable per-uop.
 
 Uses the tracer's committed-uop timeline to verify the machine honours
 the paper's latency assumptions (Section 4) rather than just "runs".
@@ -126,12 +126,3 @@ class TestPipelineDepth:
         reused = [u for u in uops if u.reused]
         assert reused, "expected reuse on the disjoint diamond"
         assert all(u.issue_cycle == -1 for u in reused)
-
-
-class TestFetchPolicies:
-    def test_round_robin_runs_golden_clean(self):
-        core, _ = committed_uops(WARM_LOOP, fetch_policy="round_robin")
-        assert core.stats.committed > 0
-
-    def test_icount_is_default(self):
-        assert MachineConfig().fetch_policy == "icount"

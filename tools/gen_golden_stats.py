@@ -2,7 +2,7 @@
 """Regenerate the golden stats snapshot fixture.
 
 ``tests/golden/core_stats_seed.json`` pins the headline per-kernel
-numbers (IPC, recycle/reuse/respawn rates, fetch utilization) that the
+numbers (IPC, recycle/reuse/respawn rates, fetch slot usage) that the
 stage-decomposition refactor must preserve bit-for-bit.  Regenerating
 it is an *intentional* act — only do so when a change is supposed to
 shift simulation results, and say so in the commit message.
@@ -36,7 +36,8 @@ FIXTURE = Path(__file__).resolve().parent.parent / "tests" / "golden" / "core_st
 def snapshot_one(suite: WorkloadSuite, kernel: str, features: str) -> dict:
     """The pinned numbers of one run."""
     spec = RunSpec(workload=(kernel,), features=features, commit_target=COMMIT_TARGET)
-    core = Core(spec.build_config())
+    config = spec.build_config()
+    core = Core(config)
     core.load(suite.mix(spec.workload), commit_target=spec.commit_target)
     stats = core.run(max_cycles=spec.max_cycles)
     return {
@@ -63,9 +64,12 @@ def snapshot_one(suite: WorkloadSuite, kernel: str, features: str) -> dict:
         "streams_ended_exhausted": stats.streams_ended_exhausted,
         "streams_ended_squashed": stats.streams_ended_squashed,
         "streams_ended_branch_mismatch": stats.streams_ended_branch_mismatch,
-        "fetch_util_average": core.util.fetch.average,
-        "fetch_util_utilization": core.util.fetch.utilization,
-        "rename_fill_from_recycling": core.util.rename_fill_from_recycling,
+        # Slot-usage ratios (the paper's bandwidth argument).
+        "fetch_util_average": stats.fetched / stats.cycles,
+        "fetch_util_utilization": stats.fetched / (stats.cycles * config.fetch_total),
+        "rename_fill_from_recycling": (
+            stats.renamed_recycled / stats.renamed if stats.renamed else 0.0
+        ),
     }
 
 
