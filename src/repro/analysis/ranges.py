@@ -502,11 +502,4 @@ class ValueRangeAnalysis:
             return TOP
         if op in _CMP_OPS:
             return BOOL
-        if op in (Op.CMOVEQ, Op.CMOVNE):
-            # srcs = (cond, source, old dst): either value survives.
-            return vals[1].join(vals[2])
-        if op is Op.SEXTB:
-            return StridedInterval.make(1, 0, -128, 127)
-        if op is Op.SEXTW:
-            return StridedInterval.make(1, 0, -(1 << 31), (1 << 31) - 1)
         return TOP

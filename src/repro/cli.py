@@ -36,17 +36,6 @@ from .stats import run_result_to_dict
 from .workloads.suite import WorkloadSuite
 
 
-def _make_executor(args) -> Optional[Executor]:
-    """Build an executor from ``--jobs`` / ``--cache-dir`` / ``--no-cache``;
-    None when neither parallelism nor caching was requested (pure serial
-    path, exactly the historical behaviour)."""
-    jobs = args.jobs or 1
-    cache_dir = None if args.no_cache else args.cache_dir
-    if jobs <= 1 and cache_dir is None:
-        return None
-    return Executor(jobs=jobs, cache=cache_dir)
-
-
 class _ProgressLine:
     """Renders engine progress as a single ``\\r``-refreshed stderr line."""
 
@@ -99,13 +88,13 @@ def _cmd_run(args) -> int:
         max_cycles=args.max_cycles,
         confidence_threshold=args.confidence_threshold,
     )
-    executor = _make_executor(args)
+    cache_dir = None if args.no_cache else args.cache_dir
     started = time.time()
     cached = False
-    if executor is None:
+    if cache_dir is None:
         result = run_spec(spec)
     else:
-        outcome = executor.run([spec])[0]
+        outcome = Executor(cache=cache_dir).run([spec])[0]
         if not outcome.ok:
             print(
                 f"run failed: {outcome.failure.kind} after {outcome.failure.attempts} "
@@ -147,13 +136,17 @@ def _cmd_campaign(args) -> int:
             return 2
     line = _ProgressLine()
     progress = ProgressReporter(callback=line)
-    executor = Executor(
-        jobs=args.jobs,
-        cache=None if args.no_cache else args.cache_dir,
-        timeout=args.timeout,
-        progress=progress,
-        batch_size=args.batch_size,
-    )
+    try:
+        executor = Executor(
+            jobs=args.jobs,
+            cache=None if args.no_cache else args.cache_dir,
+            timeout=args.timeout,
+            progress=progress,
+            batch_size=args.batch_size,
+        )
+    except ValueError as exc:  # --timeout with --jobs 1
+        print(f"campaign: {exc}", file=sys.stderr)
+        return 2
     started = time.time()
     for name in names:
         runner, formatter = EXPERIMENTS[name]
@@ -541,7 +534,7 @@ def _cmd_lint(args) -> int:
 def _cmd_profile_branches(args) -> int:
     from .branch.analysis import profile_branches
 
-    suite = WorkloadSuite(iters=args.iters)
+    suite = WorkloadSuite()
     names = args.workload or suite.names
     if not _known_kernels(names):
         return 2
@@ -608,9 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="show kernels, variants, machines, experiments")
 
     def positive_int(value: str) -> int:
-        # A window, cycle budget, mix count or batch size below 1 dies at
-        # parse time, before anything simulates (as the service refuses
-        # such windows at submit).
+        # A window, cycle budget, mix count, worker count or batch size
+        # below 1 dies at parse time, before anything simulates (as the
+        # service refuses such windows at submit).
         number = int(value)
         if number < 1:
             raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
@@ -624,11 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be > 0, got {number}")
         return number
 
-    def add_exec_flags(p, jobs_default: int = 1, cache_default: Optional[str] = None):
-        p.add_argument(
-            "--jobs", type=int, default=jobs_default,
-            help="worker processes (1 = serial in-process)",
-        )
+    def add_cache_flags(p, cache_default: Optional[str] = None):
         p.add_argument(
             "--cache-dir", default=cache_default, metavar="DIR",
             help="content-addressed result cache directory",
@@ -651,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--confidence-threshold", type=int, default=None,
                             help="fork-gating confidence threshold override")
     run_parser.add_argument("--json", action="store_true", help="machine-readable output")
-    add_exec_flags(run_parser)
+    add_cache_flags(run_parser)
 
     campaign_parser = sub.add_parser(
         "campaign",
@@ -663,19 +652,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_parser.add_argument("--commit-target", type=positive_int, default=None)
     campaign_parser.add_argument("--num-mixes", type=positive_int, default=None)
+    campaign_parser.add_argument("--jobs", type=positive_int, default=os.cpu_count() or 1,
+                                 help="worker processes (1 = serial in-process)")
     campaign_parser.add_argument("--timeout", type=positive_float, default=None,
                                  help="wall-clock budget in seconds for one "
-                                      "attempt of one job, from its dispatch")
+                                      "attempt of one job, from its dispatch; "
+                                      "needs --jobs 2 or more, as only a worker "
+                                      "process can be stopped")
     campaign_parser.add_argument("--batch-size", type=positive_int, default=1,
                                  metavar="N",
                                  help="jobs one worker process serves, one at "
                                       "a time, before it exits (and per gc "
                                       "epoch); 1 = a fresh process per job")
-    add_exec_flags(
-        campaign_parser,
-        jobs_default=os.cpu_count() or 1,
-        cache_default=".repro-cache",
-    )
+    add_cache_flags(campaign_parser, cache_default=".repro-cache")
 
     serve_parser = sub.add_parser(
         "serve",
@@ -777,7 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
         "profile-branches", help="offline branch-behaviour profile"
     )
     pbranch_parser.add_argument("--workload", nargs="*", default=None)
-    pbranch_parser.add_argument("--iters", type=int, default=5000)
     pbranch_parser.add_argument("--max-instructions", type=int, default=25_000)
 
     trace_parser = sub.add_parser("trace", help="trace a run (events + pipeline view)")

@@ -23,6 +23,7 @@ from typing import Dict, Optional, Tuple
 from ..pipeline.config import MachineConfig
 from ..sim.runner import RunResult, RunSpec, run_spec
 from ..stats.counters import SimStats
+from ..workloads.kernels import DEFAULT_ITERS
 from ..workloads.suite import WorkloadSuite
 
 
@@ -187,21 +188,21 @@ def run_job(job: Job, suite: WorkloadSuite) -> RunResult:
     return run_spec(job.spec, suite, config=config)
 
 
-#: Per-process suite cache so a forked/spawned worker assembles each kernel
-#: set once, no matter how many jobs it executes.
-_SUITE_CACHE: Dict[Tuple[int, bool], WorkloadSuite] = {}
+#: Per-process suites by iteration count, so a forked/spawned worker
+#: assembles each kernel once, no matter how many jobs it executes.
+_SUITES: Dict[int, WorkloadSuite] = {}
 
 
-def suite_for_args(iters: int, extended: bool) -> WorkloadSuite:
-    key = (iters, extended)
-    if key not in _SUITE_CACHE:
-        _SUITE_CACHE[key] = WorkloadSuite(iters=iters, extended=extended)
-    return _SUITE_CACHE[key]
+def shared_suite(iters: int = DEFAULT_ITERS) -> WorkloadSuite:
+    """This process's :class:`WorkloadSuite` at ``iters`` iterations."""
+    if iters not in _SUITES:
+        _SUITES[iters] = WorkloadSuite(iters=iters)
+    return _SUITES[iters]
 
 
-def execute_payload(payload: Dict, suite_args: Tuple[int, bool]) -> Dict:
-    """Worker-side entry: payload in, result payload out."""
-    suite = suite_for_args(*suite_args)
-    result = run_job(job_from_payload(payload), suite)
+def execute_payload(payload: Dict, iters: int) -> Dict:
+    """Worker-side entry: a job payload and its suite's iteration count
+    in, a result payload out."""
+    result = run_job(job_from_payload(payload), shared_suite(iters))
     return result_to_payload(result)
 

@@ -27,10 +27,11 @@ row in its outcome — the batch always completes.
 
 Serial mode (``jobs <= 1``) is the default everywhere and preserves the
 historical strictly-sequential semantics: each point lands as it
-finishes, exceptions are retried at once and reported structurally, but
-per-job timeouts are not enforced (there is no second process to do the
-killing) and chaos ``exit`` injection is treated as an ordinary failure
-rather than killing the caller.
+finishes, exceptions are retried at once and reported structurally, and
+chaos ``exit`` injection is treated as an ordinary failure rather than
+killing the caller.  It takes no per-job timeout: there is no second
+process to do the killing, so an executor with a ``timeout`` and
+``jobs <= 1`` is refused at construction.
 """
 
 from __future__ import annotations
@@ -95,12 +96,13 @@ def _apply_chaos(chaos: Optional[Chaos], attempt: int, allow_exit: bool) -> None
         raise RuntimeError("chaos: injected failure")
 
 
-def _serve(conn, inherited, suite_args: Tuple[int, bool], quota: int) -> None:
+def _serve(conn, inherited, iters: int, quota: int) -> None:
     """Top-level worker target (must be importable under ``spawn``).
 
-    Serves up to ``quota`` points, each a ``(payload, chaos, attempt)``
-    message, and replies ``("ok", result_payload)`` or
-    ``("error", message)`` as each finishes; ``None`` stops it early.
+    Serves up to ``quota`` points of the suite at ``iters`` iterations,
+    each a ``(payload, chaos, attempt)`` message, and replies
+    ``("ok", result_payload)`` or ``("error", message)`` as each
+    finishes; ``None`` stops it early.
     ``execute_payload`` is looked up per point through this module's
     globals, so a wrapper installed on it before a fork is what the
     worker runs.
@@ -121,7 +123,7 @@ def _serve(conn, inherited, suite_args: Tuple[int, bool], quota: int) -> None:
             payload, chaos, attempt = message
             try:
                 _apply_chaos(chaos, attempt, allow_exit=True)
-                reply = ("ok", execute_payload(payload, suite_args))
+                reply = ("ok", execute_payload(payload, iters))
             except Exception as exc:  # noqa: BLE001 - forwarded to the parent
                 reply = ("error", f"{type(exc).__name__}: {exc}")
             conn.send(reply)
@@ -179,9 +181,11 @@ class Executor:
         Extra attempts after the first failure (so ``retries=2`` means at
         most 3 attempts per job).
     timeout:
-        Per-attempt wall-clock budget in seconds (parallel mode only),
-        counted from the point's dispatch: a worker past it is terminated
-        and that one point's attempt counts as a ``"timeout"`` failure.
+        Per-attempt wall-clock budget in seconds, counted from the
+        point's dispatch: a worker past it is terminated and that one
+        point's attempt counts as a ``"timeout"`` failure.  Only worker
+        processes can be stopped, so it needs ``jobs >= 2``;
+        :class:`ValueError` otherwise.
     progress:
         A :class:`ProgressReporter` shared across batches.
     batch_size:
@@ -202,6 +206,9 @@ class Executor:
         batch_size: int = 1,
     ):
         self.jobs = max(1, int(jobs))
+        if timeout is not None and self.jobs < 2:
+            raise ValueError(f"a timeout needs jobs >= 2 (worker processes "
+                             f"to stop), got jobs={jobs}")
         self.batch_size = max(1, int(batch_size))
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
@@ -346,7 +353,7 @@ class Executor:
             inherited = [parent_end] + [worker.conn for worker in workers] if forked else []
             process = self._ctx.Process(
                 target=_serve,
-                args=(child_end, inherited, (suite.iters, suite.extended), self.batch_size),
+                args=(child_end, inherited, suite.iters, self.batch_size),
                 daemon=True,
             )
             process.start()

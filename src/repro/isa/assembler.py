@@ -37,10 +37,6 @@ _MEM_RE = re.compile(r"^(-?\w+)\((\w+)\)$")
 #: Pseudo-instructions: each expands to exactly one real instruction,
 #: so the first pass's size accounting is unaffected.  Operand
 #: placeholders {0}, {1}, ... are substituted textually.
-#: R3 opcodes that are semantically unary; the assembler lets them take
-#: two operands and fills the unused rb slot with the zero register.
-UNARY_R3 = {"sextb", "sextw", "fsqrt", "fneg", "fabs"}
-
 PSEUDO_OPS = {
     "mov": (2, "or {0}, {1}, zero"),
     "fmov": (2, "fadd {0}, {1}, fzero"),
@@ -282,8 +278,6 @@ class Assembler:
 
         f = oi.fmt
         if f is Format.R3:
-            if mnem in UNARY_R3 and len(raw_ops) == 2:
-                return Instruction(op, rd=reg(0, oi.dst_fp), ra=reg(1, oi.src_fp), rb=31)
             need(3)
             return Instruction(
                 op, rd=reg(0, oi.dst_fp), ra=reg(1, oi.src_fp), rb=reg(2, oi.src_fp)

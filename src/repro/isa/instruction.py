@@ -122,11 +122,7 @@ def _operand_roles(ins: Instruction, oi: OpInfo) -> Tuple[Tuple[int, ...], Optio
     f = oi.fmt
     if f is Format.R3:
         srcs = (_unified(ins.ra, oi.src_fp), _unified(ins.rb, oi.src_fp))
-        dst = _drop_zero_dst(_unified(ins.rd, oi.dst_fp))
-        if ins.op in (Op.CMOVEQ, Op.CMOVNE) and dst is not None:
-            # Conditional moves merge with the old destination value.
-            srcs = srcs + (dst,)
-        return srcs, dst
+        return srcs, _drop_zero_dst(_unified(ins.rd, oi.dst_fp))
     if f is Format.R2I:
         return (_unified(ins.ra, False),), _drop_zero_dst(_unified(ins.rd, False))
     if f is Format.RI:

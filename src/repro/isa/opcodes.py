@@ -88,8 +88,6 @@ LAT_ALU = 1
 LAT_MUL = 7
 LAT_FP = 4
 LAT_FDIV = 12
-LAT_IDIV = 20
-LAT_FSQRT = 16
 
 
 def _build_table() -> "dict[Op, OpInfo]":
@@ -169,19 +167,6 @@ def _build_table() -> "dict[Op, OpInfo]":
         # --- misc ----------------------------------------------------------
         Op.NOP: OpInfo("nop", Format.NONE, FuClass.INT, LAT_ALU),
         Op.HALT: OpInfo("halt", Format.NONE, FuClass.INT, LAT_ALU, is_halt=True),
-        # --- extended compute ops -------------------------------------------
-        Op.DIV: OpInfo("div", Format.R3, FuClass.INT, LAT_IDIV),
-        Op.REM: OpInfo("rem", Format.R3, FuClass.INT, LAT_IDIV),
-        Op.UMULH: OpInfo("umulh", Format.R3, FuClass.INT, LAT_MUL),
-        # Conditional moves read their destination too (handled in
-        # instruction.py's operand derivation).
-        Op.CMOVEQ: OpInfo("cmoveq", Format.R3, FuClass.INT, LAT_ALU),
-        Op.CMOVNE: OpInfo("cmovne", Format.R3, FuClass.INT, LAT_ALU),
-        Op.SEXTB: OpInfo("sextb", Format.R3, FuClass.INT, LAT_ALU),
-        Op.SEXTW: OpInfo("sextw", Format.R3, FuClass.INT, LAT_ALU),
-        Op.FSQRT: OpInfo("fsqrt", Format.R3, FuClass.FP, LAT_FSQRT, dst_fp=True, src_fp=True),
-        Op.FNEG: OpInfo("fneg", Format.R3, FuClass.FP, LAT_FP, dst_fp=True, src_fp=True),
-        Op.FABS: OpInfo("fabs", Format.R3, FuClass.FP, LAT_FP, dst_fp=True, src_fp=True),
     }
     return spec
 
@@ -239,17 +224,6 @@ class Op(enum.IntEnum):
     RET = 47
     NOP = 48
     HALT = 49
-    # --- extended compute ops
-    DIV = 50
-    REM = 51
-    UMULH = 52
-    CMOVEQ = 53
-    CMOVNE = 54
-    SEXTB = 55
-    SEXTW = 56
-    FSQRT = 57
-    FNEG = 58
-    FABS = 59
 
 
 #: Opcode → :class:`OpInfo` lookup table.

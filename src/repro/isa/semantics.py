@@ -110,41 +110,6 @@ _FP_ALU = {
     Op.FCMPLE: lambda a, b: 1 if a <= b else 0,
 }
 
-def _idiv(a: int, b: int) -> int:
-    """Truncating signed division; division by zero yields 0 (no traps)."""
-    if b == 0:
-        return 0
-    q = abs(a) // abs(b)
-    return wrap(-q if (a < 0) != (b < 0) else q)
-
-
-def _irem(a: int, b: int) -> int:
-    """Remainder consistent with _idiv; rem by zero yields the dividend."""
-    if b == 0:
-        return a
-    return wrap(a - _idiv(a, b) * b)
-
-
-def _fsqrt(a: float) -> float:
-    if a < 0 or math.isnan(a):
-        return math.nan
-    return math.sqrt(a)
-
-
-_EXTENDED = {
-    Op.DIV: _idiv,
-    Op.REM: _irem,
-    Op.UMULH: lambda a, b: to_signed((to_unsigned(a) * to_unsigned(b)) >> 64),
-    Op.SEXTB: lambda a, b: wrap((to_unsigned(a) & 0xFF) - ((to_unsigned(a) & 0x80) << 1)),
-    Op.SEXTW: lambda a, b: wrap(
-        (to_unsigned(a) & 0xFFFFFFFF) - ((to_unsigned(a) & 0x80000000) << 1)
-    ),
-    Op.FSQRT: lambda a, b: _fsqrt(a),
-    Op.FNEG: lambda a, b: -a,
-    Op.FABS: lambda a, b: abs(a),
-}
-
-
 _BRANCH_COND = {
     Op.BEQ: lambda a: a == 0,
     Op.BNE: lambda a: a != 0,
@@ -175,12 +140,6 @@ def compute_value(ins: Instruction, src_values: Tuple, pc: int):
         return float(src_values[0])
     if op is Op.CVTFI:
         return _cvtfi(src_values[0])
-    if op in _EXTENDED:
-        return _EXTENDED[op](src_values[0], src_values[1])
-    if op in (Op.CMOVEQ, Op.CMOVNE):
-        a, b, old_dst = src_values
-        condition = (a == 0) if op is Op.CMOVEQ else (a != 0)
-        return b if condition else old_dst
     if op is Op.JSR:
         return pc + INSTRUCTION_BYTES
     return None

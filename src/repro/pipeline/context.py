@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..branch.predictor import Prediction
-from ..compat import slots_dataclass
 from .active_list import ActiveList
 from .rename import RenameMap
 from .uop import ST_COMMITTED, ST_COMPLETED, ST_SQUASHED, Uop
@@ -26,7 +26,7 @@ class CtxState(enum.Enum):
     INACTIVE = "inactive"
 
 
-@slots_dataclass
+@dataclass(slots=True)
 class FetchedInstr:
     """One instruction sitting in a context's fetch/decode buffer.
 
@@ -42,7 +42,7 @@ class FetchedInstr:
     dec: Optional[object] = None
 
 
-@slots_dataclass
+@dataclass(slots=True)
 class MergePoint:
     """A recyclable trace entry point: (pc to match, active-list position)."""
 

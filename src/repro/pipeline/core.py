@@ -126,11 +126,6 @@ class Core:
         self.resolve = ResolveStage(self)
         self.commit = CommitStage(self)
         self._profiler = None
-        # Imported lazily: stats.recorder subscribes to pipeline.events,
-        # and importing it at module scope would cycle back into here.
-        from ..stats.recorder import StatsRecorder
-
-        self.stats_recorder = StatsRecorder(self.state.stats, self.state.bus)
 
     # ------------------------------------------------------------------
     # Shared state that callers read (tests, runner, tracer, checker)

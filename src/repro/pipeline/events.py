@@ -4,8 +4,10 @@ The stage modules under :mod:`repro.pipeline.stages` publish structured
 events as they move instructions through the machine; everything that
 used to observe :class:`~repro.pipeline.core.Core` by wrapping its
 private methods (the tracer, the pipeline viewer, the dynamic-invariant
-cross-checker, the control-flow statistics) now subscribes here
-instead.  The contract:
+cross-checker) now subscribes here instead.  The bus is for observers
+only: every :class:`~repro.stats.counters.SimStats` counter is counted
+by the stage where its event happens, so a core with no subscriber
+builds no event and counts the same.  The contract:
 
 * **Typed.** Every event is a dataclass; subscribers register per
   event *class* and receive exactly that class.  There is no string
@@ -30,9 +32,8 @@ handler (the tracer stringifies; the cross-checker snapshots).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Tuple, Type
-
-from ..compat import frozen_slots_dataclass as _event_dataclass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..recycle.stream import RecycleStream, StreamKind
@@ -41,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .uop import Uop
 
 
-@_event_dataclass
+@dataclass(slots=True, frozen=True)
 class Event:
     """Base class for all bus events.
 
@@ -62,7 +63,7 @@ class Event:
 # ----------------------------------------------------------------------
 # Per-stage events (in pipeline order)
 # ----------------------------------------------------------------------
-@_event_dataclass
+@dataclass(slots=True, frozen=True)
 class FetchBlock(Event):
     """A fetch block was delivered for one context (``count`` > 0)."""
 
@@ -71,7 +72,7 @@ class FetchBlock(Event):
     next_pc: int  # the context's fetch PC after the block
 
 
-@_event_dataclass
+@dataclass(slots=True, frozen=True)
 class StreamOpened(Event):
     """A recycle stream was opened at a merge point (Section 3.2)."""
 
@@ -83,7 +84,7 @@ class StreamOpened(Event):
     length: int  # entries snapshotted into the stream
 
 
-@_event_dataclass
+@dataclass(slots=True, frozen=True)
 class StreamEnded(Event):
     """A recycle stream stopped (exhausted / squashed / repredicted)."""
 
@@ -93,14 +94,14 @@ class StreamEnded(Event):
     delivered: int  # entries actually injected into rename
 
 
-@_event_dataclass
+@dataclass(slots=True, frozen=True)
 class Renamed(Event):
     """One instruction passed rename (fetched, recycled, or reused)."""
 
     uop: "Uop"
 
 
-@_event_dataclass
+@dataclass(slots=True, frozen=True)
 class Reused(Event):
     """A recycled instruction's old result was *reused* (Section 3.5).
 
@@ -118,7 +119,7 @@ class Reused(Event):
     stream: "RecycleStream"
 
 
-@_event_dataclass
+@dataclass(slots=True, frozen=True)
 class Forked(Event):
     """A low-confidence branch forked its alternate path (TME)."""
 
@@ -128,7 +129,7 @@ class Forked(Event):
     alt_pc: int
 
 
-@_event_dataclass
+@dataclass(slots=True, frozen=True)
 class Respawned(Event):
     """An inactive trace was re-activated through the recycle path."""
 
@@ -138,14 +139,14 @@ class Respawned(Event):
     alt_pc: int
 
 
-@_event_dataclass
+@dataclass(slots=True, frozen=True)
 class Issued(Event):
     """One instruction issued to a functional unit and began execution."""
 
     uop: "Uop"
 
 
-@_event_dataclass
+@dataclass(slots=True, frozen=True)
 class StoreForwarded(Event):
     """A load's value came from an in-flight older store, not memory.
 
@@ -161,14 +162,14 @@ class StoreForwarded(Event):
     ctx: "HardwareContext"
 
 
-@_event_dataclass
+@dataclass(slots=True, frozen=True)
 class Completed(Event):
     """One instruction finished execution this cycle."""
 
     uop: "Uop"
 
 
-@_event_dataclass
+@dataclass(slots=True, frozen=True)
 class BranchResolved(Event):
     """A branch resolved at completion.
 
@@ -184,7 +185,7 @@ class BranchResolved(Event):
     covered: bool
 
 
-@_event_dataclass
+@dataclass(slots=True, frozen=True)
 class PrimarySwapped(Event):
     """A fork branch mispredicted; its alternate became the primary."""
 
@@ -193,14 +194,14 @@ class PrimarySwapped(Event):
     branch: "Uop"
 
 
-@_event_dataclass
+@dataclass(slots=True, frozen=True)
 class Squashed(Event):
     """One in-flight instruction was squashed."""
 
     uop: "Uop"
 
 
-@_event_dataclass
+@dataclass(slots=True, frozen=True)
 class Retired(Event):
     """One instruction committed architecturally."""
 

@@ -70,7 +70,7 @@ class InstructionQueue:
         never = regfile.NEVER
         pending = 0
         latest = 0
-        # Unrolled over the (at most three) source slots — the hot path
+        # Unrolled over the (at most two) source slots — the hot path
         # allocates no list.
         n = uop.nsrcs
         if n:
@@ -89,14 +89,6 @@ class InstructionQueue:
                     pending += 1
                 elif rc > latest:
                     latest = rc
-                if n > 2:
-                    src = uop.src2
-                    rc = ready_cycles[src]
-                    if rc == never:
-                        regfile.add_waiter(src, self, uop)
-                        pending += 1
-                    elif rc > latest:
-                        latest = rc
         uop.wait_count = pending
         if not pending:
             heappush(self._due, (latest, uop.seq, uop))
@@ -135,10 +127,6 @@ class InstructionQueue:
             rc = ready_cycles[uop.src1]
             if rc > latest:
                 latest = rc
-            if n > 2:
-                rc = ready_cycles[uop.src2]
-                if rc > latest:
-                    latest = rc
         heappush(self._due, (latest, uop.seq, uop))
 
     def take_ready(self, cycle: int) -> List[Uop]:

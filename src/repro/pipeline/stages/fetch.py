@@ -225,19 +225,17 @@ class FetchStage(Stage):
             reuse_allowed=reuse_ok,
         )
         self.streams[dst.id] = stream
+        src.was_recycled = True
         if kind is StreamKind.BACK:
-            src.was_recycled = True
+            self.stats.back_merges += 1
         else:
-            src.was_recycled = True
+            self.stats.merges += 1
             if src is not dst:
                 src.merge_count += 1
         # "Fetching immediately continues from where recycling will
         # complete" — but we conservatively do not fetch for this thread
         # while its stream drains; the PC is parked at the resume point.
         dst.pc = stream.resume_pc() if stream.index else entries[-1].next_pc
-        # The default-attached stats recorder subscribes to this event
-        # (it owns the merge counters), so the guard only trips when a
-        # test deliberately detaches everything.
         if self.bus.wants(StreamOpened):
             self.bus.publish(
                 StreamOpened(

@@ -105,7 +105,7 @@ class ForkUnit(Stage):
         )
         partition.written.start_path(spare.id)
         branch.forked_ctx = spare.id
-        # The stats recorder counts forks from this event.
+        self.stats.forks += 1
         if self.bus.wants(Forked):
             self.bus.publish(Forked(self.state.cycle, parent, spare, branch, alt_pc))
 
@@ -137,8 +137,10 @@ class ForkUnit(Stage):
         )
         self.streams[existing.id] = stream
         existing.pc = detached[-1].next_pc
-        # Published on success only — an aborted re-spawn (stale trace)
-        # forks nothing and leaves no stream.
+        # Counted and published on success only — an aborted re-spawn
+        # (stale trace) forks nothing and leaves no stream.
+        self.stats.respawns += 1
+        self.stats.respawn_streams += 1
         if self.bus.wants(Respawned):
             self.bus.publish(
                 Respawned(self.state.cycle, parent, existing, branch, alt_pc)

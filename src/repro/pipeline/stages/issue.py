@@ -127,10 +127,8 @@ class IssueStage(Stage):
             srcs = ()
         elif n == 1:
             srcs = (values[uop.src0],)
-        elif n == 2:
-            srcs = (values[uop.src0], values[uop.src1])
         else:
-            srcs = (values[uop.src0], values[uop.src1], values[uop.src2])
+            srcs = (values[uop.src0], values[uop.src1])
         latency = dec.latency
         kind = dec.kind
         if kind == K_ALU:

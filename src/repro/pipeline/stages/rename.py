@@ -133,8 +133,6 @@ class RenameStage(Stage):
             uop.src0 = table[dec.src0]
             if n > 1:
                 uop.src1 = table[dec.src1]
-                if n > 2:
-                    uop.src2 = table[dec.src2]
         dst = dec.dst
         if dst is not None:
             # Inline of ``regfile.alloc``: resources_ok already made

@@ -286,7 +286,7 @@ class ResolveStage(Stage):
             partition.written.primary_defined(logical, partition.spare_mask)
         branch.next_pc = branch.target if branch.taken else branch.pc + INSTRUCTION_BYTES
         old.was_used_tme = True
-        # The stats recorder counts used forks from this event.
+        self.stats.forks_used_tme += 1
         if self.bus.wants(PrimarySwapped):
             self.bus.publish(PrimarySwapped(self.state.cycle, old, alt, branch))
 

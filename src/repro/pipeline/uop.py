@@ -12,7 +12,7 @@ the state code, the physical sources and destination mapping, and the
 scheduler's wakeup counters.  The stage inner loops read and write
 them directly (``uop.state_code``, ``uop.src0``, ``uop.wait_count``);
 only :attr:`Uop.state` (the :class:`UopState` view over the code) and
-:attr:`Uop.phys_srcs` (the source list rebuilt from ``src0``-``src2``)
+:attr:`Uop.phys_srcs` (the source list rebuilt from ``src0`` and ``src1``)
 are properties, for the event bus, tracer, CrossChecker and tests.  A
 uop's state goes with the uop: once nothing references it, nothing of
 it stays behind.
@@ -92,7 +92,6 @@ class Uop:
         "prev_map",  # displaced mapping (released at commit) or None
         "src0",  # physical source registers, -1 = unused slot
         "src1",
-        "src2",
         "nsrcs",
         "wait_count",  # not-yet-issued source producers (scheduler)
         "in_queue",
@@ -133,7 +132,6 @@ class Uop:
         self.prev_map: Optional[int] = None
         self.src0 = -1
         self.src1 = -1
-        self.src2 = -1
         self.nsrcs = 0
         self.wait_count = 0
         self.in_queue = False
@@ -154,18 +152,15 @@ class Uop:
             return []
         if n == 1:
             return [self.src0]
-        if n == 2:
-            return [self.src0, self.src1]
-        return [self.src0, self.src1, self.src2]
+        return [self.src0, self.src1]
 
     @phys_srcs.setter
     def phys_srcs(self, srcs) -> None:
-        assert len(srcs) <= 3, f"more than 3 physical sources: {srcs!r}"
+        assert len(srcs) <= 2, f"more than 2 physical sources: {srcs!r}"
         n = len(srcs)
         self.nsrcs = n
         self.src0 = srcs[0] if n > 0 else -1
         self.src1 = srcs[1] if n > 1 else -1
-        self.src2 = srcs[2] if n > 2 else -1
 
     @property
     def completed(self) -> bool:

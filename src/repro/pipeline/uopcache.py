@@ -76,7 +76,6 @@ class DecodedUop:
         "nsrcs",
         "src0",
         "src1",
-        "src2",
         "is_branch",
         "is_cond_branch",
         "is_load",
@@ -108,7 +107,6 @@ class DecodedUop:
         self.nsrcs = n
         self.src0 = srcs[0] if n > 0 else -1
         self.src1 = srcs[1] if n > 1 else -1
-        self.src2 = srcs[2] if n > 2 else -1
         is_branch = oi.is_cond_branch or oi.is_uncond_branch
         self.is_branch = is_branch
         self.is_cond_branch = oi.is_cond_branch

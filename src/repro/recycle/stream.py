@@ -11,14 +11,13 @@ context at the rename stage, up to rename bandwidth each cycle
 from __future__ import annotations
 
 import enum
-from dataclasses import field
+from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..compat import slots_dataclass as _slots_dataclass
 from ..isa.instruction import Instruction
 
 
-@_slots_dataclass
+@dataclass(slots=True)
 class TraceEntry:
     """The static payload recycling needs from one active-list entry."""
 
@@ -38,7 +37,7 @@ class StreamKind(enum.Enum):
     RESPAWN = "respawn"  # detached trace → re-activated alternate
 
 
-@_slots_dataclass
+@dataclass(slots=True)
 class RecycleStream:
     kind: StreamKind
     dst_ctx: int

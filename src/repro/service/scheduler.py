@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..exec.cache import cache_key
-from ..exec.jobs import Job, job_to_payload, suite_for_args
+from ..exec.jobs import Job, job_to_payload, shared_suite
 from ..exec.progress import ProgressReporter
 from .spec import CampaignSpec, SpecError, parse_campaign
 from .store import ArtifactStore
@@ -96,7 +96,6 @@ class Task:
 
     key: str
     payload: Dict  # job wire payload (exec.jobs.job_to_payload)
-    suite_args: Tuple[int, bool]
     label: str
     state: str = "queued"  # queued | leased | done | failed
     job_ids: List[str] = field(default_factory=list)
@@ -120,8 +119,10 @@ class Campaign:
 
 
 def _task_keys(spec: CampaignSpec) -> List[str]:
-    """Each job's cache key; pure, so it runs in the calling thread."""
-    fingerprint = suite_for_args(*spec.suite_args).fingerprint()
+    """Each job's cache key against the default suite, as an
+    :class:`~repro.exec.pool.Executor` files it; pure, so it runs in the
+    calling thread."""
+    fingerprint = shared_suite().fingerprint()
     return [cache_key(job, fingerprint) for job in spec.jobs]
 
 
@@ -402,7 +403,6 @@ class _State:
             self.tasks[key] = Task(
                 key=key,
                 payload=job_to_payload(job),
-                suite_args=spec.suite_args,
                 label=job.label(),
                 job_ids=[record.job_id],
             )
@@ -439,7 +439,6 @@ class _State:
                 {
                     "key": task.key,
                     "payload": task.payload,
-                    "suite": list(task.suite_args),
                     "label": task.label,
                     "attempt": task.attempts,
                 }

@@ -20,13 +20,11 @@ Two kinds::
 
 Both expand to the *same* :class:`~repro.exec.jobs.Job` objects the
 in-process engine runs, in the same deterministic order ``Sweep.jobs()``
-produces (point-major, workload-minor) — which is what makes server
-results bit-identical to a serial ``Sweep.run`` and lets concurrent
-clients dedupe on content-addressed cache keys.
-
-An optional ``"suite": {"iters": N, "extended": bool}`` selects the
-workload suite; it participates in every job's cache key via the suite
-fingerprint, so campaigns against different suites never collide.
+produces (point-major, workload-minor), against the same suite, the
+eight kernels of :class:`~repro.workloads.suite.WorkloadSuite` — which
+is what makes server results bit-identical to a serial ``Sweep.run``,
+files them under the keys an :class:`~repro.exec.pool.Executor` uses,
+and lets concurrent clients dedupe on content-addressed cache keys.
 """
 
 from __future__ import annotations
@@ -34,18 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from ..exec.jobs import Job, suite_for_args
+from ..exec.jobs import Job
 from ..sim.runner import DEFAULT_COMMIT_TARGET, DEFAULT_MAX_CYCLES, RunSpec
 from ..sim.sweep import Sweep
-
-#: Suite defaults mirror :class:`repro.workloads.suite.WorkloadSuite`.
-DEFAULT_SUITE_ITERS = 5000
+from ..workloads.kernels import KERNELS
 
 _SWEEP_KEYS = {
-    "kind", "label", "suite", "workloads", "grid", "machine", "features",
+    "kind", "label", "workloads", "grid", "machine", "features",
     "policy", "commit_target", "max_cycles",
 }
-_JOBS_KEYS = {"kind", "label", "suite", "jobs"}
+_JOBS_KEYS = {"kind", "label", "jobs"}
 _JOB_ENTRY_KEYS = {
     "workload", "machine", "features", "policy", "commit_target",
     "max_cycles", "confidence_threshold", "overrides",
@@ -58,17 +54,11 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """A validated campaign: jobs + the suite they run against."""
+    """A validated campaign: its jobs and label."""
 
     jobs: Tuple[Job, ...]
-    suite_iters: int = DEFAULT_SUITE_ITERS
-    suite_extended: bool = False
     label: str = ""
     raw: Dict = field(default_factory=dict, compare=False)
-
-    @property
-    def suite_args(self) -> Tuple[int, bool]:
-        return (self.suite_iters, self.suite_extended)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -79,17 +69,6 @@ def _require(condition: bool, message: str) -> None:
 def _reject_unknown(payload: Dict, allowed, where: str) -> None:
     unknown = sorted(set(payload) - set(allowed))
     _require(not unknown, f"unknown {where} field(s): {unknown}")
-
-
-def _parse_suite(payload: Dict) -> Tuple[int, bool]:
-    suite = payload.get("suite", {})
-    _require(isinstance(suite, dict), '"suite" must be an object')
-    _reject_unknown(suite, {"iters", "extended"}, "suite")
-    iters = suite.get("iters", DEFAULT_SUITE_ITERS)
-    extended = suite.get("extended", False)
-    _require(isinstance(iters, int) and iters > 0, '"suite.iters" must be a positive integer')
-    _require(isinstance(extended, bool), '"suite.extended" must be a boolean')
-    return iters, bool(extended)
 
 
 def _parse_workloads(raw) -> List[Tuple[str, ...]]:
@@ -172,7 +151,7 @@ def _job_entry(entry: Dict, index: int) -> Job:
         raise SpecError(f"jobs[{index}]: {exc}") from exc
 
 
-def _check_jobs(jobs: List[Job], kernels: List[str]) -> None:
+def _check_jobs(jobs: List[Job]) -> None:
     """Refuse at submit what could not run, or would run as something
     else: bad windows, unknown kernels, more programs than contexts, and
     every value :class:`~repro.pipeline.config.MachineConfig` refuses."""
@@ -182,8 +161,8 @@ def _check_jobs(jobs: List[Job], kernels: List[str]) -> None:
                 value = getattr(job.spec, name)
                 _require(isinstance(value, int) and not isinstance(value, bool) and value > 0,
                          f'"{name}" must be a positive integer, not {value!r}')
-            unknown = sorted(set(job.spec.workload) - set(kernels))
-            _require(not unknown, f"unknown kernel(s) {unknown}; know {sorted(kernels)}")
+            unknown = sorted(set(job.spec.workload) - set(KERNELS))
+            _require(not unknown, f"unknown kernel(s) {unknown}; know {sorted(KERNELS)}")
             contexts = job.resolved_config().num_contexts
             _require(len(job.spec.workload) <= contexts,
                      f"{len(job.spec.workload)} programs do not fit "
@@ -198,7 +177,6 @@ def parse_campaign(payload: Dict) -> CampaignSpec:
     kind = payload.get("kind", "sweep")
     label = payload.get("label", "")
     _require(isinstance(label, str), '"label" must be a string')
-    suite_iters, suite_extended = _parse_suite(payload)
     if kind == "sweep":
         jobs = _sweep_jobs(payload)
     elif kind == "jobs":
@@ -208,14 +186,8 @@ def parse_campaign(payload: Dict) -> CampaignSpec:
         jobs = [_job_entry(entry, i) for i, entry in enumerate(entries)]
     else:
         raise SpecError(f'unknown campaign kind {kind!r}; know ["sweep", "jobs"]')
-    _check_jobs(jobs, suite_for_args(suite_iters, suite_extended).names)
-    return CampaignSpec(
-        jobs=tuple(jobs),
-        suite_iters=suite_iters,
-        suite_extended=suite_extended,
-        label=label,
-        raw=dict(payload),
-    )
+    _check_jobs(jobs)
+    return CampaignSpec(jobs=tuple(jobs), label=label, raw=dict(payload))
 
 
 def sweep_spec(

@@ -27,6 +27,7 @@ from typing import Callable, Dict, Optional
 
 from ..exec.jobs import execute_payload
 from ..pipeline.core import gc_epoch
+from ..workloads.kernels import DEFAULT_ITERS
 from .client import ServiceClient
 from .scheduler import SchedulerClosed
 
@@ -35,8 +36,9 @@ _monotonic = time.monotonic  # det-ok: service timing, not simulation state
 
 
 def execute_task(task: Dict) -> Dict:
-    """Run one leased task document; returns the result payload."""
-    return execute_payload(task["payload"], tuple(task["suite"]))
+    """Run one leased task document against the default suite; returns
+    the result payload."""
+    return execute_payload(task["payload"], DEFAULT_ITERS)
 
 
 def _run_task(task: Dict, worker_id: str, complete: Callable, fail: Callable) -> bool:

@@ -3,7 +3,6 @@
 from .generator import GeneratorConfig, generate_program, generate_source
 from .kernels import (
     DEFAULT_ITERS,
-    EXTENDED_KERNELS,
     FP_KERNELS,
     INTEGER_KERNELS,
     KERNELS,
@@ -15,7 +14,6 @@ __all__ = [
     "generate_program",
     "generate_source",
     "DEFAULT_ITERS",
-    "EXTENDED_KERNELS",
     "FP_KERNELS",
     "INTEGER_KERNELS",
     "KERNELS",

@@ -366,95 +366,6 @@ visit:  ld   r6, 0(r5)      # node payload
 """
 
 
-def ijpeg(iters: int = DEFAULT_ITERS) -> str:
-    """Image-compression-like workload (SPECint95 member the paper did
-    not select): nested block loops over pixel data with quantisation
-    clamps — mostly counted (predictable) control with data-dependent
-    saturation branches, heavier on multiply."""
-    data = _word_directive(_rand_words(0x1379, 64, lo=0, hi=1 << 10))
-    return f"""
-        .data
-pixels:
-{data}
-qout:   .space 512
-        .text
-main:   movi r1, pixels
-        movi r9, qout
-        movi r2, {iters}
-loop:   movi r3, 8          # one 8-sample "block" per iteration
-        movi r4, 0
-block:  andi r5, r20, 63
-        slli r6, r5, 3
-        add  r7, r1, r6
-        ld   r8, 0(r7)      # sample
-        addi r20, r20, 1
-        mul  r10, r8, r8    # "DCT-ish" energy term
-        srli r10, r10, 6
-        subi r11, r10, 255  # clamp to 255 (data-dependent)
-        ble  r11, noclamp
-        movi r10, 255
-noclamp: slli r12, r4, 3
-        add  r13, r9, r12
-        st   r10, 0(r13)
-        addi r4, r4, 1
-        subi r3, r3, 1
-        bgt  r3, block
-        subi r2, r2, 1
-        bgt  r2, loop
-        halt
-"""
-
-
-def m88ksim(iters: int = DEFAULT_ITERS) -> str:
-    """CPU-simulator-like workload (SPECint95 member the paper did not
-    select): a decode/dispatch loop driven by a pseudo-random opcode
-    stream through an indirect jump table — exercises the BTB's
-    indirect prediction and recycling across dispatch targets."""
-    data = _word_directive(_rand_words(0x88, 64, lo=0, hi=4))
-    return f"""
-        .data
-opstream:
-{data}
-        .text
-main:   movi r1, opstream
-        movi r2, {iters}
-        movi r20, 0
-loop:   andi r3, r20, 63
-        slli r4, r3, 3
-        add  r5, r1, r4
-        ld   r6, 0(r5)      # next "opcode" (0..3)
-        addi r20, r20, 1
-        # dispatch: table of handler addresses built inline
-        movi r7, do_add
-        cmpeqi r8, r6, 1
-        movi r9, do_shift
-        cmoveq r9, r8, r7   # r9 = handler (branchless select chain)
-        cmpeqi r8, r6, 2
-        movi r10, do_mem
-        bne  r8, dispatch2
-        mov  r10, r9
-dispatch2: cmpeqi r8, r6, 3
-        movi r11, do_mul
-        bne  r8, dispatch3
-        mov  r11, r10
-dispatch3: jmp (r11)
-do_add: add r12, r12, r6
-        br  next
-do_shift: slli r13, r13, 1
-        xor r13, r13, r6
-        br  next
-do_mem: andi r14, r12, 63
-        slli r14, r14, 3
-        add r15, r1, r14
-        ld  r16, 0(r15)
-        br  next
-do_mul: mul r17, r12, r6
-next:   subi r2, r2, 1
-        bgt  r2, loop
-        halt
-"""
-
-
 #: Benchmark name → source builder, in the paper's Figure 3 order.
 KERNELS: Dict[str, Callable[..., str]] = {
     "compress": compress,
@@ -470,11 +381,3 @@ KERNELS: Dict[str, Callable[..., str]] = {
 #: The paper's integer / floating-point split.
 INTEGER_KERNELS = ("compress", "gcc", "go", "li", "perl", "vortex")
 FP_KERNELS = ("su2cor", "tomcatv")
-
-#: Extra SPECint95 analogs beyond the paper's eight — available via
-#: ``WorkloadSuite(extended=True)`` but excluded from the paper's
-#: experiments to keep the reproduction faithful.
-EXTENDED_KERNELS: Dict[str, Callable[..., str]] = {
-    "ijpeg": ijpeg,
-    "m88ksim": m88ksim,
-}

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..isa.assembler import Assembler
 from ..isa.program import Program
-from .kernels import DEFAULT_ITERS, EXTENDED_KERNELS, KERNELS
+from .kernels import DEFAULT_ITERS, KERNELS
 
 #: Distance between consecutive program images.  0x21040 = 132KB + 64B:
 #: not a multiple of the 64KB direct-mapped L1 period nor of the BTB/PHT
@@ -31,28 +31,24 @@ DATA_OFFSET = 0x8000  # data segment offset within a program's slot
 class WorkloadSuite:
     """Builds (and caches) assembled kernels at relocated bases."""
 
-    def __init__(self, iters: int = DEFAULT_ITERS, extended: bool = False):
+    def __init__(self, iters: int = DEFAULT_ITERS):
         self.iters = iters
-        self.extended = extended
-        self._kernels = dict(KERNELS)
-        if extended:
-            self._kernels.update(EXTENDED_KERNELS)
         self._cache: Dict[tuple, Program] = {}
         self._fingerprint: Optional[str] = None
 
     @property
     def names(self) -> List[str]:
-        return list(self._kernels)
+        return list(KERNELS)
 
     def program(self, name: str, slot: int = 0) -> Program:
         """Assemble kernel ``name`` into relocation slot ``slot``."""
-        if name not in self._kernels:
-            raise KeyError(f"unknown kernel {name!r}; know {sorted(self._kernels)}")
+        if name not in KERNELS:
+            raise KeyError(f"unknown kernel {name!r}; know {sorted(KERNELS)}")
         key = (name, slot, self.iters)
         if key not in self._cache:
             base = TEXT_BASE + slot * RELOCATION_STRIDE
             asm = Assembler(text_base=base, data_base=base + DATA_OFFSET)
-            source = self._kernels[name](self.iters)
+            source = KERNELS[name](self.iters)
             self._cache[key] = asm.assemble(source, name=f"{name}.{slot}" if slot else name)
         return self._cache[key]
 
@@ -86,8 +82,8 @@ class WorkloadSuite:
         if self._fingerprint is None:
             digest = hashlib.sha256()
             digest.update(f"iters={self.iters}\n".encode())
-            for name in sorted(self._kernels):
+            for name in sorted(KERNELS):
                 digest.update(f"{name}\n".encode())
-                digest.update(self._kernels[name](self.iters).encode())
+                digest.update(KERNELS[name](self.iters).encode())
             self._fingerprint = digest.hexdigest()[:16]
         return self._fingerprint

@@ -30,10 +30,9 @@ class TestParser:
 
     def test_run_parses_exec_flags(self):
         args = build_parser().parse_args(
-            ["run", "--workload", "gcc", "--jobs", "4",
-             "--cache-dir", "/tmp/c", "--no-cache"]
+            ["run", "--workload", "gcc", "--cache-dir", "/tmp/c", "--no-cache"]
         )
-        assert args.jobs == 4 and args.cache_dir == "/tmp/c" and args.no_cache
+        assert args.cache_dir == "/tmp/c" and args.no_cache
 
     def test_campaign_parses(self):
         args = build_parser().parse_args(
@@ -89,7 +88,7 @@ class TestTraceAndProfile:
         assert "cycles" in out  # pipeview header
 
     def test_profile_branches_command(self, capsys):
-        rc = main(["profile-branches", "--workload", "vortex", "--iters", "300"])
+        rc = main(["profile-branches", "--workload", "vortex"])
         assert rc == 0
         assert "accuracy" in capsys.readouterr().out
 
@@ -184,9 +183,10 @@ class TestOrchestrationCli:
 
 
 class TestRefusals:
-    """A window, cycle budget, mix count or batch size below 1 (argparse's
-    exit 2), or a kernel the suite does not have, exits 2 before anything
-    simulates, as the service refuses such a spec at submit."""
+    """A window, cycle budget, mix count, worker count or batch size below
+    1 (argparse's exit 2), or a kernel the suite does not have, exits 2
+    before anything simulates, as the service refuses such a spec at
+    submit."""
 
     @pytest.mark.parametrize("argv", [
         ["run", "--workload", "compress", "--commit-target", "0"],
@@ -195,6 +195,7 @@ class TestRefusals:
         ["campaign", "fig3", "--commit-target", "0"],
         ["campaign", "fig4", "--num-mixes", "0"],
         ["campaign", "fig3", "--batch-size", "0"],
+        ["campaign", "fig3", "--jobs", "0"],
         ["analyze", "--workload", "compress", "--check", "--commit-target", "0"],
         ["trace", "--workload", "compress", "--commit-target", "0"],
         ["submit", "--workload", "compress", "--commit-target", "0"],
@@ -233,6 +234,25 @@ class TestRefusals:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert "must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "fig3", "--jobs", "1", "--timeout", "30"],
+        ["run", "--workload", "compress", "--jobs", "2"],
+    ], ids="_".join)
+    def test_a_flag_one_process_cannot_honour_exits_2(self, argv, tmp_path,
+                                                     monkeypatch, capsys):
+        """Only a worker process can be stopped when it overruns
+        ``--timeout``, and one point never uses a second worker: a serial
+        campaign with a timeout, or ``run --jobs``, is refused before
+        anything simulates or is cached."""
+        monkeypatch.chdir(tmp_path)  # the default --cache-dir stays empty
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_positive_time_budgets_parse(self):
         assert build_parser().parse_args(

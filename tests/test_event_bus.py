@@ -1,25 +1,38 @@
 """Tests for the typed pipeline event bus (repro.pipeline.events).
 
-Three guarantees are pinned here:
+Four guarantees are pinned here:
 
 * subscription/delivery order is deterministic (handlers fire in
   subscription order, ``subscribe_many`` follows its dict),
-* an unsubscribed bus costs **zero event allocations** during a full
-  simulation (``Event.constructed`` does not move), and
+* the bus is for observers only: a bare core subscribes nothing and
+  costs **zero event allocations** during a full simulation
+  (``Event.constructed`` does not move), and subscribers change no
+  ``SimStats`` field,
+* the events carry the paper's control-flow counts: a subscriber
+  rebuilds them exactly, and
 * the workload suite actually exercises the whole event catalogue —
   every type in ``ALL_EVENT_TYPES`` is published by a REC/RS/RU run.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.analysis.checker import CrossChecker
+from repro.debug import CoreTracer
 from repro.pipeline import Core
 from repro.pipeline.events import (
     ALL_EVENT_TYPES,
     Event,
     EventBus,
     FetchBlock,
+    Forked,
+    PrimarySwapped,
+    Respawned,
     Retired,
+    StreamOpened,
 )
+from repro.recycle.stream import StreamKind
 from repro.sim.runner import RunSpec
 from repro.workloads.suite import WorkloadSuite
 
@@ -90,23 +103,67 @@ def _run_spec(kernel, features, commit_target=800):
 
 class TestZeroOverheadWhenUnsubscribed:
     def test_detached_bus_constructs_no_events(self):
+        """A bare core subscribes nothing, so it builds and publishes no
+        event, and still counts every control-flow statistic."""
         core, spec = _run_spec("compress", "REC/RS/RU")
-        core.stats_recorder.detach()  # the only default subscriber
+        assert core.bus.active == {}
         before = Event.constructed
         stats = core.run(max_cycles=spec.max_cycles)
         assert stats.committed >= 800  # the run really happened
+        assert stats.forks and stats.merges and stats.back_merges
         assert Event.constructed == before  # not one event allocated
         assert core.bus.published == {}  # ...and none published
 
     def test_detaching_does_not_change_results(self):
-        core_a, spec = _run_spec("compress", "REC/RS/RU")
-        stats_a = core_a.run(max_cycles=spec.max_cycles)
-        core_b, _ = _run_spec("compress", "REC/RS/RU")
-        core_b.stats_recorder.detach()
-        stats_b = core_b.run(max_cycles=spec.max_cycles)
-        assert stats_a.cycles == stats_b.cycles
-        assert stats_a.committed == stats_b.committed
-        assert stats_a.ipc == stats_b.ipc
+        """Every event type subscribed (a CrossChecker with the memory
+        rules, a CoreTracer, and a no-op handler for what those two
+        leave out) leaves every ``SimStats`` field as a bare run's."""
+        for kernel in ("compress", "go"):
+            bare_core, spec = _run_spec(kernel, "REC/RS/RU")
+            bare = bare_core.run(max_cycles=spec.max_cycles)
+            core, _ = _run_spec(kernel, "REC/RS/RU")
+            CrossChecker(core, memory=True)
+            CoreTracer(core)
+            for etype in ALL_EVENT_TYPES:
+                if etype not in core.bus.active:
+                    core.bus.subscribe(etype, lambda ev: None)
+            observed = core.run(max_cycles=spec.max_cycles)
+            assert core.bus.published  # the observers really saw events
+            assert dataclasses.asdict(observed) == dataclasses.asdict(bare), kernel
+
+
+class ControlFlowCounts:
+    """Rebuilds the six control-flow ``SimStats`` counters from the bus
+    alone: the events carry the paper's fork, swap, merge and re-spawn
+    counts."""
+
+    FIELDS = ("forks", "forks_used_tme", "respawns", "respawn_streams",
+              "merges", "back_merges")
+
+    def __init__(self, bus: EventBus):
+        self.counts = dict.fromkeys(self.FIELDS, 0)
+        bus.subscribe_many({
+            Forked: lambda ev: self._add("forks"),
+            PrimarySwapped: lambda ev: self._add("forks_used_tme"),
+            StreamOpened: lambda ev: self._add(
+                "back_merges" if ev.kind is StreamKind.BACK else "merges"),
+            Respawned: lambda ev: self._add("respawns", "respawn_streams"),
+        })
+
+    def _add(self, *names: str) -> None:
+        for name in names:
+            self.counts[name] += 1
+
+
+class TestEventsCarryTheCounts:
+    @pytest.mark.parametrize("kernel", ["compress", "li"])
+    def test_rebuilt_counters_equal_simstats(self, kernel):
+        core, spec = _run_spec(kernel, "REC/RS/RU")
+        rebuilt = ControlFlowCounts(core.bus)
+        stats = core.run(max_cycles=spec.max_cycles)
+        assert rebuilt.counts == {name: getattr(stats, name)
+                                  for name in ControlFlowCounts.FIELDS}
+        assert all(rebuilt.counts.values())  # each counter is exercised
 
 
 class TestEventCatalogueCoverage:

@@ -41,6 +41,16 @@ class TestParallelEqualsSerial:
         ]
         assert [r.per_program_ipc for r in serial] == [r.per_program_ipc for r in parallel]
 
+    def test_pool_runs_the_suite_it_is_given(self):
+        """Workers simulate the caller's suite, not the default one: a
+        10-iteration vortex halts inside the window at every width."""
+        short = WorkloadSuite(iters=10)
+        spec = tiny_spec(workload=("vortex",))
+        serial = run_spec(spec, short)
+        assert serial.stats.committed < spec.commit_target  # it halted
+        [parallel] = Executor(jobs=2).map([spec], suite=short)
+        assert stats_to_payload(parallel.stats) == stats_to_payload(serial.stats)
+
     def test_order_preserved(self):
         results = Executor(jobs=3).map(SPECS, suite=SUITE)
         assert [r.spec.workload for r in results] == [s.workload for s in SPECS]
@@ -248,9 +258,9 @@ class TestPerPointDispatch:
             "from repro.exec import Executor\n"
             "from repro.sim.runner import RunSpec\n"
             "real = pool.execute_payload\n"
-            "def announced(payload, suite_args):\n"
+            "def announced(payload, iters):\n"
             "    os.write(1, b'start %d\\n' % os.getpid())\n"
-            "    result = real(payload, suite_args)\n"
+            "    result = real(payload, iters)\n"
             "    os.write(1, b'done %d\\n' % os.getpid())\n"
             "    return result\n"
             "pool.execute_payload = announced\n"
@@ -307,3 +317,10 @@ class TestJobValidation:
     def test_specs_accepted_directly(self):
         outcomes = Executor().run([tiny_spec()], suite=SUITE)
         assert outcomes[0].ok and outcomes[0].job.spec == tiny_spec()
+
+    def test_a_timeout_needs_a_worker_process(self, tmp_path):
+        """Only a worker process can be stopped mid-point, so a serial
+        executor refuses a timeout before it creates anything."""
+        with pytest.raises(ValueError, match="jobs >= 2"):
+            Executor(jobs=1, timeout=5.0, cache=tmp_path / "cache")
+        assert not (tmp_path / "cache").exists()

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec import sim_fingerprint
+from repro.exec import Executor, sim_fingerprint
 from repro.exec.jobs import (
     Job,
     execute_payload,
@@ -42,6 +42,7 @@ from repro.service.scheduler import Campaign, JobRecord, SchedulerClosed, Task
 from repro.sim.runner import RunSpec, run_spec
 from repro.sim.sweep import Sweep
 from repro.stats import run_result_to_dict
+from repro.workloads import DEFAULT_ITERS
 from repro.workloads.suite import WorkloadSuite
 
 #: Tiny commit target: each simulation lands in tens of milliseconds.
@@ -156,6 +157,25 @@ class TestEndToEnd:
             for doc in client.fetch_results(first["id"])
         ]
 
+    def test_a_point_the_executor_ran_is_a_store_hit(self, tmp_path):
+        """The executor and the service simulate one suite and file a
+        point under one key: a server on the root whose cache an
+        ``Executor`` filled serves that point from the store and runs
+        nothing."""
+        root = tmp_path / "store"
+        [outcome] = Executor(cache=root / "cache").run(
+            [RunSpec(workload=("compress",), commit_target=CT)])
+        assert outcome.ok and not outcome.cached
+        server = CampaignServer(root, port=0, local_workers=0).start()
+        try:
+            client = ServiceClient(server.url, timeout=30.0)
+            submitted = client.submit(ONE_JOB)
+            assert [job["resolution"] for job in submitted["jobs"]] == ["store"]
+            assert client.wait(submitted["id"], timeout=30.0)["state"] == "done"
+            assert client.metrics()["jobs"]["tasks_executed"] == 0
+        finally:
+            server.stop()
+
     def test_job_document_is_the_run_document_plus_job_fields(self, client):
         """``GET /jobs/{id}/result`` is ``repro-sim run --json``'s document
         of the same spec plus the job's own fields."""
@@ -229,11 +249,13 @@ class TestKillResume:
 
     def test_a_stored_spec_this_code_refuses_is_not_resumed(self, tmp_path):
         """A running campaign that other code stored, whose spec this code
-        refuses at submit, is skipped: the server still starts."""
+        refuses at submit (an unknown kernel, or a suite of its own), is
+        skipped: the server still starts."""
         store = ArtifactStore(tmp_path / "store")
-        campaign_id = store.next_campaign_id()
-        store.save_campaign({"id": campaign_id, "state": "running", "spec": {
-            "kind": "jobs", "jobs": [{"workload": ["no_such_kernel"]}]}})
+        for spec in ({"kind": "jobs", "jobs": [{"workload": ["no_such_kernel"]}]},
+                     {**ONE_JOB, "suite": {"iters": 5000, "extended": False}}):
+            store.save_campaign({"id": store.next_campaign_id(), "state": "running",
+                                 "spec": spec})
         server = CampaignServer(store, port=0, local_workers=0).start()
         try:
             assert server.resumed == []
@@ -506,7 +528,7 @@ class TestHttpApi:
         assert "payload" in document["error"]
         # A real result under a key no task has is not written either.
         spec = parse_campaign(grid_spec([32]))
-        result = execute_payload(job_to_payload(spec.jobs[0]), spec.suite_args)
+        result = execute_payload(job_to_payload(spec.jobs[0]), DEFAULT_ITERS)
         status, document = raw_post(idle_server, "/complete", json.dumps(
             {"key": "../../planted", "payload": result}).encode())
         assert (status, document) == (200, {"accepted": False})

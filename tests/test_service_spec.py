@@ -54,14 +54,6 @@ class TestSweepParsing:
         spec = parse_campaign(sweep_payload(policy="stop-8"))
         assert all(job.spec.policy == "stop-8" for job in spec.jobs)
 
-    def test_suite_defaults(self):
-        spec = parse_campaign(sweep_payload())
-        assert spec.suite_args == (5000, False)
-
-    def test_suite_overrides(self):
-        spec = parse_campaign(sweep_payload(suite={"iters": 100, "extended": True}))
-        assert spec.suite_args == (100, True)
-
     def test_label_is_kept(self):
         assert parse_campaign(sweep_payload(label="abl")).label == "abl"
 
@@ -154,6 +146,16 @@ class TestRejection:
         dropped the connection."""
         with pytest.raises(SpecError, match=named):
             parse_campaign(sweep_payload(**change))
+
+    @pytest.mark.parametrize("payload", [
+        sweep_payload(suite={"iters": 5000}),
+        {"kind": "jobs", "jobs": [{"workload": ["compress"]}], "suite": {}},
+    ], ids=["sweep", "jobs"])
+    def test_a_suite_block_is_an_unknown_field(self, payload):
+        """Every engine simulates the eight kernels of ``WorkloadSuite()``;
+        a spec cannot pick another suite."""
+        with pytest.raises(SpecError, match=r"campaign field\(s\): \['suite'\]"):
+            parse_campaign(payload)
 
     def test_jobs_are_checked_like_sweeps(self):
         with pytest.raises(SpecError, match=r"jobs\[1\]: unknown kernel"):

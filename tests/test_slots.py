@@ -2,14 +2,9 @@
 
 The scheduler rework made object allocation itself a measurable cost:
 events, trace entries and per-fetch records are created tens of
-thousands of times per run.  All of them are declared through
-``repro.compat.slots_dataclass``, which applies ``dataclass(slots=True)``
-on Python >= 3.10 (on 3.9 they degrade to ordinary dataclasses, so the
-slot assertions are version-gated).  ``Uop`` declares ``__slots__``
-manually and is checked unconditionally.
+thousands of times per run.  All of them are declared with
+``dataclass(slots=True)``; ``Uop`` declares ``__slots__`` manually.
 """
-
-import sys
 
 import pytest
 
@@ -23,17 +18,11 @@ from repro.recycle.stream import RecycleStream, StreamKind, TraceEntry
 from repro.sim.runner import RunSpec
 from repro.workloads.suite import WorkloadSuite
 
-SLOTTED = sys.version_info >= (3, 10)
-needs_slots = pytest.mark.skipif(
-    not SLOTTED, reason="dataclass(slots=True) needs Python 3.10+"
-)
-
 
 def _nop():
     return Instruction(Op.NOP)
 
 
-@needs_slots
 class TestSlotsDataclasses:
     def test_trace_entry_has_no_dict(self):
         entry = TraceEntry(_nop(), 0x1000, 0x1004, src_pos=0)

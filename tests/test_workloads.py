@@ -111,29 +111,3 @@ class TestSuite:
     def test_mixes_width_one(self):
         mixes = WorkloadSuite().mixes(1, count=8)
         assert sorted(m[0] for m in mixes) == sorted(WorkloadSuite().names)
-
-
-class TestExtendedSuite:
-    def test_extended_kernels_not_in_default_suite(self):
-        assert "ijpeg" not in WorkloadSuite().names
-        assert "m88ksim" not in WorkloadSuite().names
-
-    def test_extended_suite_includes_them(self):
-        suite = WorkloadSuite(extended=True)
-        assert "ijpeg" in suite.names and "m88ksim" in suite.names
-        assert len(suite.names) == 10
-
-    @pytest.mark.parametrize("name", ["ijpeg", "m88ksim"])
-    def test_extended_kernels_run(self, name):
-        suite = WorkloadSuite(iters=30, extended=True)
-        Emulator(suite.program(name)).run_to_halt(limit=1_000_000)
-
-    def test_extended_golden_clean_under_recycling(self):
-        from repro.pipeline import Core, Features, MachineConfig
-
-        suite = WorkloadSuite(extended=True)
-        for name in ("ijpeg", "m88ksim"):
-            core = Core(MachineConfig(features=Features.rec_rs_ru()))
-            core.load(suite.single(name), commit_target=600)
-            stats = core.run(max_cycles=500_000)
-            assert stats.committed >= 600, name
