@@ -11,7 +11,7 @@ inhabit the same behavioural niches as their SPEC95 namesakes
 Run:  python examples/workload_characterization.py
 """
 
-from repro.branch import profile_suite
+from repro.branch.analysis import profile_suite
 from repro.workloads import WorkloadSuite
 
 

@@ -24,44 +24,39 @@ or declaratively::
     print(run_spec(RunSpec(("gcc", "go"), features="REC/RS/RU")).summary_line())
 """
 
-from .emulator import Emulator, SparseMemory
-from .exec import Chaos, ExecutionError, Executor, Job, JobOutcome, ResultCache
-from .isa import Instruction, Op, Program, assemble
-from .memory import MemoryHierarchy
-from .pipeline import Core, Features, MachineConfig, RecyclePolicy, SimulationError
-from .sim import RunResult, RunSpec, run_spec
-from .stats import SimStats
-from .workloads import GeneratorConfig, WorkloadSuite, generate_program
+from importlib import import_module
+from typing import Any, List
 
 #: Release label only (``/healthz``, the HTTP ``Server`` header); cache
 #: keys name the simulator by :func:`repro.exec.cache.sim_fingerprint`.
 __version__ = "1.0.0"
 
-__all__ = [
-    "Chaos",
-    "ExecutionError",
-    "Executor",
-    "Job",
-    "JobOutcome",
-    "ResultCache",
-    "Emulator",
-    "SparseMemory",
-    "Instruction",
-    "Op",
-    "Program",
-    "assemble",
-    "MemoryHierarchy",
-    "Core",
-    "Features",
-    "MachineConfig",
-    "RecyclePolicy",
-    "SimulationError",
-    "RunResult",
-    "RunSpec",
-    "run_spec",
-    "SimStats",
-    "GeneratorConfig",
-    "WorkloadSuite",
-    "generate_program",
-    "__version__",
-]
+#: Each re-exported name -> the subpackage that provides it.  Importing
+#: ``repro`` loads none of them: :func:`__getattr__` imports one on first
+#: use, so a process that simulates loads only the simulator.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("Chaos", "ExecutionError", "Executor", "Job", "JobOutcome", "ResultCache"), ".exec"
+    ),
+    **dict.fromkeys(("Emulator", "SparseMemory"), ".emulator"),
+    **dict.fromkeys(("Instruction", "Op", "Program", "assemble"), ".isa"),
+    "MemoryHierarchy": ".memory",
+    **dict.fromkeys(
+        ("Core", "Features", "MachineConfig", "RecyclePolicy", "SimulationError"), ".pipeline"
+    ),
+    **dict.fromkeys(("RunResult", "RunSpec", "run_spec"), ".sim"),
+    "SimStats": ".stats",
+    **dict.fromkeys(("GeneratorConfig", "WorkloadSuite", "generate_program"), ".workloads"),
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_EXPORTS[name], __name__), name)
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -1,7 +1,6 @@
 """Branch prediction: decoupled BTB + gshare PHT, per-context RAS and
 global history, and the confidence estimator that gates TME forks."""
 
-from .analysis import BranchProfile, profile_branches, profile_suite
 from .btb import BranchTargetBuffer
 from .confidence import (
     CONFIDENCE_KINDS,
@@ -15,9 +14,6 @@ from .predictor import BranchPredictor, Prediction
 from .ras import ReturnAddressStack
 
 __all__ = [
-    "BranchProfile",
-    "profile_branches",
-    "profile_suite",
     "BranchTargetBuffer",
     "CONFIDENCE_KINDS",
     "ConfidenceEstimator",

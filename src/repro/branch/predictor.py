@@ -24,7 +24,7 @@ from .pht import PatternHistoryTable
 from .ras import ReturnAddressStack
 
 
-@dataclass
+@dataclass(slots=True)
 class Prediction:
     """Outcome of predicting one control-transfer instruction at fetch."""
 

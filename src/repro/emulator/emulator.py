@@ -25,7 +25,7 @@ class EmulationError(RuntimeError):
     """PC left the text segment, or an instruction was malformed."""
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     """Architectural effects of one retired instruction."""
 

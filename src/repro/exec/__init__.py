@@ -17,26 +17,31 @@ Quick start::
     results = ex.map([RunSpec(("gcc",)), RunSpec(("go",))])
 """
 
-from .cache import CACHE_SCHEMA, ResultCache, cache_key, canonicalize, sim_fingerprint, write_atomic
-from .jobs import Chaos, Job, JobFailure, JobOutcome, run_job
-from .pool import ExecutionError, Executor
-from .progress import ProgressEvent, ProgressReporter, format_line
+from importlib import import_module
+from typing import Any, List
 
-__all__ = [
-    "CACHE_SCHEMA",
-    "ResultCache",
-    "cache_key",
-    "canonicalize",
-    "sim_fingerprint",
-    "write_atomic",
-    "Chaos",
-    "Job",
-    "JobFailure",
-    "JobOutcome",
-    "run_job",
-    "ExecutionError",
-    "Executor",
-    "ProgressEvent",
-    "ProgressReporter",
-    "format_line",
-]
+#: Each re-exported name -> the submodule that defines it, imported on
+#: first use (:func:`__getattr__`): a simulation imports ``jobs`` but
+#: never the process pool, the cache or the progress reporter.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("CACHE_SCHEMA", "ResultCache", "cache_key", "canonicalize", "sim_fingerprint",
+         "write_atomic"),
+        ".cache",
+    ),
+    **dict.fromkeys(("Chaos", "Job", "JobFailure", "JobOutcome", "run_job"), ".jobs"),
+    **dict.fromkeys(("ExecutionError", "Executor"), ".pool"),
+    **dict.fromkeys(("ProgressEvent", "ProgressReporter", "format_line"), ".progress"),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_EXPORTS[name], __name__), name)
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -8,12 +8,12 @@ streams instead of re-fetching.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from ...recycle.stream import RecycleStream, StreamKind, TraceEntry
+from ...recycle.stream import RecycleStream, StreamKind
 from ..context import CtxState, FetchedInstr, HardwareContext, MergePoint
 from ..events import FetchBlock, StreamOpened
-from ..uop import ST_SQUASHED
+from ..uop import ST_SQUASHED, Uop
 from .state import Stage
 
 
@@ -209,8 +209,8 @@ class FetchStage(Stage):
         mp: MergePoint,
         kind: StreamKind,
     ) -> Optional[RecycleStream]:
-        entries = self.snapshot_trace(src, mp.pos)
-        if not entries:
+        uops, next_pcs = self.snapshot_trace(src, mp.pos)
+        if not uops:
             return None
         reuse_ok = (
             self.config.features.reuse
@@ -221,7 +221,9 @@ class FetchStage(Stage):
             kind=kind,
             dst_ctx=dst.id,
             src_ctx=src.id,
-            entries=entries,
+            uops=uops,
+            next_pcs=next_pcs,
+            first_pos=mp.pos,
             reuse_allowed=reuse_ok,
         )
         self.streams[dst.id] = stream
@@ -235,17 +237,20 @@ class FetchStage(Stage):
         # "Fetching immediately continues from where recycling will
         # complete" — but we conservatively do not fetch for this thread
         # while its stream drains; the PC is parked at the resume point.
-        dst.pc = stream.resume_pc() if stream.index else entries[-1].next_pc
+        dst.pc = next_pcs[-1]
         if self.bus.wants(StreamOpened):
             self.bus.publish(
                 StreamOpened(
-                    self.state.cycle, dst, src, stream, kind, mp.pc, len(entries)
+                    self.state.cycle, dst, src, stream, kind, mp.pc, len(uops)
                 )
             )
         return stream
 
-    def snapshot_trace(self, src: HardwareContext, from_pos: int) -> List[TraceEntry]:
-        """Copy the recyclable trace starting at ``from_pos``.
+    def snapshot_trace(
+        self, src: HardwareContext, from_pos: int
+    ) -> Tuple[List[Uop], List[int]]:
+        """The recyclable trace starting at ``from_pos``: its uops, by
+        reference, and a copy of their recorded successors.
 
         A trace is only meaningful while each entry's recorded
         successor is the next entry's PC — rings can contain stale path
@@ -253,20 +258,18 @@ class FetchStage(Stage):
         was corrected while its wrong-path suffix stayed adjacent), and
         the snapshot must stop there.
         """
-        entries: List[TraceEntry] = []
+        uops: List[Uop] = []
+        next_pcs: List[int] = []
         ring = src.active_list
         cells = ring._ring  # inline try_entry: from_pos..tail_pos is in range
         capacity = ring.capacity
         start = ring.start_pos
-        prev_next: Optional[int] = None
         for pos in range(from_pos, ring.tail_pos):
             uop = cells[pos % capacity] if pos >= start else None
             if uop is None or uop.state_code == ST_SQUASHED:
                 break
-            if prev_next is not None and uop.pc != prev_next:
+            if next_pcs and uop.pc != next_pcs[-1]:
                 break
-            entries.append(
-                TraceEntry(uop.instr, uop.pc, uop.next_pc, src_pos=pos, dec=uop.dec)
-            )
-            prev_next = uop.next_pc
-        return entries
+            uops.append(uop)
+            next_pcs.append(uop.next_pc)
+        return uops, next_pcs

@@ -10,7 +10,7 @@ instead of being re-fetched.
 from __future__ import annotations
 
 from ...isa.instruction import INSTRUCTION_BYTES
-from ...recycle.stream import RecycleStream, StreamKind, TraceEntry
+from ...recycle.stream import RecycleStream, StreamKind
 from ..context import CtxState, HardwareContext
 from ..events import Forked, Respawned
 from ..uop import ST_COMMITTED, Uop
@@ -117,26 +117,25 @@ class ForkUnit(Stage):
         alt_pc: int,
     ) -> None:
         """Re-activate an inactive trace through the recycle path (RS)."""
-        trace = self.core.fetch.snapshot_trace(existing, existing.path_start_pos)
-        if not trace or trace[0].pc != alt_pc:
+        uops, next_pcs = self.core.fetch.snapshot_trace(existing, existing.path_start_pos)
+        if not uops or uops[0].pc != alt_pc:
             self.stats.fork_suppressed_duplicate += 1
             return
         existing.was_respawned = True
         self.core.resolve.reclaim_context(existing)
         self.spawn(parent, branch, existing, alt_pc)
-        detached = [
-            TraceEntry(e.instr, e.pc, e.next_pc, src_pos=None, dec=e.dec)
-            for e in trace
-        ]
+        # The reclaim squashed the trace in its ring, so the stream is
+        # detached: it replays the snapshot taken before.
         stream = RecycleStream(
             kind=StreamKind.RESPAWN,
             dst_ctx=existing.id,
             src_ctx=None,
-            entries=detached,
+            uops=uops,
+            next_pcs=next_pcs,
             reuse_allowed=False,
         )
         self.streams[existing.id] = stream
-        existing.pc = detached[-1].next_pc
+        existing.pc = next_pcs[-1]
         # Counted and published on success only — an aborted re-spawn
         # (stale trace) forks nothing and leaves no stream.
         self.stats.respawns += 1

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ...isa.instruction import Instruction
-from ...recycle.stream import RecycleStream, StreamKind, TraceEntry
+from ...recycle.stream import RecycleStream, StreamKind
 from ..config import PolicyKind
 from ..context import CtxState, HardwareContext, MergePoint
 from ..events import Renamed, Reused, StreamEnded
@@ -211,38 +210,45 @@ class RenameStage(Stage):
         # The alternate-length cap only ever limits TME alternates;
         # primaries take the no-op fast path without the fetch call.
         check_limit = not dst.is_primary and self._tme
+        uops = stream.uops
+        next_pcs = stream.next_pcs
+        first_pos = stream.first_pos
         while budget > 0 and not stream.ended:
-            if stream.exhausted():
+            index = stream.index
+            if index == len(uops):
                 self.end_stream(stream, dst, "exhausted")
                 break
-            entry = stream.peek()
+            traced = uops[index]
+            pc = traced.pc
             # Guard against the source trace having been overwritten.
-            if src is not None and entry.src_pos is not None:
-                live = src.active_list.try_entry(entry.src_pos)
-                if live is None or live.pc != entry.pc:
+            live = None
+            if src is not None:
+                live = src.active_list.try_entry(first_pos + index)
+                if live is None or live.pc != pc:
                     self.end_stream(stream, dst, "squashed")
                     break
-            instr = entry.instr
-            dec = entry.dec
+            instr = traced.instr
+            dec = traced.dec
             pred = None
-            next_pc = entry.next_pc
+            recorded_next = next_pcs[index]
+            next_pc = recorded_next
             mismatch_target = None
             if dec.is_cond_branch and not repredict:
                 # "Former method": keep the trace's recorded direction as
                 # the prediction and update the history with it.
-                recorded_taken = entry.next_pc != dec.seq_next
+                recorded_taken = recorded_next != dec.seq_next
                 pred = predictor.record_direction(
-                    dst.id, entry.pc, recorded_taken,
-                    entry.next_pc if recorded_taken else instr.target,
+                    dst.id, pc, recorded_taken,
+                    recorded_next if recorded_taken else instr.target,
                 )
             elif dec.is_branch:
-                pred = predictor.predict(dst.id, entry.pc, instr)
+                pred = predictor.predict(dst.id, pc, instr)
                 pred_next = (
-                    (pred.target if pred.target is not None else entry.next_pc)
+                    (pred.target if pred.target is not None else recorded_next)
                     if pred.taken
                     else dec.seq_next
                 )
-                if pred_next != entry.next_pc:
+                if pred_next != recorded_next:
                     # The prediction changed since the trace was built:
                     # recycle the branch itself, then stop and fetch the
                     # newly predicted path (the paper's chosen method).
@@ -250,10 +256,10 @@ class RenameStage(Stage):
                     mismatch_target = pred_next
             if not self.resources_ok(dst, dec):
                 break
-            stream.advance()
+            stream.index = index + 1
             # Alternate-path length cap applies to recycled paths too.
             limit_hit = check_limit and not alt_fetch_allowed(dst)
-            uop = self.recycle_rename(dst, src, entry, instr, next_pc, pred, stream)
+            self.recycle_rename(dst, src, live, traced, next_pc, pred, stream)
             budget -= 1
             if mismatch_target is not None:
                 # The renamed branch follows its *new* prediction, so the
@@ -316,20 +322,23 @@ class RenameStage(Stage):
         self,
         dst: HardwareContext,
         src: Optional[HardwareContext],
-        entry: TraceEntry,
-        instr: Instruction,
+        live: Optional[Uop],
+        traced: Uop,
         next_pc: int,
         pred,
         stream: RecycleStream,
     ) -> Uop:
+        """Rename the stream entry ``traced``; ``live`` is the uop now at
+        its source position (None for a detached source)."""
         # Attempt reuse before the normal rename allocates a register.
-        if stream.reuse_allowed and src is not None:
-            reuse_uop = self.reuse_candidate(dst, src, entry, stream)
+        if stream.reuse_allowed and live is not None:
+            reuse_uop = self.reuse_candidate(dst, src, live, stream)
             if reuse_uop is not None:
-                return self.rename_reused(dst, src, reuse_uop, entry, stream)
+                return self.rename_reused(dst, src, reuse_uop, traced, next_pc, stream)
+        instr = traced.instr
         uop = self.rename_one(
             dst,
-            entry.dec,
+            traced.dec,
             next_pc,
             pred,
             recycled=True,
@@ -359,17 +368,12 @@ class RenameStage(Stage):
         self,
         dst: HardwareContext,
         src: HardwareContext,
-        entry: TraceEntry,
+        uop: Uop,
         stream: RecycleStream,
     ) -> Optional[Uop]:
-        """The live source uop, if its old result may be reused."""
-        if entry.src_pos is None:
-            return None
+        """``uop``, the live source uop, if its old result may be reused."""
         if src.state is not CtxState.INACTIVE:
             # Reuse applies to finished (inactive) threads only (Section 3.5).
-            return None
-        uop = src.active_list.try_entry(entry.src_pos)
-        if uop is None or uop.pc != entry.pc:
             return None
         code = uop.state_code
         if code == ST_SQUASHED:
@@ -413,7 +417,8 @@ class RenameStage(Stage):
         dst: HardwareContext,
         src: HardwareContext,
         src_uop: Uop,
-        entry: TraceEntry,
+        traced: Uop,
+        next_pc: int,
         stream: RecycleStream,
     ) -> Uop:
         """Reuse: install the old mapping; skip queue and execution."""
@@ -424,8 +429,8 @@ class RenameStage(Stage):
             frozenset(stream.consistent_writes) if bus.wants(Reused) else None
         )
         instr = src_uop.instr
-        uop = Uop(instr, entry.pc, dst.id, dst.instance, entry.dec)
-        uop.next_pc = entry.next_pc
+        uop = Uop(instr, traced.pc, dst.id, dst.instance, traced.dec)
+        uop.next_pc = next_pc
         uop.recycled = True
         uop.reused = True
         uop.reuse_src_ctx = src.id
@@ -464,7 +469,7 @@ class RenameStage(Stage):
         if consistent is not None:
             bus.publish(
                 Reused(
-                    self.state.cycle, uop, dst, src, entry.pc,
+                    self.state.cycle, uop, dst, src, traced.pc,
                     tuple(instr.srcs), consistent, stream,
                 )
             )

@@ -2,7 +2,7 @@
 array, and the Memory Disambiguation Buffer."""
 
 from .mdb import MdbProbe, MemoryDisambiguationBuffer
-from .stream import RecycleStream, StreamKind, TraceEntry
+from .stream import RecycleStream, StreamKind
 from .written_bits import WrittenBitArray
 
 __all__ = [
@@ -10,6 +10,5 @@ __all__ = [
     "MemoryDisambiguationBuffer",
     "RecycleStream",
     "StreamKind",
-    "TraceEntry",
     "WrittenBitArray",
 ]

@@ -12,22 +12,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from ..isa.instruction import Instruction
-
-
-@dataclass(slots=True)
-class TraceEntry:
-    """The static payload recycling needs from one active-list entry."""
-
-    instr: Instruction
-    pc: int
-    next_pc: int  # recorded path successor
-    src_pos: Optional[int] = None  # position in the source active list
-    #: Decoded-uop record carried over from the source uop, so stream
-    #: draining re-injects without re-decoding.
-    dec: Optional[object] = None
+if TYPE_CHECKING:
+    from ..pipeline.uop import Uop
 
 
 class StreamKind(enum.Enum):
@@ -42,7 +30,15 @@ class RecycleStream:
     kind: StreamKind
     dst_ctx: int
     src_ctx: Optional[int]  # None for detached (re-spawn) sources
-    entries: List[TraceEntry] = field(default_factory=list)
+    #: The source trace's uops, held by reference: a uop's ``pc``,
+    #: ``instr`` and ``dec`` never change once it is built.
+    uops: List[Uop]
+    #: Each uop's recorded path successor, copied when the stream opens:
+    #: resolution may still rewrite a source branch's ``next_pc``.
+    next_pcs: List[int]
+    #: Source active-list position of ``uops[0]``; None for detached
+    #: sources, whose ring no longer holds the trace.
+    first_pos: Optional[int] = None
     index: int = 0
     #: May instructions from this stream reuse old results?  Only
     #: alternate→primary recycling qualifies (Section 3.5).
@@ -56,23 +52,6 @@ class RecycleStream:
     #: chains survive the conservative global written-bit marking.
     consistent_writes: set = field(default_factory=set)
 
-    @property
-    def remaining(self) -> int:
-        return 0 if self.ended else len(self.entries) - self.index
-
-    def peek(self) -> Optional[TraceEntry]:
-        if self.ended or self.index >= len(self.entries):
-            return None
-        return self.entries[self.index]
-
-    def advance(self) -> TraceEntry:
-        entry = self.entries[self.index]
-        self.index += 1
-        return entry
-
-    def exhausted(self) -> bool:
-        return self.index >= len(self.entries)
-
     def resume_pc(self) -> int:
         """Where fetch continues when the stream ends normally.
 
@@ -80,8 +59,8 @@ class RecycleStream:
         the instruction after the last instruction in the active list".
         """
         if self.index == 0:
-            return self.entries[0].pc
-        return self.entries[self.index - 1].next_pc
+            return self.uops[0].pc
+        return self.next_pcs[self.index - 1]
 
     def stop(self, reason: str) -> None:
         self.ended = True

@@ -68,7 +68,10 @@ class Partition:
         """
         for ctx in self.spares():
             if ctx.state in (CtxState.ACTIVE, CtxState.INACTIVE) and not ctx.is_primary:
-                if ctx.merge_point_valid(ctx.first_merge) and ctx.first_merge.pc == pc:
+                # PC first, as in FetchStage.check_merge_at: both tests are
+                # pure, and the PC rejects most candidates in one load.
+                mp = ctx.first_merge
+                if mp is not None and mp.pc == pc and ctx.merge_point_valid(mp):
                     return ctx
         return None
 

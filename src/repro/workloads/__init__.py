@@ -1,22 +1,24 @@
 """Synthetic SPEC95-analog workloads and the parametric generator."""
 
-from .generator import GeneratorConfig, generate_program, generate_source
-from .kernels import (
-    DEFAULT_ITERS,
-    FP_KERNELS,
-    INTEGER_KERNELS,
-    KERNELS,
-)
-from .suite import RELOCATION_STRIDE, WorkloadSuite
+from importlib import import_module
+from typing import Any, List
 
-__all__ = [
-    "GeneratorConfig",
-    "generate_program",
-    "generate_source",
-    "DEFAULT_ITERS",
-    "FP_KERNELS",
-    "INTEGER_KERNELS",
-    "KERNELS",
-    "RELOCATION_STRIDE",
-    "WorkloadSuite",
-]
+#: Each re-exported name -> the submodule that defines it, imported on
+#: first use (:func:`__getattr__`): the suite loads without the generator.
+_EXPORTS = {
+    **dict.fromkeys(("GeneratorConfig", "generate_program", "generate_source"), ".generator"),
+    **dict.fromkeys(("DEFAULT_ITERS", "FP_KERNELS", "INTEGER_KERNELS", "KERNELS"), ".kernels"),
+    **dict.fromkeys(("RELOCATION_STRIDE", "WorkloadSuite"), ".suite"),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_EXPORTS[name], __name__), name)
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -5,9 +5,16 @@ assert both that the mechanisms *fire* (stats) and that they never
 corrupt architectural state (the run finishing is the proof).
 """
 
+from collections import Counter
+
+import pytest
+
 from repro.isa import Assembler, assemble
 from repro.pipeline import Core, Features, MachineConfig
 from repro.pipeline.config import PolicyKind, RecyclePolicy
+from repro.pipeline.events import Renamed, StreamOpened
+from repro.sim.runner import RunSpec
+from repro.workloads.suite import WorkloadSuite
 
 # Hard-to-predict data-dependent branches (xorshift PRNG).
 RNG_KERNEL = """
@@ -165,6 +172,76 @@ class TestRecycling:
         # Every stream ends exactly once (those alive at halt excepted).
         assert ended <= total_streams
         assert ended >= total_streams - 8
+
+    def test_stream_replays_successor_recorded_at_open(self):
+        """A stream holds its source uops by reference, but resolution
+        may still rewrite a source branch's ``next_pc``: the stream must
+        replay the successor recorded when it opened.  With the former
+        (recorded-direction) method a conditional branch never re-predicts,
+        so each replayed copy carries exactly that successor."""
+        core = Core(MachineConfig(features=Features.rec(), recycle_repredict=False))
+        core.load([assemble(RNG_KERNEL, name="kern")])
+        watched, renamed = [], []
+
+        def rewrite_branches(event):
+            stream = event.stream
+            if watched or not any(uop.dec.is_cond_branch for uop in stream.uops):
+                return
+            watched.append((stream, list(stream.next_pcs), event.dst.id))
+            for uop in stream.uops:
+                if uop.dec.is_cond_branch:
+                    uop.next_pc = 0xBAD0
+
+        core.bus.subscribe(StreamOpened, rewrite_branches)
+        core.bus.subscribe(Renamed, lambda event: watched and renamed.append(event.uop))
+        for _ in range(20_000):
+            if watched and watched[0][0].ended:
+                break
+            core.step()
+        assert watched, "no stream over a conditional branch opened"
+        stream, recorded, dst = watched[0]
+        assert stream.ended and stream.index > 0
+        replayed = [uop for uop in renamed if uop.ctx == dst and uop.recycled]
+        replayed = replayed[: stream.index]
+        assert [uop.pc for uop in replayed] == [uop.pc for uop in stream.uops[: stream.index]]
+        assert any(uop.dec.is_cond_branch for uop in replayed)
+        assert [uop.next_pc for uop in replayed] == recorded[: stream.index]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="RenameStage.drain_stream predicts a stream's head entry before "
+        "checking resources, so a head that stalls is predicted again every cycle",
+    )
+    def test_no_stream_entry_is_predicted_twice(self):
+        spec = RunSpec(("compress",), machine="big.2.16", features="REC/RS/RU",
+                       commit_target=800)
+        core = Core(spec.build_config())
+        core.load(WorkloadSuite().mix(spec.workload), commit_target=spec.commit_target)
+        predictor, rename = core.state.predictor, core.rename
+        draining, streams, predicted = [], [], Counter()
+        drain_stream = rename.drain_stream
+
+        def drain(stream, budget):
+            draining.append(stream)
+            streams.append(stream)  # keeps id(stream) unique for the run
+            try:
+                return drain_stream(stream, budget)
+            finally:
+                draining.pop()
+
+        def counted(method):
+            def wrapper(*args, **kwargs):
+                if draining:
+                    predicted[id(draining[-1]), draining[-1].index] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        rename.drain_stream = drain
+        predictor.predict = counted(predictor.predict)
+        predictor.record_direction = counted(predictor.record_direction)
+        core.run(max_cycles=spec.max_cycles)
+        assert predicted, "no stream entry was predicted"
+        assert [key for key, count in predicted.items() if count > 1] == []
 
 
 class TestReuse:

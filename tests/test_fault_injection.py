@@ -129,17 +129,13 @@ class TestReuseCorruption:
         core = fresh_core()
         original = core.rename.reuse_candidate
 
-        def always(dst, src, entry, stream):
-            result = original(dst, src, entry, stream)
+        def always(dst, src, uop, stream):
+            result = original(dst, src, uop, stream)
             if result is not None:
                 return result
             # Bypass the safety checks: reuse whatever is there.
-            if entry.src_pos is None:
-                return None
-            uop = src.active_list.try_entry(entry.src_pos)
             if (
-                uop is not None
-                and not uop.squashed
+                not uop.squashed
                 and uop.executed_on_path
                 and uop.phys_dst is not None
                 and uop.instr.dst is not None

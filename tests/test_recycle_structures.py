@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.recycle.mdb import MemoryDisambiguationBuffer
-from repro.recycle.stream import RecycleStream, StreamKind, TraceEntry
+from repro.pipeline.uop import Uop
+from repro.recycle.stream import RecycleStream, StreamKind
 from repro.recycle.written_bits import WrittenBitArray
 
 
@@ -101,39 +102,44 @@ class TestMdb:
         assert mdb.reuse_hits == 1 and mdb.reuse_misses == 1
 
 
-def entries(*pcs):
-    out = []
-    for i, pc in enumerate(pcs):
-        out.append(TraceEntry(Instruction(Op.NOP), pc, pc + 4, src_pos=i))
-    return out
+def stream(kind, src_ctx, *pcs):
+    """A stream over one straight-line trace at ``pcs``, from position 0."""
+    uops = [Uop(Instruction(Op.NOP), pc, 1, None) for pc in pcs]
+    return RecycleStream(kind, 0, src_ctx, uops, [pc + 4 for pc in pcs], first_pos=0)
 
 
 class TestStream:
     def test_drain_order(self):
-        s = RecycleStream(StreamKind.ALTERNATE, 0, 1, entries(0x10, 0x14, 0x18))
-        assert s.peek().pc == 0x10
-        s.advance()
-        assert s.peek().pc == 0x14
-        assert s.remaining == 2
+        s = stream(StreamKind.ALTERNATE, 1, 0x10, 0x14, 0x18)
+        assert [uop.pc for uop in s.uops] == [0x10, 0x14, 0x18]
+        s.index = 1
+        assert s.uops[s.index].pc == 0x14
+        assert s.resume_pc() == 0x14
 
     def test_resume_pc_after_partial_drain(self):
-        s = RecycleStream(StreamKind.BACK, 0, 0, entries(0x10, 0x14, 0x18))
-        s.advance()
-        s.advance()
+        s = stream(StreamKind.BACK, 0, 0x10, 0x14, 0x18)
+        s.index = 2
         assert s.resume_pc() == 0x18  # successor of the last delivered entry
 
     def test_resume_pc_fresh_stream(self):
-        s = RecycleStream(StreamKind.BACK, 0, 0, entries(0x10, 0x14))
+        s = stream(StreamKind.BACK, 0, 0x10, 0x14)
         assert s.resume_pc() == 0x10
 
     def test_stop_sets_reason(self):
-        s = RecycleStream(StreamKind.ALTERNATE, 0, 1, entries(0x10))
+        s = stream(StreamKind.ALTERNATE, 1, 0x10)
         s.stop("branch_mismatch")
         assert s.ended and s.end_reason == "branch_mismatch"
-        assert s.remaining == 0
 
     def test_exhausted(self):
-        s = RecycleStream(StreamKind.RESPAWN, 0, None, entries(0x10))
-        assert not s.exhausted()
-        s.advance()
-        assert s.exhausted()
+        s = stream(StreamKind.RESPAWN, None, 0x10)
+        s.index = len(s.uops)
+        assert s.resume_pc() == 0x14
+
+    def test_resume_pc_is_the_successor_recorded_at_open(self):
+        """``resume_pc`` reads the successors copied when the stream
+        opened, not a source uop's ``next_pc``, which resolution may
+        rewrite later."""
+        s = stream(StreamKind.ALTERNATE, 1, 0x10, 0x14)
+        s.uops[1].next_pc = 0x40
+        s.index = 2
+        assert s.resume_pc() == 0x18

@@ -1,20 +1,22 @@
 """Allocation-shape tests: hot-path objects carry no ``__dict__``.
 
 The scheduler rework made object allocation itself a measurable cost:
-events, trace entries and per-fetch records are created tens of
-thousands of times per run.  All of them are declared with
-``dataclass(slots=True)``; ``Uop`` declares ``__slots__`` manually.
+events, predictions, golden step records and per-fetch records are
+created tens of thousands of times per run.  All of them are declared
+with ``dataclass(slots=True)``; ``Uop`` declares ``__slots__`` manually.
 """
 
 import pytest
 
+from repro.branch.predictor import Prediction
+from repro.emulator.emulator import StepRecord
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.pipeline import Core
 from repro.pipeline.context import FetchedInstr, MergePoint
 from repro.pipeline.events import ALL_EVENT_TYPES, Event
 from repro.pipeline.uop import Uop
-from repro.recycle.stream import RecycleStream, StreamKind, TraceEntry
+from repro.recycle.stream import RecycleStream, StreamKind
 from repro.sim.runner import RunSpec
 from repro.workloads.suite import WorkloadSuite
 
@@ -24,21 +26,24 @@ def _nop():
 
 
 class TestSlotsDataclasses:
-    def test_trace_entry_has_no_dict(self):
-        entry = TraceEntry(_nop(), 0x1000, 0x1004, src_pos=0)
-        assert not hasattr(entry, "__dict__")
-        with pytest.raises(AttributeError):
-            entry.bogus = 1
-
     def test_recycle_stream_has_no_dict(self):
         stream = RecycleStream(
             kind=StreamKind.BACK,
             dst_ctx=0,
             src_ctx=0,
-            entries=[TraceEntry(_nop(), 0x1000, 0x1004, src_pos=0)],
+            uops=[Uop(_nop(), 0x1000, 0, None)],
+            next_pcs=[0x1004],
+            first_pos=0,
             reuse_allowed=False,
         )
         assert not hasattr(stream, "__dict__")
+
+    def test_prediction_and_step_record_have_no_dict(self):
+        records = (Prediction(True, 0x2000), StepRecord(0x1000, _nop(), 0x1004))
+        for record in records:
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(AttributeError):
+                record.bogus = 1
 
     def test_fetched_instr_and_merge_point_have_no_dict(self):
         fi = FetchedInstr(0x1004, None, 0)
@@ -88,6 +93,7 @@ class TestConstructionCounterSurvivesSlots:
 
     def test_non_events_do_not_touch_the_counter(self):
         before = Event.constructed
-        TraceEntry(_nop(), 0x1000, 0x1004, src_pos=0)
+        Prediction(False, None)
+        StepRecord(0x1000, _nop(), 0x1004)
         FetchedInstr(0x1004, None, 0)
         assert Event.constructed == before
