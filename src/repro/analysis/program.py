@@ -4,8 +4,7 @@
 dominators, post-dominators, loops, branch sites, kill sets and
 must-define masks lazily with caching, so callers can ask for exactly
 what they need.  :class:`StaticSummary` condenses the results into the
-per-kernel numbers the ``analyze`` CLI and the static-ceilings
-experiment report.
+per-kernel numbers the ``analyze`` CLI reports.
 """
 
 from __future__ import annotations

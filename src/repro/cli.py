@@ -28,9 +28,8 @@ import time
 from typing import List, Optional
 
 from .emulator import Emulator
-from .exec import ExecutionError, Executor, ProgressReporter, format_line, sim_fingerprint
 from .isa.assembler import assemble
-from .sim.experiments import CAMPAIGNS, EXPERIMENTS, MACHINES, POLICIES, VARIANTS
+from .pipeline.config import Features, MachineConfig
 from .sim.runner import RunSpec, run_spec
 from .stats import run_result_to_dict
 from .workloads.suite import WorkloadSuite
@@ -44,6 +43,8 @@ class _ProgressLine:
         self._dirty = False
 
     def __call__(self, event) -> None:
+        from .exec.progress import format_line
+
         self.stream.write("\r" + format_line(event) + " ")
         self.stream.flush()
         self._dirty = True
@@ -66,6 +67,8 @@ def _known_kernels(names) -> bool:
 
 
 def _cmd_list(_args) -> int:
+    from .sim.experiments import CAMPAIGNS, EXPERIMENTS, MACHINES, POLICIES, VARIANTS
+
     suite = WorkloadSuite()
     print("kernels:   ", ", ".join(suite.names))
     print("variants:  ", ", ".join(VARIANTS))
@@ -94,6 +97,8 @@ def _cmd_run(args) -> int:
     if cache_dir is None:
         result = run_spec(spec)
     else:
+        from .exec.pool import Executor
+
         outcome = Executor(cache=cache_dir).run([spec])[0]
         if not outcome.ok:
             print(
@@ -105,6 +110,8 @@ def _cmd_run(args) -> int:
         result, cached = outcome.result, outcome.cached
     elapsed = time.time() - started
     if args.json:
+        from .exec.cache import sim_fingerprint
+
         payload = run_result_to_dict(result)
         payload["wall_seconds"] = elapsed
         payload["cached"] = cached
@@ -123,6 +130,9 @@ def _cmd_campaign(args) -> int:
     """Run experiments or named sets through one shared executor, and
     print each experiment's markdown section to stdout as it finishes;
     progress and the closing summary go to stderr."""
+    from .exec import ExecutionError, Executor, ProgressReporter
+    from .sim.experiments import CAMPAIGNS, EXPERIMENTS
+
     names: List[str] = []
     for name in args.names or ["paper"]:
         if name in CAMPAIGNS:
@@ -242,7 +252,7 @@ def _grid_from_args(pairs) -> dict:
 
 
 def _follow_events(client, campaign_id: str) -> None:
-    from .exec.progress import ProgressEvent
+    from .exec.progress import ProgressEvent, format_line
 
     for event in client.events(campaign_id):
         if event.get("type") == "campaign":
@@ -465,70 +475,20 @@ def _cmd_analyze(args) -> int:
     return 1 if total_violations else 0
 
 
-def _explain_rules(query: str) -> int:
-    """Print one rule (or a family) with its suppression marker."""
-    from .analysis.lint import all_rules, suppression_marker
-
-    want = query.upper()
-    matched = [
-        r for r in all_rules() if r.code == want or (
-            len(want) < 6 and r.code.startswith(want)
-        )
-    ]
-    if want in ("ALL", "*"):
-        matched = all_rules()
-    if not matched:
-        known = ", ".join(r.code for r in all_rules())
-        print(f"lint: unknown rule {query!r}; know {known}", file=sys.stderr)
-        return 2
-    for rule in matched:
-        marker = suppression_marker(rule.code)
-        suppression = f"# {marker} <reason>" if marker else "(none)"
-        print(f"{rule.code}: {rule.summary}")
-        print(f"  suppression: {suppression}")
-    return 0
-
-
 def _cmd_lint(args) -> int:
-    """Whole-repo lint over the pluggable rule engine."""
-    from .analysis.lint import (
-        DEFAULT_PROFILE,
-        LintTarget,
-        render_text,
-        restrict,
-        run_lint,
-        to_json,
-        write_sarif,
-    )
+    """The determinism and sharing lint (``docs/LINTING.md``)."""
+    from .analysis.lint import run_lint
 
-    if args.explain:
-        return _explain_rules(args.explain)
-
-    codes = tuple(code for code in (args.rules or "").split(",") if code) or None
     try:
-        if args.paths:
-            targets = [LintTarget(paths=tuple(args.paths), codes=codes)]
-        elif codes is not None:
-            # Each profile target keeps its own paths, narrowed to the
-            # requested codes.
-            targets = restrict(DEFAULT_PROFILE, codes)
-        else:
-            targets = list(DEFAULT_PROFILE)
-        result = run_lint(targets)
-    except (FileNotFoundError, KeyError) as exc:
+        findings = run_lint(args.paths or None)
+    except FileNotFoundError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
-
-    if args.sarif:
-        write_sarif(result, args.sarif)
-    if args.json:
-        print(json.dumps(to_json(result), indent=2))
-    else:
-        for line in render_text(result):
-            print(line)
-        if not result.ok:
-            print(f"{len(result.findings)} lint violation(s)", file=sys.stderr)
-    return result.exit_code
+    for finding in findings:
+        print(finding.render())
+    if findings:
+        print(f"{len(findings)} lint violation(s)", file=sys.stderr)
+    return 1 if findings else 0
 
 
 def _cmd_profile_branches(args) -> int:
@@ -545,10 +505,14 @@ def _cmd_profile_branches(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from .debug import CoreTracer, pipeview
+    from .debug import ALL_KINDS, CoreTracer, pipeview
     from .pipeline.core import Core
 
     if not _known_kernels(args.workload):
+        return 2
+    unknown = sorted(set(args.kinds) - ALL_KINDS)
+    if unknown:
+        print(f"unknown trace kind(s) {unknown}; know {sorted(ALL_KINDS)}", file=sys.stderr)
         return 2
     spec = RunSpec(
         workload=tuple(args.workload),
@@ -597,21 +561,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="SMT/TME instruction-recycling simulator (HPCA 1999 reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    machines, variants = MachineConfig.known_names(), list(Features.all_variants())
 
     sub.add_parser("list", help="show kernels, variants, machines, experiments")
 
     def positive_int(value: str) -> int:
-        # A window, cycle budget, mix count, worker count or batch size
-        # below 1 dies at parse time, before anything simulates (as the
-        # service refuses such windows at submit).
+        # A window, cycle or instruction budget, mix, worker, event,
+        # lease or attempt count or batch size below 1 dies at parse
+        # time, before anything simulates (as the service refuses such
+        # windows at submit).
         number = int(value)
         if number < 1:
             raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
         return number
 
+    def non_negative_int(value: str) -> int:
+        # A count where 0 means "off": pipeview rows, traced
+        # instructions, head-local workers.
+        number = int(value)
+        if number < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {number}")
+        return number
+
     def positive_float(value: str) -> float:
         # A time budget of zero or less fails or expires every attempt
-        # (or, as a poll interval, kills the worker at its first sleep).
+        # (or, as a poll interval, kills the worker at its first sleep,
+        # and as an idle limit ends it at its first empty lease).
         number = float(value)
         if not number > 0:
             raise argparse.ArgumentTypeError(f"must be > 0, got {number}")
@@ -631,8 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--workload", nargs="+", required=True, help="kernel name(s); >1 = multiprogrammed"
     )
-    run_parser.add_argument("--machine", default="big.2.16", choices=MACHINES)
-    run_parser.add_argument("--features", default="REC/RS/RU", choices=VARIANTS)
+    run_parser.add_argument("--machine", default="big.2.16", choices=machines)
+    run_parser.add_argument("--features", default="REC/RS/RU", choices=variants)
     run_parser.add_argument("--policy", default=None, help="e.g. stop-8 / fetch-16 / nostop-32")
     run_parser.add_argument("--commit-target", type=positive_int, default=3000)
     run_parser.add_argument("--max-cycles", type=positive_int, default=2_000_000,
@@ -648,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_parser.add_argument(
         "names", nargs="*",
-        help=f"experiment names or sets {sorted(CAMPAIGNS)}; default: paper",
+        help="experiment names or sets (see 'repro-sim list'); default: paper",
     )
     campaign_parser.add_argument("--commit-target", type=positive_int, default=None)
     campaign_parser.add_argument("--num-mixes", type=positive_int, default=None)
@@ -674,14 +649,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--port", type=int, default=8752)
     serve_parser.add_argument("--store", default=".repro-service", metavar="DIR",
                               help="shared artifact-store root")
-    serve_parser.add_argument("--local-workers", type=int, default=1,
+    serve_parser.add_argument("--local-workers", type=non_negative_int, default=1,
                               help="head-local worker threads (default: 1, as "
                                    "threads share one interpreter lock; 0 = "
                                    "rely on remote workers)")
     serve_parser.add_argument("--lease-ttl", type=positive_float, default=60.0,
                               help="seconds before an unacknowledged lease "
                                    "expires, a failed attempt")
-    serve_parser.add_argument("--max-attempts", type=int, default=3,
+    serve_parser.add_argument("--max-attempts", type=positive_int, default=3,
                               help="attempts per task (failed or expired "
                                    "leases) before its jobs fail")
     serve_parser.add_argument("--no-resume", action="store_true",
@@ -692,12 +667,12 @@ def build_parser() -> argparse.ArgumentParser:
                               help="worker mode: lease job shards from this head")
     serve_parser.add_argument("--worker-id", default=None,
                               help="worker name reported to the head")
-    serve_parser.add_argument("--lease-size", type=int, default=1,
+    serve_parser.add_argument("--lease-size", type=positive_int, default=1,
                               help="tasks leased per request and run back to "
                                    "back (worker mode)")
     serve_parser.add_argument("--poll", type=positive_float, default=0.5,
                               help="idle poll interval in seconds (worker mode)")
-    serve_parser.add_argument("--max-idle", type=float, default=None,
+    serve_parser.add_argument("--max-idle", type=positive_float, default=None,
                               help="exit after this many idle seconds (worker mode)")
 
     submit_parser = sub.add_parser(
@@ -712,8 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument("--grid", action="append", default=None,
                                metavar="FIELD=V1,V2",
                                help="sweep grid axis (repeatable)")
-    submit_parser.add_argument("--machine", default="big.2.16", choices=MACHINES)
-    submit_parser.add_argument("--features", default="REC/RS/RU", choices=VARIANTS)
+    submit_parser.add_argument("--machine", default="big.2.16", choices=machines)
+    submit_parser.add_argument("--features", default="REC/RS/RU", choices=variants)
     submit_parser.add_argument("--commit-target", type=positive_int, default=3000)
     submit_parser.add_argument("--max-cycles", type=positive_int, default=2_000_000)
     submit_parser.add_argument("--label", default="")
@@ -746,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze_parser.add_argument("--workload", nargs="*", default=None,
                                 help="kernel name(s); default: all")
-    analyze_parser.add_argument("--window", type=int, default=16,
+    analyze_parser.add_argument("--window", type=positive_int, default=16,
                                 help="reuse-ceiling lookahead (instructions)")
     analyze_parser.add_argument("--detail", action="store_true",
                                 help="dump the per-branch site table")
@@ -755,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_parser.add_argument("--memory", action="store_true",
                                 help="include the memory-dependence analysis "
                                      "(and the R2/M6 rules under --check)")
-    analyze_parser.add_argument("--features", default="REC/RS/RU", choices=VARIANTS,
+    analyze_parser.add_argument("--features", default="REC/RS/RU", choices=variants,
                                 help="feature set for --check runs")
     analyze_parser.add_argument("--commit-target", type=positive_int, default=1500,
                                 help="measurement window for --check runs")
@@ -766,43 +741,32 @@ def build_parser() -> argparse.ArgumentParser:
         "profile-branches", help="offline branch-behaviour profile"
     )
     pbranch_parser.add_argument("--workload", nargs="*", default=None)
-    pbranch_parser.add_argument("--max-instructions", type=int, default=25_000)
+    pbranch_parser.add_argument("--max-instructions", type=positive_int, default=25_000)
 
     trace_parser = sub.add_parser("trace", help="trace a run (events + pipeline view)")
     trace_parser.add_argument("--workload", nargs="+", required=True)
-    trace_parser.add_argument("--machine", default="big.2.16", choices=MACHINES)
-    trace_parser.add_argument("--features", default="REC/RS/RU", choices=VARIANTS)
+    trace_parser.add_argument("--machine", default="big.2.16", choices=machines)
+    trace_parser.add_argument("--features", default="REC/RS/RU", choices=variants)
     trace_parser.add_argument("--commit-target", type=positive_int, default=600)
-    trace_parser.add_argument("--events", type=int, default=40)
+    trace_parser.add_argument("--events", type=positive_int, default=40)
     trace_parser.add_argument("--kinds", nargs="*", default=["fork", "swap", "respawn", "stream_open", "stream_end"])
-    trace_parser.add_argument("--pipeview", type=int, default=0, help="render N committed uops")
+    trace_parser.add_argument("--pipeview", type=non_negative_int, default=0,
+                              help="render N committed uops")
 
     lint_parser = sub.add_parser(
         "lint",
-        help="whole-repo lint (determinism DET001-DET005, sharing SHR005)",
+        help="determinism and sharing lint (DET001-DET005, SHR005)",
     )
-    lint_parser.add_argument("paths", nargs="*", default=None,
-                             help="files/dirs to lint (every rule unless "
-                                  "--rules); default: the determinism and "
-                                  "sharing profile")
-    lint_parser.add_argument("--rules", default=None, metavar="CODE[,CODE...]",
-                             help="restrict to these comma-separated rule "
-                                  "codes; without paths, each profile "
-                                  "target runs the requested codes it owns")
-    lint_parser.add_argument("--explain", default=None, metavar="RULE",
-                             help="explain one rule code, a family prefix "
-                                  "or 'all' (summary and suppression "
-                                  "marker) and exit")
-    lint_parser.add_argument("--json", action="store_true",
-                             help="machine-readable output")
-    lint_parser.add_argument("--sarif", default=None, metavar="PATH",
-                             help="also write a SARIF 2.1.0 report")
+    lint_parser.add_argument("paths", nargs="*",
+                             help="files/dirs to lint with every rule; default: "
+                                  "each lint target with its own rules")
 
     asm_parser = sub.add_parser("asm", help="assemble (and optionally emulate) a file")
     asm_parser.add_argument("path")
     asm_parser.add_argument("--run", action="store_true")
-    asm_parser.add_argument("--limit", type=int, default=1_000_000)
-    asm_parser.add_argument("--trace", type=int, default=0, help="print the first N executed instructions")
+    asm_parser.add_argument("--limit", type=positive_int, default=1_000_000)
+    asm_parser.add_argument("--trace", type=non_negative_int, default=0,
+                            help="print the first N executed instructions")
 
     return parser
 

@@ -10,34 +10,40 @@ service:
 * :mod:`~repro.service.spec` — campaign spec validation/expansion;
 * :mod:`~repro.service.scheduler` — dedupe table, lease queue,
   campaign lifecycle, restart resume;
-* :mod:`~repro.service.server` — the JSON API (``repro-sim serve``);
-* :mod:`~repro.service.worker` — local worker threads and the remote
-  worker loop (``repro-sim serve --worker http://head:PORT``), both
-  running one task at a time through ``execute_task``;
+* :mod:`~repro.service.server` — the JSON API (``repro-sim serve``) and
+  its local worker threads;
+* :mod:`~repro.service.worker` — the remote worker loop
+  (``repro-sim serve --worker http://head:PORT``) and the one task path
+  both kinds of worker run, ``execute_task``;
 * :mod:`~repro.service.client` — the urllib client the CLI and remote
   workers share (``repro-sim submit/status/fetch``).
 
 See ``docs/SERVICE.md`` for the API reference and topology.
 """
 
-from .client import ServiceClient, ServiceError
-from .scheduler import Scheduler
-from .server import DEFAULT_PORT, CampaignServer
-from .spec import CampaignSpec, SpecError, parse_campaign, sweep_spec
-from .store import ArtifactStore
-from .worker import LocalWorkerPool, run_worker
+from importlib import import_module
+from typing import Any, List
 
-__all__ = [
-    "ArtifactStore",
-    "CampaignServer",
-    "CampaignSpec",
-    "DEFAULT_PORT",
-    "LocalWorkerPool",
-    "Scheduler",
-    "ServiceClient",
-    "ServiceError",
-    "SpecError",
-    "parse_campaign",
-    "run_worker",
-    "sweep_spec",
-]
+#: Each re-exported name -> the submodule that defines it, imported on
+#: first use (:func:`__getattr__`): a remote worker imports the client
+#: and the task path but never the server, the scheduler or the store.
+_EXPORTS = {
+    **dict.fromkeys(("ServiceClient", "ServiceError"), ".client"),
+    **dict.fromkeys(("Scheduler",), ".scheduler"),
+    **dict.fromkeys(("DEFAULT_PORT", "CampaignServer", "LocalWorkerPool"), ".server"),
+    **dict.fromkeys(("CampaignSpec", "SpecError", "parse_campaign", "sweep_spec"), ".spec"),
+    **dict.fromkeys(("ArtifactStore",), ".store"),
+    **dict.fromkeys(("run_worker",), ".worker"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_EXPORTS[name], __name__), name)
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -5,7 +5,9 @@ new dependencies.  One thread per request; each handler validates its
 request, then posts it to the scheduler's owner thread and waits for the
 reply.  Long-lived requests (the NDJSON event stream) park on the owner
 between events, so they coexist with submissions.  A malformed request
-is answered 400 with an ``error`` message.
+is answered 400 with an ``error`` message.  :class:`LocalWorkerPool`
+threads run the head's own queue through the task path remote workers
+take (:func:`repro.service.worker.run_task`).
 
 API (see ``docs/SERVICE.md`` for the full reference):
 
@@ -34,10 +36,10 @@ from .. import __version__
 from ..stats.export import run_result_to_dict
 from ..exec.cache import sim_fingerprint
 from ..exec.jobs import result_from_payload
-from .scheduler import JOB_FAILED, Scheduler
+from .scheduler import JOB_FAILED, Scheduler, SchedulerClosed
 from .spec import SpecError
 from .store import ArtifactStore
-from .worker import LocalWorkerPool
+from .worker import run_task
 
 DEFAULT_PORT = 8752
 
@@ -48,6 +50,46 @@ _RESULT_RE = re.compile(r"^/jobs/([A-Za-z0-9_.-]+)/result$")
 #: How long one blocking poll of the event stream waits before emitting
 #: nothing and re-checking the client is still connected.
 _EVENT_POLL_SECONDS = 5.0
+
+
+class LocalWorkerPool:
+    """Daemon threads executing the head's own queue (no HTTP hop)."""
+
+    def __init__(self, scheduler, workers: int = 1, poll: float = 0.5,
+                 name: str = "local"):
+        self.scheduler = scheduler
+        self.workers = max(0, int(workers))
+        self.poll = poll
+        self.name = name
+        self._stop = threading.Event()
+        self._threads: list = []
+
+    def start(self) -> None:
+        for index in range(self.workers):
+            thread = threading.Thread(
+                target=self._loop, args=(f"{self.name}-{index}",),
+                name=f"repro-worker-{index}", daemon=True,
+            )
+            thread.start()
+            self._threads.append(thread)
+
+    def stop(self, timeout: float = 5.0) -> None:
+        self._stop.set()
+        for thread in self._threads:
+            thread.join(timeout=timeout)
+        self._threads.clear()
+
+    def _loop(self, worker_id: str) -> None:
+        try:
+            while not self._stop.is_set():
+                leases = self.scheduler.lease(1, worker=worker_id)
+                if not leases:
+                    self.scheduler.wait_for_work(timeout=self.poll)
+                    continue
+                run_task(leases[0], worker_id, self.scheduler.complete,
+                         self.scheduler.fail)
+        except SchedulerClosed:
+            pass  # the server stopped while this task ran; it re-runs on resume
 
 
 class _BadRequest(ValueError):

@@ -294,83 +294,6 @@ def format_table1(rows: Dict[str, Dict[str, float]]) -> str:
 
 
 # ======================================================================
-# Static ceilings — analysis upper bounds vs. Table-1 dynamic stats
-# ======================================================================
-STATIC_COLUMNS = [
-    ("blocks", "Blks"),
-    ("loops", "Loops"),
-    ("cond_sites", "Cond"),
-    ("merge_cov", "MrgCov%"),
-    ("reuse_ceiling", "RuCeil%"),
-    ("merge_agree", "Agree%"),
-    ("dyn_recycled", "%Recyc"),
-    ("dyn_reused", "%Reuse"),
-    ("violations", "Viol"),
-]
-
-
-def static_ceilings(
-    commit_target: int = 1500,
-    window: int = 16,
-    kernels: Optional[Sequence[str]] = None,
-    suite: Optional[WorkloadSuite] = None,
-    executor: Optional["Executor"] = None,
-) -> Dict[str, Dict[str, float]]:
-    """Static analysis ceilings next to dynamic REC/RS/RU statistics.
-
-    Per kernel: static merge coverage (conditional branches with a real
-    immediate post-dominator), the kill-set reuse ceiling over a
-    ``window``-instruction lookahead, dynamic recycle/reuse percentages
-    from an instrumented run, the dynamic-vs-static merge agreement,
-    and the cross-checker's violation count (must be zero).
-
-    The instrumented simulation is inherently in-process, so
-    ``executor`` is accepted for registry uniformity but unused.
-    """
-    del executor  # instrumentation cannot cross a worker-pool boundary
-    from ..analysis.checker import check_spec
-    from ..analysis.program import ProgramAnalysis
-
-    suite = suite or WorkloadSuite()
-    kernels = list(kernels or suite.names)
-    out: Dict[str, Dict[str, float]] = {}
-    for kernel in kernels:
-        summary = ProgramAnalysis(
-            suite.program(kernel), name=kernel
-        ).summary(window=window)
-        spec = RunSpec(
-            (kernel,), features="REC/RS/RU", commit_target=commit_target
-        )
-        result, report = check_spec(spec, suite)
-        out[kernel] = {
-            "blocks": float(summary.blocks),
-            "loops": float(summary.loops),
-            "cond_sites": float(summary.cond_sites),
-            "merge_cov": summary.merge_coverage_pct,
-            "reuse_ceiling": summary.reuse_ceiling_pct,
-            "merge_agree": report.merge_agreement_pct,
-            "dyn_recycled": result.stats.pct_recycled,
-            "dyn_reused": result.stats.pct_reused,
-            "violations": float(len(report.violations)),
-        }
-    return out
-
-
-def format_static_ceilings(data: Dict[str, Dict[str, float]]) -> str:
-    rows = [
-        [kernel] + [f"{row[key]:.1f}" for key, _ in STATIC_COLUMNS]
-        for kernel, row in data.items()
-    ]
-    return (
-        _md_table("Static ceilings — analysis bounds vs dynamic REC/RS/RU",
-                  ["program"] + [label for _, label in STATIC_COLUMNS], rows)
-        + "\n\n(static: MrgCov = cond branches with an ipostdom reconvergence; "
-        "RuCeil = kill-set reuse upper bound. dynamic: %Recyc/%Reuse as "
-        "Table 1; Agree = dyn merge == static reconvergence; Viol must be 0.)"
-    )
-
-
-# ======================================================================
 # Ablations (beyond the paper; design-choice sensitivity)
 # ======================================================================
 def ablation_confidence(
@@ -414,7 +337,6 @@ EXPERIMENTS = {
     "fig5": (figure5, format_figure5),
     "fig6": (figure6, format_figure6),
     "table1": (table1, format_table1),
-    "static-ceilings": (static_ceilings, format_static_ceilings),
     "ablation-confidence": (ablation_confidence, format_ablation_confidence),
 }
 

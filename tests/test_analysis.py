@@ -296,21 +296,3 @@ class TestCheckerCatchesCorruption:
                     assert not any(v.rule == "R1" for v in report.violations)
                     return
         pytest.skip("no must-defined register found in this kernel")
-
-
-class TestExperimentRegistry:
-    def test_static_ceilings_registered(self):
-        from repro.sim.experiments import EXPERIMENTS
-
-        assert "static-ceilings" in EXPERIMENTS
-
-    def test_static_ceilings_rows(self):
-        from repro.sim.experiments import format_static_ceilings, static_ceilings
-
-        data = static_ceilings(commit_target=300, kernels=["vortex"])
-        row = data["vortex"]
-        assert row["violations"] == 0.0
-        assert row["merge_cov"] == 100.0
-        assert 0.0 <= row["reuse_ceiling"] <= 100.0
-        text = format_static_ceilings(data)
-        assert "vortex" in text and "RuCeil%" in text

@@ -12,7 +12,6 @@ from repro.sim.experiments import (
     EXPERIMENTS,
     MACHINES,
     POLICIES,
-    STATIC_COLUMNS,
     TABLE1_COLUMNS,
     VARIANTS,
     WIDTHS,
@@ -29,7 +28,6 @@ SAMPLES = {
              for m in MACHINES},
     "table1": {name: {key: 12.5 for key, _ in TABLE1_COLUMNS}
                for name in ("compress", "1 prog avg", "2 progs avg")},
-    "static-ceilings": {k: {key: 3.0 for key, _ in STATIC_COLUMNS} for k in ("compress", "go")},
     "ablation-confidence": {1: 1.1, 8: 1.25, 15: 1.2},
 }
 

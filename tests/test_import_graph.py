@@ -4,8 +4,9 @@ Every CLI run, pool worker, service worker and benchmark process pays
 for the modules it imports before its first cycle, so the package
 ``__init__``s re-export their names lazily (PEP 562 ``__getattr__``) and
 never import a sibling subsystem eagerly.  These tests pin both halves:
-a fresh interpreter that imports the simulator loads none of the tools
-around it, and every name a package lists in ``__all__`` still resolves.
+a fresh interpreter that imports the simulator, a remote service worker
+or the CLI loads none of the tools around it that it does not call, and
+every name a package or module lists in ``__all__`` still resolves.
 """
 
 import importlib
@@ -26,7 +27,7 @@ SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 SIMULATION_IMPORTS = ("repro", "repro.sim.runner", "repro.workloads.suite", "repro.exec.jobs")
 
 #: Packages whose ``__init__`` resolves its re-exported names on first use.
-LAZY_PACKAGES = ("repro", "repro.exec", "repro.sim", "repro.workloads")
+LAZY_PACKAGES = ("repro", "repro.exec", "repro.service", "repro.sim", "repro.workloads")
 
 #: Modules (each with its submodules) that no simulation calls.
 NOT_SIMULATOR = (
@@ -44,18 +45,37 @@ NOT_SIMULATOR = (
 )
 
 
-def _packages():
+def _exporters():
+    """Every package under ``repro``, and every plain module that lists ``__all__``."""
     names = ["repro"]
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
-        if info.ispkg:
+        if info.ispkg or hasattr(importlib.import_module(info.name), "__all__"):
             names.append(info.name)
     return names
 
 
-def test_a_simulation_imports_only_the_simulator():
+#: Modules (each with its submodules) that a remote worker, which leases
+#: tasks over HTTP and runs them, never calls.
+NOT_REMOTE_WORKER = (
+    "http.server",
+    "repro.service.server",
+    "repro.service.scheduler",
+    "repro.service.spec",
+    "repro.service.store",
+    "repro.sim.sweep",
+)
+
+#: Modules (each with its submodules) that ``repro-sim run`` without
+#: ``--cache-dir`` or ``--json`` never calls: the process pool and the
+#: figure drivers load inside the subcommands that use them.
+NOT_CLI_RUN = ("multiprocessing", "repro.exec", "repro.sim.experiments")
+
+
+def _loaded_by(*modules):
+    """``sys.modules`` of a fresh interpreter after importing ``modules``."""
     code = (
         "import json, sys\n"
-        f"import {', '.join(SIMULATION_IMPORTS)}\n"
+        f"import {', '.join(modules)}\n"
         "print(json.dumps(sorted(sys.modules)))\n"
     )
     env = dict(os.environ)
@@ -64,17 +84,35 @@ def test_a_simulation_imports_only_the_simulator():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=120, check=True,
     )
-    loaded = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def _under(loaded, prefixes):
+    return [name for name in loaded
+            if any(name == prefix or name.startswith(prefix + ".") for prefix in prefixes)]
+
+
+def test_a_simulation_imports_only_the_simulator():
+    loaded = _loaded_by(*SIMULATION_IMPORTS)
     assert "repro.pipeline.core" in loaded
-    unwanted = [name for name in loaded
-                if any(name == prefix or name.startswith(prefix + ".")
-                       for prefix in NOT_SIMULATOR)]
-    assert unwanted == []
+    assert _under(loaded, NOT_SIMULATOR) == []
 
 
-@pytest.mark.parametrize("package", _packages())
-def test_every_exported_name_resolves(package):
-    module = importlib.import_module(package)
+def test_a_remote_worker_imports_no_server():
+    loaded = _loaded_by("repro.service.worker")
+    assert "repro.service.client" in loaded and "repro.pipeline.core" in loaded
+    assert _under(loaded, NOT_REMOTE_WORKER) == []
+
+
+def test_the_cli_imports_no_pool_and_no_figure_driver():
+    loaded = _loaded_by("repro.cli")
+    assert "repro.sim.runner" in loaded
+    assert _under(loaded, NOT_CLI_RUN) == []
+
+
+@pytest.mark.parametrize("module", _exporters())
+def test_every_exported_name_resolves(module):
+    module = importlib.import_module(module)
     exported = getattr(module, "__all__", [])
     assert [name for name in exported if not hasattr(module, name)] == []
 

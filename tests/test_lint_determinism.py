@@ -1,12 +1,11 @@
 """Tests for the determinism lint (``repro-sim lint``).
 
 The lint is CI-enforced; these tests pin down its rules so a refactor
-of the engine can't silently stop catching what it is there to catch —
-and prove the shipped simulator core currently lints clean.  Each case
-runs the real front end in-process: ``repro.cli.main(["lint", ...])``.
+can't silently stop catching what it is there to catch — and prove the
+shipped simulator core currently lints clean.  Each case runs the real
+front end in-process: ``repro.cli.main(["lint", ...])``.
 """
 
-import json
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,7 +18,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 @pytest.fixture(autouse=True)
 def at_repo_root(monkeypatch):
-    """The default profile names repo-relative paths."""
+    """The default targets name repo-relative paths."""
     monkeypatch.chdir(REPO)
 
 
@@ -135,8 +134,8 @@ def test_private_core_assignment_flagged(run_lint, tmp_path):
 
 def test_filesystem_order_iteration_fails_the_run(run_lint, tmp_path):
     """DET005 blocks like every other rule: a loop over an unsorted
-    directory listing exits 1 and is a SARIF error; the sorted loop, or
-    a justified ``# det-ok``, exits 0."""
+    directory listing exits 1 with one line naming it; the sorted loop,
+    or a justified ``# det-ok``, exits 0."""
     unsorted = (
         "import os\n"
         "def names(root):\n"
@@ -144,12 +143,13 @@ def test_filesystem_order_iteration_fails_the_run(run_lint, tmp_path):
     )
     src = tmp_path / "listing.py"
     src.write_text(unsorted)
-    sarif = tmp_path / "lint.sarif"
-    proc = run_lint(src, "--sarif", sarif)
+    proc = run_lint(src)
     assert proc.returncode == 1
-    assert proc.stdout.count("DET005") == 1 and ":3:" in proc.stdout
-    results = json.loads(sarif.read_text())["runs"][0]["results"]
-    assert [(r["ruleId"], r["level"]) for r in results] == [("DET005", "error")]
+    assert proc.stdout.splitlines() == [
+        f"{src}:3: DET005 comprehension iterates over directory entries in "
+        f"filesystem order; wrap in sorted(...)"
+    ]
+    assert "1 lint violation(s)" in proc.stderr
     for fixed in (
         unsorted.replace("in os.listdir(root)", "in sorted(os.listdir(root))"),
         unsorted.replace("(root)]", "(root)]  # det-ok: callers sort"),
@@ -172,8 +172,21 @@ def test_missing_path_is_an_error(run_lint, tmp_path):
     assert proc.returncode == 2
 
 
+def test_unparsable_file_fails_with_its_path_and_line(run_lint, tmp_path):
+    """A file that does not parse is one failing line naming it, not a
+    crash; the other files are still linted."""
+    broken = tmp_path / "broken.py"
+    broken.write_text("x = 1\ndef f(:\n")
+    (tmp_path / "clock.py").write_text("import time\nT = time.time()\n")
+    proc = run_lint(tmp_path)
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 and lines[0].startswith(f"{broken}:2: SyntaxError ")
+    assert "DET001" in lines[1]
+    assert "2 lint violation(s)" in proc.stderr
+
+
 @pytest.mark.parametrize("target", ["src/repro/pipeline", "src/repro/recycle"])
 def test_individual_targets_clean(run_lint, target):
     proc = run_lint(REPO / target)
     assert proc.returncode == 0, proc.stdout
-

@@ -1,23 +1,22 @@
 """Injection tests: SHR005 must fire on deliberately broken code, stay
 quiet on the fixed variant, and respect ``# shr-ok``.
 
-Each case lints a synthetic file through the real engine path
-(``lint_files``), so registration, rule selection and the SHR
-suppression family are all exercised.
+Each case lints a synthetic file's text with SHR005 alone through
+``lint_source``, so rule selection and the SHR marker family are both
+exercised.
 """
 
-import json
 import textwrap
+from pathlib import Path
 
-from repro.analysis.lint import DEFAULT_PROFILE, lint_files, restrict, run_lint
-from repro.analysis.lint.rules_sharing import SHR_RULE_CODES
+from repro.analysis.lint import CODES, TARGETS, lint_source, run_lint
 from repro.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def lint(tmp_path, source, name="inj.py"):
-    path = tmp_path / name
-    path.write_text(textwrap.dedent(source))
-    return lint_files([path], codes=SHR_RULE_CODES)
+    return lint_source(str(tmp_path / name), textwrap.dedent(source), ("SHR005",))
 
 
 def codes_of(findings):
@@ -85,35 +84,34 @@ def test_det_ok_does_not_suppress_shr(tmp_path):
     assert codes_of(lint(tmp_path, wrong_marker)) == ["SHR005"]
 
 
-def test_sharing_profile_clean_on_real_tree():
+def test_sharing_profile_clean_on_real_tree(monkeypatch):
     """The committed pipeline/service/sim/workloads layers pass SHR005
     (the one deliberate exception, ``Event.constructed``, carries
     ``# shr-ok``)."""
-    result = run_lint(restrict(DEFAULT_PROFILE, SHR_RULE_CODES))
-    assert result.findings == [], [f.render() for f in result.findings]
+    monkeypatch.chdir(REPO)
+    (paths,) = [paths for paths, codes in TARGETS if "SHR005" in codes]
+    findings = [f for f in run_lint(list(paths)) if f.code == "SHR005"]
+    assert findings == [], [f.render() for f in findings]
 
 
 def test_every_shr_rule_has_an_injection_proof():
-    """Meta: SHR005 is the only registered SHR code; the injection
-    cases above cover it."""
-    from repro.analysis.lint import all_rules
-
-    registered = {r.code for r in all_rules() if r.code.startswith("SHR")}
-    assert registered == set(SHR_RULE_CODES) == {"SHR005"}
+    """Meta: SHR005 is the only SHR code; the injection cases above
+    cover it."""
+    assert {code for code in CODES if code.startswith("SHR")} == {"SHR005"}
 
 
 def test_shr005_finding_fails_the_run(tmp_path, capsys):
     """SHR005 blocks like every other rule: ``repro-sim lint PATH`` on a
-    mutable default argument exits 1 and reports a SARIF error; the
-    fixed and the ``# shr-ok``-suppressed variants exit 0."""
+    mutable default argument exits 1 with one line naming it; the fixed
+    and the ``# shr-ok``-suppressed variants exit 0."""
     broken = "def record(x, acc=[]):\n    acc.append(x)\n"
     path = tmp_path / "inj.py"
     path.write_text(broken)
-    sarif = tmp_path / "lint.sarif"
-    assert main(["lint", str(path), "--sarif", str(sarif)]) == 1
-    assert "SHR005" in capsys.readouterr().out
-    results = json.loads(sarif.read_text())["runs"][0]["results"]
-    assert [(r["ruleId"], r["level"]) for r in results] == [("SHR005", "error")]
+    assert main(["lint", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path}:1: SHR005 mutable default argument in record: one instance is "
+        f"shared by every call from every core"
+    ]
     for fixed in (
         broken.replace("acc=[]):", "acc=None):\n    acc = [] if acc is None else acc"),
         broken.replace("acc=[]):", "acc=[]):  # shr-ok: a memo shared on purpose"),
